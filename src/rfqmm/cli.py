@@ -368,12 +368,21 @@ def cmd_simulate(args) -> int:
 
 
 def _adjust_rows(surface, market, inventory, rfqs, t, n_paths, seed):
-    here = residual_correction(surface, market, inventory, t=t, n_paths=n_paths, seed=seed)
-    rows = []
-    for asset, side, size in rfqs:
-        a = adjusted_quote(
+    adjusted = [
+        adjusted_quote(
             surface, market, inventory, asset, side, size, t=t, n_paths=n_paths, seed=seed
         )
+        for asset, side, size in rfqs
+    ]
+    # every priced quote estimated the correction at the given state with
+    # this seed already; run it only when none did
+    here = next(
+        (a.correction_at_state for a in adjusted if a.correction_at_state is not None), None
+    )
+    if here is None:
+        here = residual_correction(surface, market, inventory, t=t, n_paths=n_paths, seed=seed)
+    rows = []
+    for (asset, side, size), a in zip(rfqs, adjusted):
         after = a.correction_after_trade
         rows.append(
             [

@@ -47,27 +47,26 @@ class BucketTable:
 
     @classmethod
     def from_market(cls, market: MarketSpec) -> "BucketTable":
-        asset, side, size, rate, lam, alpha, beta = [], [], [], [], [], [], []
+        asset, side, size, rate = [], [], [], []
         for i, spec in enumerate(market.assets):
             for s, side_name in enumerate(SIDES):
-                intensity = spec.intensity(side_name)
                 dist = spec.sizes(side_name)
                 for z, p in zip(dist.sizes, dist.probabilities):
                     asset.append(i)
                     side.append(s)
                     size.append(z)
-                    rate.append(intensity.lambda_rfq * p)
-                    lam.append(intensity.lambda_rfq)
-                    alpha.append(intensity.alpha)
-                    beta.append(intensity.beta)
+                    rate.append(spec.intensity(side_name).lambda_rfq * p)
+        asset = np.array(asset, dtype=np.int64)
+        side = np.array(side, dtype=np.int64)
+        lam, alpha, beta = market.intensity_table[asset, side].T.copy()
         return cls(
-            asset=np.array(asset, dtype=np.int64),
-            side=np.array(side, dtype=np.int64),
+            asset=asset,
+            side=side,
             size=np.array(size, dtype=float),
             arrival_rate=np.array(rate, dtype=float),
-            lam=np.array(lam, dtype=float),
-            alpha=np.array(alpha, dtype=float),
-            beta=np.array(beta, dtype=float),
+            lam=lam,
+            alpha=alpha,
+            beta=beta,
         )
 
     def __len__(self) -> int:

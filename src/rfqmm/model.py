@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -33,6 +34,10 @@ PSD_TOL = 1e-10
 
 #: absolute tolerance for size-atom probabilities summing to one
 PROB_TOL = 1e-12
+
+#: relative slack on the risk limit, so a post-trade risk that lands on the
+#: limit up to round-off is still admissible
+RISK_SLACK = 1.0 + 1e-12
 
 Side = Literal["bid", "ask"]
 SIDES: tuple[Side, Side] = ("bid", "ask")
@@ -411,6 +416,28 @@ class MarketSpec:
     @property
     def sigmas(self) -> np.ndarray:
         return np.array([a.sigma for a in self.assets])
+
+    @cached_property
+    def intensity_table(self) -> np.ndarray:
+        """(assets, 2, 3) array: ``lambda_rfq, alpha, beta`` by (asset, side)."""
+        table = np.array(
+            [
+                [[lam.lambda_rfq, lam.alpha, lam.beta] for lam in map(a.intensity, SIDES)]
+                for a in self.assets
+            ]
+        )
+        table.setflags(write=False)
+        return table
+
+    def post_trade_risk(self, risk, sq_own, sign, size, asset):
+        """Risk ``q'Sigma q`` after a fill of ``sign * size`` units of ``asset``.
+
+        ``risk`` is the current ``q'Sigma q`` and ``sq_own`` the current
+        ``(Sigma q)_asset``; all arguments broadcast.  Returns the post-trade
+        risk and whether it stays within the risk limit.
+        """
+        post = risk + 2.0 * sign * size * sq_own + size * size * self.covariance[asset, asset]
+        return post, post <= self.risk_limit * RISK_SLACK
 
     def intensity_sum_at_floor(self) -> float:
         """Sum over assets and sides of the fill intensity at the quote floor.

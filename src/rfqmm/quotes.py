@@ -26,7 +26,7 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from .errors import OutOfDomainError, ValidationError
-from .factors import FactorModel
+from .events import SIDE_SIGNS
 from .hamiltonian import batch_quote_kernel, solve_offset_equation
 from .model import SIDES, LogisticIntensity, MarketSpec
 from .solver import ValueSurface
@@ -35,7 +35,10 @@ REASON_OK = "ok"
 REASON_BOX = "factor_out_of_grid"
 REASON_RISK = "risk_limit"
 
-_RISK_SLACK = 1.0 + 1e-12
+#: reasons by the codes :func:`surface_quotes` returns
+REASONS = (REASON_OK, REASON_BOX, REASON_RISK)
+
+_SIGNS = np.array(SIDE_SIGNS)
 
 
 def myopic_quote(intensity: LogisticIntensity, quote_floor: float = 1.0) -> float:
@@ -62,11 +65,16 @@ class QuoteResult:
         return self.reason != REASON_OK
 
 
-def _check_asset_side(market: MarketSpec, asset: int, side: str, size: float) -> None:
-    if not 0 <= asset < market.n_assets:
-        raise ValidationError(f"asset index {asset} out of range for {market.n_assets} assets")
-    if side not in SIDES:
-        raise ValidationError(f"side must be one of {SIDES}, got {side!r}")
+def _check_inventories(market: MarketSpec, inventories) -> np.ndarray:
+    q = np.atleast_2d(np.asarray(inventories, dtype=float))
+    if q.shape[1] != market.n_assets:
+        raise ValidationError(
+            f"inventory has {q.shape[1]} components, market has {market.n_assets} assets"
+        )
+    return q
+
+
+def _check_size(size: float) -> None:
     if not size > 0.0:
         raise ValidationError(f"trade size must be positive, got {size}")
 
@@ -86,34 +94,28 @@ def optimal_quote(
     grid box (the model has nothing to say there); returns a refusal marker
     when only the post-trade state is bad.
     """
-    _check_asset_side(market, asset, side, size)
-    q = np.asarray(q, dtype=float).reshape(1, -1)
-    if q.shape[1] != market.n_assets:
-        raise ValidationError(
-            f"inventory has {q.shape[1]} components, market has {market.n_assets} assets"
-        )
-    delta, reason, reservation = _surface_quote_arrays(
-        surface, market, q, asset, side, size, t
+    if not 0 <= asset < market.n_assets:
+        raise ValidationError(f"asset index {asset} out of range for {market.n_assets} assets")
+    if side not in SIDES:
+        raise ValidationError(f"side must be one of {SIDES}, got {side!r}")
+    _check_size(size)
+    q = _check_inventories(market, np.reshape(q, (1, -1)))
+    delta, reason, reservation = surface_quotes(
+        surface, market, None, t, q,
+        np.array([asset]), np.array([SIDES.index(side)]), np.array([float(size)]), None, None,
     )
-    return QuoteResult(float(delta[0]), reason[0], float(reservation[0]))
+    return QuoteResult(float(delta[0]), REASONS[reason[0]], float(reservation[0]))
 
 
-def _surface_quote_arrays(
-    surface: ValueSurface,
-    market: MarketSpec,
-    inventories: np.ndarray,
-    asset: int,
-    side: str,
-    size: float,
-    t,
-    sq: Optional[np.ndarray] = None,
-    risk: Optional[np.ndarray] = None,
-):
-    """Vectorised core shared by the scalar call and the policy objects.
+def surface_quotes(surface, market, adjuster, t, inventories, asset_ix, side_ix, sizes, sq, risk):
+    """The quoting rule, row by row: inventory, asset, side (0 bid, 1 ask) and size.
 
     ``sq`` (inventories @ Sigma) and ``risk`` (current q'Sigma q) may be
     passed in by callers that maintain them incrementally; both are
-    recomputed otherwise.
+    recomputed when None.  An ``adjuster`` shifts the reservation level
+    before the envelope kernel runs.  Returns ``(delta, reason,
+    reservation)``: ``reason`` holds indices into :data:`REASONS`, and
+    ``delta`` and ``reservation`` are NaN on refused rows.
     """
     fm = surface.factor_model
     grid = surface.grid
@@ -121,54 +123,60 @@ def _surface_quote_arrays(
     points = fm.factor_coordinates(inventories)
     if not np.all(grid.contains(points)):
         raise OutOfDomainError("factor point outside the grid box; state is out of domain")
-
-    sign = 1.0 if side == "bid" else -1.0
-    shifted = points + (sign * size) * fm.shift_directions[asset]
+    signs = _SIGNS[side_ix]
+    shifted = points + (signs * sizes)[:, None] * fm.shift_directions[asset_ix]
     inside = grid.contains(shifted)
 
-    sigma = market.covariance
     if sq is None:
-        sq_asset = inventories @ sigma[:, asset]
+        own = np.einsum("nd,dn->n", inventories, market.covariance[:, asset_ix])
     else:
-        sq_asset = sq[:, asset]
+        own = sq[np.arange(n), asset_ix]
     if risk is None:
-        risk = np.einsum("nd,dn->n", inventories, sigma @ inventories.T)
-    post_risk = risk + 2.0 * sign * size * sq_asset + size * size * sigma[asset, asset]
-    ok = inside & (post_risk <= market.risk_limit * _RISK_SLACK)
+        risk = np.einsum("nd,dn->n", inventories, market.covariance @ inventories.T)
+    _, admissible = market.post_trade_risk(risk, own, signs, sizes, asset_ix)
+    ok = inside & admissible
 
-    value_now = _values_at(surface, t, points)
-    value_shifted = np.where(inside, _values_at(surface, t, shifted, allow_outside=True), 0.0)
-    reservation = np.where(ok, (value_now - value_shifted) / size, 0.0)
-
-    intensity = market.assets[asset].intensity(side)
-    delta, _, _, _ = batch_quote_kernel(
-        reservation,
-        intensity.lambda_rfq,
-        intensity.alpha,
-        intensity.beta,
-        market.quote_floor,
+    # one interpolation pass over both point sets; reads do not depend on
+    # what else shares the batch
+    values = _values_at(
+        surface, t if np.ndim(t) == 0 else np.concatenate([t, t]),
+        np.concatenate([points, shifted]),
     )
-    delta = np.where(ok, delta, np.nan)
-    reservation = np.where(ok, reservation, np.nan)
-    reason = np.full(n, REASON_OK, dtype=object)
-    reason[~inside] = REASON_BOX
-    reason[inside & ~ok] = REASON_RISK
-    return delta, reason, reservation
+    value_now, value_shifted = values[:n], np.where(inside, values[n:], 0.0)
+    reservation = np.where(ok, (value_now - value_shifted) / sizes, 0.0)
+    if adjuster is not None:
+        reservation = reservation + _adjuster_shifts(
+            adjuster, t, inventories, asset_ix, side_ix, sizes
+        )
+    lam, alpha, beta = market.intensity_table[asset_ix, side_ix].T
+    delta, _, _, _ = batch_quote_kernel(reservation, lam, alpha, beta, market.quote_floor)
+    reason = np.where(ok, 0, np.where(inside, 2, 1))
+    return np.where(ok, delta, np.nan), reason, np.where(ok, reservation, np.nan)
 
 
-def _values_at(surface: ValueSurface, t, points: np.ndarray, allow_outside: bool = False):
-    mode = "nan" if allow_outside else "raise"
+def _adjuster_shifts(adjuster, t, inventories, asset_ix, side_ix, sizes):
+    out = np.zeros(inventories.shape[0])
+    keys = np.stack([asset_ix, side_ix], axis=1)
+    for asset, s in np.unique(keys, axis=0):
+        for z in np.unique(sizes[(asset_ix == asset) & (side_ix == s)]):
+            rows = (asset_ix == asset) & (side_ix == s) & (sizes == z)
+            out[rows] = adjuster.reservation_shift(
+                t, inventories[rows], int(asset), SIDES[s], float(z)
+            )
+    return out
+
+
+def _values_at(surface: ValueSurface, t, points: np.ndarray):
+    """Surface values at ``points`` (NaN outside the box), at one time or per row."""
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim == 0:
-        return surface.value_many(float(t_arr), points, out_of_box=mode)
+        return surface.value_many(float(t_arr), points, out_of_box="nan")
     # per-row times: group rows by the stored slice they resolve to
     indices = np.array([surface.slice_index(tv) for tv in t_arr])
     out = np.empty(points.shape[0], dtype=float)
     for k in np.unique(indices):
         rows = indices == k
-        out[rows] = surface.value_many(
-            float(surface.times[k]), points[rows], out_of_box=mode
-        )
+        out[rows] = surface.value_many(float(surface.times[k]), points[rows], out_of_box="nan")
     return out
 
 
@@ -176,31 +184,21 @@ def _values_at(surface: ValueSurface, t, points: np.ndarray, allow_outside: bool
 class MyopicPolicy:
     """Always answers the same offset per (asset, side); ignores inventory.
 
-    The constants are precomputed at construction, so quoting is a table
-    lookup.  The policy itself never refuses; risk limits are enforced by
-    whoever executes the fills.
+    The offsets are the envelope kernel at zero reservation level, computed
+    once at construction, so quoting is a table lookup.  The policy itself
+    never refuses; risk limits are enforced by whoever executes the fills.
     """
 
     market: MarketSpec
     kind: str = "myopic"
-    _table: dict = field(init=False, repr=False, default_factory=dict)
     _array: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        table = {
-            (i, side): myopic_quote(self.market.assets[i].intensity(side), self.market.quote_floor)
-            for i in range(self.market.n_assets)
-            for side in SIDES
-        }
-        object.__setattr__(self, "_table", table)
-        arr = np.array(
-            [[table[(i, side)] for side in SIDES] for i in range(self.market.n_assets)]
+        lam, alpha, beta = np.moveaxis(self.market.intensity_table, -1, 0)
+        delta, _, _, _ = batch_quote_kernel(
+            np.zeros(alpha.shape), lam, alpha, beta, self.market.quote_floor
         )
-        object.__setattr__(self, "_array", arr)
-
-    def quote_batch(self, t, inventories, asset, side, size, sq=None, risk=None):
-        n = np.asarray(inventories).shape[0]
-        return np.full(n, self._table[(asset, side)]), np.full(n, REASON_OK, dtype=object)
+        object.__setattr__(self, "_array", delta)
 
     def quote_rows(self, t, inventories, asset_ix, side_ix, sizes, sq=None, risk=None):
         delta = self._array[asset_ix, side_ix]
@@ -230,106 +228,11 @@ class SurfacePolicy:
 
         Returns ``(delta, ok)``; ``delta`` is NaN where the policy refuses.
         """
-        inventories = np.asarray(inventories, dtype=float)
-        n = inventories.shape[0]
-        fm = self.surface.factor_model
-        grid = self.surface.grid
-        points = fm.factor_coordinates(inventories)
-        if not np.all(grid.contains(points)):
-            raise OutOfDomainError("factor point outside the grid box; state is out of domain")
-        signs = np.where(side_ix == 0, 1.0, -1.0)
-        shifted = points + (signs * sizes)[:, None] * fm.shift_directions[asset_ix]
-        inside = grid.contains(shifted)
-
-        sigma = self.market.covariance
-        if sq is None:
-            own = np.einsum("nd,dn->n", inventories, sigma[:, asset_ix])
-        else:
-            own = sq[np.arange(n), asset_ix]
-        if risk is None:
-            risk = np.einsum("nd,dn->n", inventories, sigma @ inventories.T)
-        post_risk = risk + 2.0 * signs * sizes * own + sizes * sizes * np.diag(sigma)[asset_ix]
-        ok = inside & (post_risk <= self.market.risk_limit * _RISK_SLACK)
-
-        value_now = _values_at(self.surface, t, points)
-        value_shifted = np.where(
-            inside, _values_at(self.surface, t, shifted, allow_outside=True), 0.0
+        delta, reason, _ = surface_quotes(
+            self.surface, self.market, self.adjuster, t,
+            np.asarray(inventories, dtype=float), asset_ix, side_ix, sizes, sq, risk,
         )
-        reservation = np.where(ok, (value_now - value_shifted) / sizes, 0.0)
-        if self.adjuster is not None:
-            reservation = reservation + self._row_shifts(
-                t, inventories, asset_ix, side_ix, sizes
-            )
-        lam, alpha, beta = self._params()
-        delta, _, _, _ = batch_quote_kernel(
-            reservation,
-            lam[asset_ix, side_ix],
-            alpha[asset_ix, side_ix],
-            beta[asset_ix, side_ix],
-            self.market.quote_floor,
-        )
-        return np.where(ok, delta, np.nan), ok
-
-    def _params(self):
-        cached = getattr(self, "_param_arrays", None)
-        if cached is None:
-            d = self.market.n_assets
-            lam = np.empty((d, 2))
-            alpha = np.empty((d, 2))
-            beta = np.empty((d, 2))
-            for i in range(d):
-                for s, side in enumerate(SIDES):
-                    intensity = self.market.assets[i].intensity(side)
-                    lam[i, s] = intensity.lambda_rfq
-                    alpha[i, s] = intensity.alpha
-                    beta[i, s] = intensity.beta
-            cached = (lam, alpha, beta)
-            object.__setattr__(self, "_param_arrays", cached)
-        return cached
-
-    def _row_shifts(self, t, inventories, asset_ix, side_ix, sizes):
-        out = np.zeros(inventories.shape[0])
-        keys = np.stack([asset_ix, side_ix], axis=1)
-        for asset, s in np.unique(keys, axis=0):
-            for z in np.unique(sizes[(asset_ix == asset) & (side_ix == s)]):
-                rows = (asset_ix == asset) & (side_ix == s) & (sizes == z)
-                out[rows] = self.adjuster.reservation_shift(
-                    t, inventories[rows], int(asset), SIDES[s], float(z)
-                )
-        return out
-
-    def _batch(self, t, inventories, asset, side, size, sq=None, risk=None):
-        inventories = np.asarray(inventories, dtype=float)
-        delta, reason, reservation = _surface_quote_arrays(
-            self.surface, self.market, inventories, asset, side, size, t, sq, risk
-        )
-        if self.adjuster is None:
-            return delta, reason, reservation
-        ok = reason == REASON_OK
-        shift = self.adjuster.reservation_shift(t, inventories, asset, side, size)
-        adjusted = np.where(ok, reservation + shift, 0.0)
-        intensity = self.market.assets[asset].intensity(side)
-        delta_adj, _, _, _ = batch_quote_kernel(
-            adjusted,
-            intensity.lambda_rfq,
-            intensity.alpha,
-            intensity.beta,
-            self.market.quote_floor,
-        )
-        return (
-            np.where(ok, delta_adj, np.nan),
-            reason,
-            np.where(ok, adjusted, np.nan),
-        )
-
-    def quote_batch(self, t, inventories, asset, side, size, sq=None, risk=None):
-        delta, reason, _ = self._batch(t, inventories, asset, side, size, sq, risk)
-        return delta, reason
-
-    def quote(self, q, asset, side, size, t: float = 0.0) -> QuoteResult:
-        q = np.asarray(q, dtype=float).reshape(1, -1)
-        delta, reason, reservation = self._batch(t, q, asset, side, size)
-        return QuoteResult(float(delta[0]), reason[0], float(reservation[0]))
+        return delta, reason == 0
 
 
 QUOTE_TABLE_BASE_COLUMNS = ("asset", "side", "size", "delta", "reason")
@@ -348,24 +251,29 @@ def quote_table(
     (bid before ask), then increasing size, so the output is deterministic.
     Each row is ``(q tuple, asset id, side, size, delta or None, reason)``.
     """
-    inventories = np.atleast_2d(np.asarray(inventories, dtype=float))
+    inventories = _check_inventories(market, inventories)
+    keys = [
+        (i, s, float(z))
+        for i, spec in enumerate(market.assets)
+        for s, side in enumerate(SIDES)
+        for z in (sizes if sizes is not None else spec.sizes(side).sizes)
+    ]
+    for _, _, z in keys:
+        _check_size(z)
+    if not keys:
+        return []
+    asset_ix, side_ix, row_sizes = (np.array(col) for col in zip(*keys))
     rows = []
     for q in inventories:
-        for i, spec in enumerate(market.assets):
-            for side in SIDES:
-                atoms = sizes if sizes is not None else spec.sizes(side).sizes
-                for z in atoms:
-                    res = optimal_quote(surface, market, q, i, side, float(z), t=t)
-                    rows.append(
-                        (
-                            tuple(q),
-                            spec.asset_id,
-                            side,
-                            float(z),
-                            None if res.refused else res.delta,
-                            res.reason,
-                        )
-                    )
+        delta, reason, _ = surface_quotes(
+            surface, market, None, t, np.tile(q, (len(keys), 1)),
+            asset_ix, side_ix, row_sizes, None, None,
+        )
+        for (i, s, z), d, r in zip(keys, delta, reason):
+            rows.append(
+                (tuple(q), market.assets[i].asset_id, SIDES[s], z,
+                 None if r else float(d), REASONS[r])
+            )
     return rows
 
 

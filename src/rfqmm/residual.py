@@ -40,7 +40,7 @@ from .factors import FactorModel
 from .hamiltonian import batch_quote_kernel
 from .model import SIDES, MarketSpec
 from .quotes import SurfacePolicy, optimal_quote
-from .simulator import SimulationResult, simulate
+from .simulator import SimulationResult, inventory_paths, simulate
 from .solver import ValueSurface
 
 # Seed offset for the deliberately de-paired control arm of variance
@@ -134,29 +134,23 @@ def correction_samples(
     Exposed so audits can check that :func:`residual_correction` prices
     exactly the trajectories the fill simulator produces: running this on a
     surface-policy run with the same seed reproduces its ``samples`` array
-    bit for bit.  ``start_inventory`` must match the run's starting state.
+    bit for bit.  Paths start from the run's recorded start inventory; a
+    given ``start_inventory`` must equal it.
     """
-    if result.event_logs is None:
-        raise ValidationError("the run must be made with keep_event_logs=True")
-    market = result.market
-    d = market.n_assets
-    q0 = _clean_inventory(market, start_inventory)
+    if start_inventory is not None and not np.array_equal(
+        _clean_inventory(result.market, start_inventory), result.start_inventory
+    ):
+        raise ValidationError(
+            f"start_inventory {np.asarray(start_inventory).tolist()} is not the run's "
+            f"start inventory {result.start_inventory.tolist()}"
+        )
     beta = factor_model.loadings
     V = factor_model.factor_cov
     R = factor_model.residual_cov
-    penalty = market.penalty
-    horizon = market.horizon
+    penalty = result.market.penalty
 
     out = np.empty(len(result.paths))
-    for i, log in enumerate(result.event_logs):
-        times = np.asarray(log["t"], dtype=float)
-        m = times.size
-        inventory = np.tile(q0, (m + 1, 1))
-        if m:
-            steps = np.zeros((m, d))
-            steps[np.arange(m), np.asarray(log["asset"], dtype=int)] = log["dq"]
-            inventory[1:] += np.cumsum(steps, axis=0)
-        durations = np.diff(np.concatenate(([0.0], times, [horizon])))
+    for i, (inventory, durations) in enumerate(inventory_paths(result)):
         factors = inventory @ beta
         # Both quadratic forms are nonnegative by construction; the clamp
         # only removes round-off dust so the pathwise sign guarantee of the

@@ -38,8 +38,6 @@ from .solver import FactorGrid
 
 ENGINES = ("thinning", "collapsed", "price_paths")
 
-_RISK_SLACK = 1.0 + 1e-12
-
 
 class DegenerateRunWarning(RuntimeWarning):
     """The policy refuses every bucket at zero inventory; no fills can occur."""
@@ -89,6 +87,7 @@ class SimulationResult:
     seed: int
     buckets: BucketTable
     paths: List[TrajectoryStats]
+    start_inventory: np.ndarray
     event_logs: Optional[list] = None
     _summary: SimulationSummary = field(init=False, repr=False, default=None)
 
@@ -213,13 +212,14 @@ def simulate(
     if start_inventory is None:
         q0 = np.zeros(market.n_assets)
     else:
-        q0 = np.asarray(start_inventory, dtype=float)
+        q0 = np.array(start_inventory, dtype=float)
         if q0.shape != (market.n_assets,):
             raise ValidationError(
                 f"start_inventory must have shape ({market.n_assets},), got {q0.shape}"
             )
         if not np.isfinite(q0).all():
             raise ValidationError("start_inventory must be finite")
+    q0.setflags(write=False)
     buckets = BucketTable.from_market(market)
     _check_degenerate(market, policy, buckets, q0)
     if engine == "collapsed":
@@ -244,8 +244,6 @@ def _run_thinning(
     d = market.n_assets
     horizon = market.horizon
     sigma = market.covariance
-    diag = np.diag(sigma)
-    limit = market.risk_limit * _RISK_SLACK
     drawn = [
         draw_path_events(
             buckets, horizon, path_generator(seed, i), price_dims=d if price_paths else 0
@@ -284,11 +282,8 @@ def _run_thinning(
     fills = np.zeros((n_paths, len(buckets)), dtype=np.int64)
     rejected = np.zeros(n_paths, dtype=np.int64)
     refused = np.zeros(n_paths, dtype=np.int64)
-    logs = (
-        [{"t": [], "asset": [], "dq": [], "bucket": []} for _ in range(n_paths)]
-        if keep_logs
-        else None
-    )
+    # per event step: filled rows, assets, signed sizes, times and buckets
+    fill_steps = []
     signs_by_side = np.array(SIDE_SIGNS)
     running = market.penalty.running
 
@@ -321,9 +316,8 @@ def _run_thinning(
         prob = np.where(ok, _fill_probability(buckets, b, np.where(ok, delta, 0.0)), 0.0)
         fill = thin[alive, j] < prob
         signs = signs_by_side[s_ix]
-        own = sq[alive, a_ix]
-        post = y[alive] + 2.0 * signs * z * own + z * z * diag[a_ix]
-        breach = fill & (post > limit)
+        post, admissible = market.post_trade_risk(y[alive], sq[alive, a_ix], signs, z, a_ix)
+        breach = fill & ~admissible
         rejected[alive] += breach
         fill &= ~breach
         rows = alive[fill]
@@ -340,11 +334,7 @@ def _run_thinning(
             if price_paths:
                 cash[rows] -= sf * zf * (prices[rows, af] - sf * df)
             if keep_logs:
-                for r, a, s_z, t_r, b_r in zip(rows, af, sf * zf, tj[fill], b[fill]):
-                    logs[r]["t"].append(float(t_r))
-                    logs[r]["asset"].append(int(a))
-                    logs[r]["dq"].append(float(s_z))
-                    logs[r]["bucket"].append(int(b_r))
+                fill_steps.append((rows, af, sf * zf, tj[fill], b[fill]))
 
     dt = horizon - t_prev
     risk_int += y * dt
@@ -388,8 +378,25 @@ def _run_thinning(
         seed=seed,
         buckets=buckets,
         paths=paths,
-        event_logs=logs,
+        start_inventory=q0,
+        event_logs=_split_fills(fill_steps, n_paths) if keep_logs else None,
     )
+
+
+def _split_fills(fill_steps, n_paths):
+    """Per-path event logs from the per-step fill arrays, in time order."""
+    rows, asset, dq, t, bucket = (
+        [np.concatenate(col) for col in zip(*fill_steps)]
+        if fill_steps
+        else [np.empty(0, dtype=np.int64)] * 5
+    )
+    # steps run in time order, so a stable sort by path keeps each path's
+    # fills in time order
+    order = np.argsort(rows, kind="stable")
+    cuts = np.cumsum(np.bincount(rows, minlength=n_paths))[:-1]
+    columns = {"t": t, "asset": asset, "dq": dq, "bucket": bucket}
+    split = {k: np.split(v[order], cuts) for k, v in columns.items()}
+    return [{k: split[k][i].tolist() for k in columns} for i in range(n_paths)]
 
 
 def _run_collapsed(market, policy, n_paths, seed, buckets, keep_logs, q0):
@@ -402,8 +409,6 @@ def _run_collapsed(market, policy, n_paths, seed, buckets, keep_logs, q0):
     """
     horizon = market.horizon
     sigma = market.covariance
-    diag = np.diag(sigma)
-    limit = market.risk_limit * _RISK_SLACK
     nb = len(buckets)
     signs = np.array(SIDE_SIGNS)[buckets.side]
     running = market.penalty.running
@@ -424,8 +429,10 @@ def _run_collapsed(market, policy, n_paths, seed, buckets, keep_logs, q0):
                 0.0, np.tile(q, (nb, 1)), buckets.asset, buckets.side, buckets.size
             )
             prob = np.where(ok, _fill_probability(buckets, np.arange(nb), np.where(ok, delta, 0.0)), 0.0)
-            post = y + 2.0 * signs * buckets.size * sq[buckets.asset] + buckets.size**2 * diag[buckets.asset]
-            rates = buckets.arrival_rate * prob * (post <= limit)
+            post, admissible = market.post_trade_risk(
+                y, sq[buckets.asset], signs, buckets.size, buckets.asset
+            )
+            rates = buckets.arrival_rate * prob * admissible
             total = rates.sum()
             if total <= 0.0:
                 dt = horizon - t
@@ -481,8 +488,31 @@ def _run_collapsed(market, policy, n_paths, seed, buckets, keep_logs, q0):
         seed=seed,
         buckets=buckets,
         paths=paths,
+        start_inventory=q0,
         event_logs=logs,
     )
+
+
+def inventory_paths(result: SimulationResult):
+    """Each path's piecewise-constant inventories and how long each is held.
+
+    Yields ``(inventory, durations)`` per path: row 0 of ``inventory`` is the
+    run's start inventory and row ``j`` the inventory after the ``j``-th
+    logged fill; ``durations`` sum to the horizon.  Requires event logs
+    (``keep_event_logs=True``).
+    """
+    if result.event_logs is None:
+        raise ValidationError("inventory paths need keep_event_logs=True at simulate time")
+    d = result.market.n_assets
+    for log in result.event_logs:
+        times = np.asarray(log["t"], dtype=float)
+        m = times.size
+        inventory = np.tile(result.start_inventory, (m + 1, 1))
+        if m:
+            steps = np.zeros((m, d))
+            steps[np.arange(m), np.asarray(log["asset"], dtype=int)] = log["dq"]
+            inventory[1:] += np.cumsum(steps, axis=0)
+        yield inventory, np.diff(np.concatenate(([0.0], times, [result.market.horizon])))
 
 
 def inventory_histogram(result: SimulationResult, grid: FactorGrid, loadings) -> np.ndarray:
@@ -493,25 +523,12 @@ def inventory_histogram(result: SimulationResult, grid: FactorGrid, loadings) ->
     counts are hours of occupancy, ready for log-scale plotting.  Requires
     event logs (``keep_event_logs=True``).
     """
-    if result.event_logs is None:
-        raise ValidationError("inventory histogram needs keep_event_logs=True at simulate time")
     loadings = np.asarray(loadings, dtype=float)
     counts = np.zeros(grid.shape)
-    horizon = result.market.horizon
-    half = grid.half_widths
-    spacing = grid.spacing
     shape = np.array(grid.shape)
-    for log in result.event_logs:
-        m = len(log["t"])
-        steps = np.zeros((m + 1, loadings.shape[0]))
-        if m:
-            rows = np.zeros((m, loadings.shape[0]))
-            rows[np.arange(m), np.array(log["asset"], dtype=int)] = log["dq"]
-            steps[1:] = np.cumsum(rows, axis=0)
-        t_edges = np.concatenate([[0.0], np.asarray(log["t"], dtype=float), [horizon]])
-        durations = np.diff(t_edges)
-        factors = steps @ loadings
-        cells = np.rint((factors + half) / spacing).astype(np.int64)
+    for inventory, durations in inventory_paths(result):
+        factors = inventory @ loadings
+        cells = np.rint((factors + grid.half_widths) / grid.spacing).astype(np.int64)
         cells = np.clip(cells, 0, shape - 1)
         np.add.at(counts, tuple(cells.T), durations)
     return counts
@@ -523,21 +540,10 @@ def occupancy_second_moment(result: SimulationResult, loadings) -> np.ndarray:
     Returns the k-by-k matrix E[f f'] with time as the weight, averaged
     over paths; the diagonal gives per-axis occupancy spread.
     """
-    if result.event_logs is None:
-        raise ValidationError("occupancy moments need keep_event_logs=True at simulate time")
     loadings = np.asarray(loadings, dtype=float)
     k = loadings.shape[1]
     acc = np.zeros((k, k))
-    horizon = result.market.horizon
-    for log in result.event_logs:
-        m = len(log["t"])
-        steps = np.zeros((m + 1, loadings.shape[0]))
-        if m:
-            rows = np.zeros((m, loadings.shape[0]))
-            rows[np.arange(m), np.array(log["asset"], dtype=int)] = log["dq"]
-            steps[1:] = np.cumsum(rows, axis=0)
-        t_edges = np.concatenate([[0.0], np.asarray(log["t"], dtype=float), [horizon]])
-        durations = np.diff(t_edges)
-        factors = steps @ loadings
+    for inventory, durations in inventory_paths(result):
+        factors = inventory @ loadings
         acc += np.einsum("n,nj,nk->jk", durations, factors, factors)
-    return acc / (horizon * len(result.event_logs))
+    return acc / (result.market.horizon * len(result.event_logs))

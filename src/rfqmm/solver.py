@@ -27,9 +27,11 @@ the sweep is deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -308,30 +310,47 @@ class ValueSurface:
             writer.writerow([repr(float(x)) for x in row] + [repr(float(val)), int(ok)])
 
     def save(self, path, config_hash: str | None = None) -> None:
+        """Write the surface to ``path`` (".npz" appended if missing).
+
+        The archive goes to a temporary file in the same directory first and
+        is then renamed into place, so an interrupted save never leaves a
+        truncated archive at ``path``.
+        """
         fm = self.factor_model
         meta = {
             "format_version": _FORMAT_VERSION,
             "config_hash": config_hash if config_hash is not None else self.config_hash,
         }
-        np.savez_compressed(
-            path,
-            meta=json.dumps(meta, sort_keys=True),
-            times=self.times,
-            values=self.values,
-            horizon=self.horizon,
-            dt=self.dt,
-            n_steps=self.n_steps,
-            intensity_budget=self.intensity_budget,
-            grid_factor_cov=self.grid.factor_cov,
-            grid_half_widths=self.grid.half_widths,
-            grid_nodes=np.array(self.grid.nodes_per_axis),
-            grid_risk_limit=self.grid.risk_limit,
-            fm_covariance=fm.covariance,
-            fm_loadings=fm.loadings,
-            fm_factor_cov=fm.factor_cov,
-            fm_residual_cov=fm.residual_cov,
-            fm_eigenvalues=fm.eigenvalues,
-        )
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez_compressed(
+                    fh,
+                    meta=json.dumps(meta, sort_keys=True),
+                    times=self.times,
+                    values=self.values,
+                    horizon=self.horizon,
+                    dt=self.dt,
+                    n_steps=self.n_steps,
+                    intensity_budget=self.intensity_budget,
+                    grid_factor_cov=self.grid.factor_cov,
+                    grid_half_widths=self.grid.half_widths,
+                    grid_nodes=np.array(self.grid.nodes_per_axis),
+                    grid_risk_limit=self.grid.risk_limit,
+                    fm_covariance=fm.covariance,
+                    fm_loadings=fm.loadings,
+                    fm_factor_cov=fm.factor_cov,
+                    fm_residual_cov=fm.residual_cov,
+                    fm_eigenvalues=fm.eigenvalues,
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "ValueSurface":

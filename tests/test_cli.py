@@ -371,6 +371,26 @@ class TestReproduce:
         assert main(args + ["--stage", "quotes"]) == 0
         assert npzs[0].stat().st_mtime_ns == stamp
 
+    def test_adjust_stage_runs_two_simulations_per_rfq(self, tmp_path, monkeypatch):
+        import rfqmm.residual
+
+        calls = []
+        real = rfqmm.residual.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["start_inventory"].copy())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rfqmm.residual, "simulate", counting)
+        code = main(
+            ["reproduce", "paper-2asset", "--stage", "adjust", "--grid", "15",
+             "--paths", "10", "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        # two RFQs, each priced from the flat state and its post-trade state;
+        # the correction at the flat state is reused from the first of them
+        assert len(calls) == 4
+
     def test_adjust_stage_reports_corrected_value(self, tmp_path, capsys):
         code = main(
             ["reproduce", "paper-2asset", "--stage", "adjust", "--grid", "15",

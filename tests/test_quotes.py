@@ -10,6 +10,7 @@ from helpers import (
     make_intensity,
     make_market_1asset,
     make_market_2asset,
+    make_market_30asset,
     make_sizes,
     rk4_lattice_reference,
 )
@@ -67,12 +68,14 @@ class TestMyopic:
         policy = MyopicPolicy(market)
         assert policy.kind == "myopic"
         q = np.zeros((7, 2))
-        delta, reason = policy.quote_batch(0.0, q, 1, "ask", 12500.0)
+        rows = (np.full(7, 1), np.full(7, 1), np.full(7, 12500.0))
+        delta, ok = policy.quote_rows(0.0, q, *rows)
         assert np.all(delta == delta[0])
-        assert np.all(reason == REASON_OK)
+        assert np.all(ok)
+        assert delta[0] == myopic_quote(market.assets[1].intensity("ask"), market.quote_floor)
         # inventory-blind by construction
         q2 = np.full((7, 2), 9.9e4)
-        delta2, _ = policy.quote_batch(0.0, q2, 1, "ask", 12500.0)
+        delta2, _ = policy.quote_rows(0.0, q2, *rows)
         np.testing.assert_array_equal(delta, delta2)
 
 
@@ -198,6 +201,11 @@ class TestRefusals:
             optimal_quote(surface, market, q, 0, "bid", 6250.0)
 
 
+def same_rows(n, asset, side, size):
+    """Row arrays for ``quote_rows`` repeating one (asset, side, size)."""
+    return np.full(n, asset), np.full(n, side), np.full(n, size)
+
+
 class TestPolicies:
     def test_surface_policy_matches_scalar_calls(self, short_setup):
         market, _, _, surface = short_setup
@@ -205,10 +213,10 @@ class TestPolicies:
         assert policy.kind == "surface"
         rng = np.random.default_rng(2)
         qs = rng.uniform(-1.0, 1.0, size=(30, 2)) * 50000.0
-        delta, reason = policy.quote_batch(0.0, qs, 1, "bid", 12500.0)
+        delta, ok = policy.quote_rows(0.0, qs, *same_rows(30, 1, 0, 12500.0))
         for row, q in enumerate(qs):
             res = optimal_quote(surface, market, q, 1, "bid", 12500.0)
-            assert reason[row] == res.reason
+            assert ok[row] == (res.reason == REASON_OK)
             if res.refused:
                 assert np.isnan(delta[row])
             else:
@@ -221,8 +229,9 @@ class TestPolicies:
         qs = rng.uniform(-1.0, 1.0, size=(20, 2)) * 50000.0
         sq = qs @ market.covariance
         risk = np.einsum("nd,nd->n", sq, qs)
-        base = policy.quote_batch(0.0, qs, 0, "ask", 6250.0)
-        cached = policy.quote_batch(0.0, qs, 0, "ask", 6250.0, sq=sq, risk=risk)
+        rows = same_rows(20, 0, 1, 6250.0)
+        base = policy.quote_rows(0.0, qs, *rows)
+        cached = policy.quote_rows(0.0, qs, *rows, sq=sq, risk=risk)
         np.testing.assert_array_equal(base[0], cached[0])
 
     def test_adjusted_kind_shifts_the_reservation(self, short_setup):
@@ -236,8 +245,8 @@ class TestPolicies:
         bumped = SurfacePolicy(surface, market, adjuster=Bump())
         assert bumped.kind == "surface_mc_adjusted"
         qs = np.array([[0.0, 0.0], [15000.0, -5000.0]])
-        d0, _ = plain.quote_batch(0.0, qs, 0, "bid", 6250.0)
-        d1, _ = bumped.quote_batch(0.0, qs, 0, "bid", 6250.0)
+        d0, _ = plain.quote_rows(0.0, qs, *same_rows(2, 0, 0, 6250.0))
+        d1, _ = bumped.quote_rows(0.0, qs, *same_rows(2, 0, 0, 6250.0))
         # a higher reservation level widens the quote
         assert np.all(d1 > d0)
         assert np.all(d1 >= -market.quote_floor)
@@ -250,9 +259,10 @@ class TestPolicies:
         policy = SurfacePolicy(surface, market)
         qs = np.array([[0.0, 0.0], [10000.0, 0.0], [0.0, 5000.0]])
         times = np.array([0.0, market.horizon, 0.0])
-        mixed, _ = policy.quote_batch(times, qs, 0, "bid", 6250.0)
-        at0, _ = policy.quote_batch(0.0, qs, 0, "bid", 6250.0)
-        atT, _ = policy.quote_batch(market.horizon, qs, 0, "bid", 6250.0)
+        rows = same_rows(3, 0, 0, 6250.0)
+        mixed, _ = policy.quote_rows(times, qs, *rows)
+        at0, _ = policy.quote_rows(0.0, qs, *rows)
+        atT, _ = policy.quote_rows(market.horizon, qs, *rows)
         assert mixed[0] == at0[0]
         assert mixed[1] == atT[1]
         assert mixed[2] == at0[2]
@@ -268,6 +278,47 @@ class TestQuoteTable:
             res = optimal_quote(surface, market, list(q), i, side, size)
             assert delta == res.delta
             assert reason == res.reason
+
+    @staticmethod
+    def assert_rows_match_direct_calls(surface, market, qs, rtol):
+        rows = quote_table(surface, market, qs)
+        assert len(rows) == len(qs) * sum(
+            len(a.sizes(side).sizes) for a in market.assets for side in ("bid", "ask")
+        )
+        ids = [a.asset_id for a in market.assets]
+        refused = 0
+        for q, asset_id, side, size, delta, reason in rows:
+            res = optimal_quote(surface, market, list(q), ids.index(asset_id), side, size)
+            assert reason == res.reason
+            if res.refused:
+                assert delta is None
+                refused += 1
+            elif rtol == 0.0:
+                assert delta == res.delta
+            else:
+                assert delta == pytest.approx(res.delta, rel=rtol, abs=0.0)
+        return refused
+
+    def test_nonzero_inventories_match_direct_calls(self, short_setup):
+        market, fm, grid, surface = short_setup
+        rng = np.random.default_rng(11)
+        qs = rng.uniform(-1.0, 1.0, size=(6, 2)) * 50000.0
+        qs = np.vstack([qs, TestRefusals.hot_state(fm, grid)])
+        refused = self.assert_rows_match_direct_calls(surface, market, qs, rtol=0.0)
+        assert refused > 0
+
+    def test_nonzero_inventories_match_direct_calls_many_assets(self):
+        # q @ loadings over many identical rows may differ from one row in
+        # the last bit at d > 2, hence the relative tolerance
+        market = make_market_30asset(horizon=0.02)
+        fm = build_factor_model(market.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 15)
+        surface = solve(market, fm, grid)
+        rng = np.random.default_rng(3)
+        qs = rng.normal(size=(3, market.n_assets))
+        risk = np.einsum("nd,de,ne->n", qs, market.covariance, qs)
+        qs *= np.sqrt(0.25 * market.risk_limit / risk)[:, None]
+        self.assert_rows_match_direct_calls(surface, market, qs, rtol=1e-12)
 
     def test_default_sizes_come_from_the_market(self, short_setup):
         market, _, _, surface = short_setup

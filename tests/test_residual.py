@@ -141,6 +141,20 @@ class TestTrajectoryIdentity:
         recomputed = correction_samples(run, surface1.factor_model)
         np.testing.assert_array_equal(est.samples, recomputed)
 
+    def test_samples_start_from_the_recorded_inventory(self, two_asset_setup):
+        market, surface1, _ = two_asset_setup
+        q0 = np.array([20000.0, -10000.0])
+        est = residual_correction(surface1, market, q0, n_paths=6, seed=5)
+        run = simulate(
+            market, SurfacePolicy(surface1, market), n_paths=6, seed=5,
+            keep_event_logs=True, start_inventory=q0,
+        )
+        fm = surface1.factor_model
+        np.testing.assert_array_equal(correction_samples(run, fm), est.samples)
+        np.testing.assert_array_equal(correction_samples(run, fm, start_inventory=q0), est.samples)
+        with pytest.raises(ValidationError, match="start inventory"):
+            correction_samples(run, fm, start_inventory=np.zeros(2))
+
     def test_bit_exact_reproducibility(self, flat_setup):
         surface, priced, _ = flat_setup
         a = residual_correction(surface, priced, n_paths=60, seed=5)
@@ -281,5 +295,8 @@ class TestPolicyAdjuster:
         policy = SurfacePolicy(surface, priced, adjuster=adjuster)
         assert policy.kind == "surface_mc_adjusted"
         direct = adjusted_quote(surface, priced, [40000.0], 0, "ask", 6250.0, n_paths=40, seed=8)
-        via_policy = policy.quote(np.array([40000.0]), 0, "ask", 6250.0)
-        assert via_policy.delta == pytest.approx(direct.delta, rel=1e-12)
+        via_policy, ok = policy.quote_rows(
+            0.0, np.array([[40000.0]]), np.array([0]), np.array([1]), np.array([6250.0])
+        )
+        assert ok[0]
+        assert via_policy[0] == pytest.approx(direct.delta, rel=1e-12)

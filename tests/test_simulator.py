@@ -258,6 +258,23 @@ class TestTrivialCases:
         assert counts.sum() == pytest.approx(market.horizon, rel=1e-12)
         assert counts[2, 2] == pytest.approx(market.horizon, rel=1e-12)
 
+    def test_histogram_starts_from_the_start_inventory(self):
+        market = make_market_2asset(horizon=3.0, lam=0.0)
+        fm = build_factor_model(market.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 5)
+        f0 = grid.spacing * np.array([1.0, -1.0])
+        q0 = fm.loadings @ f0
+        result = simulate(
+            market, MyopicPolicy(market), 2, seed=4, keep_event_logs=True, start_inventory=q0
+        )
+        np.testing.assert_array_equal(result.start_inventory, q0)
+        counts = inventory_histogram(result, grid, fm.loadings)
+        assert counts[3, 1] == pytest.approx(2 * market.horizon, rel=1e-12)
+        assert counts.sum() == pytest.approx(2 * market.horizon, rel=1e-12)
+        np.testing.assert_allclose(
+            occupancy_second_moment(result, fm.loadings), np.outer(f0, f0), rtol=1e-12
+        )
+
     def test_histogram_conserves_time(self, sim_setup):
         market, fm, grid, surface = sim_setup
         result = simulate(market, SurfacePolicy(surface, market), 25, seed=10, keep_event_logs=True)

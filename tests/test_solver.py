@@ -282,6 +282,18 @@ class TestPersistence:
         assert loaded.n_steps == surface.n_steps
         assert loaded.horizon == surface.horizon
 
+    def test_interrupted_save_leaves_nothing(self, tmp_path, monkeypatch):
+        _, _, _, surface = small_surface(horizon=0.5, nodes=21)
+
+        def torn(fh, **arrays):
+            fh.write(b"PK\x03\x04 truncated")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", torn)
+        with pytest.raises(OSError, match="disk full"):
+            surface.save(tmp_path / "surface.npz")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_unknown_format(self, tmp_path):
         _, _, _, surface = small_surface(horizon=0.5, nodes=21)
         path = tmp_path / "surface.npz"
