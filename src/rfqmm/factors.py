@@ -1,11 +1,8 @@
 """Eigendecomposition of the covariance and low-rank factor models.
 
-The decomposition is a cyclic Jacobi iteration: sweeps over all off-diagonal
-pairs, each annihilated by a plane rotation, until the off-diagonal Frobenius
-mass falls below 1e-14 times the Frobenius norm of the input.  For the matrix
-sizes this package targets (tens of assets) Jacobi is plenty fast, it is
-unconditionally stable on symmetric input, and it keeps the package's linear
-algebra self-contained.
+The decomposition is LAPACK's symmetric eigensolver (``numpy.linalg.eigh``),
+reordered to descending eigenvalues, with a deterministic sign per
+eigenvector.
 
 A factor model keeps the top k eigenpairs: loadings are the eigenvectors,
 the factor covariance is the diagonal of retained eigenvalues, and whatever
@@ -19,11 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-
-#: off-diagonal mass threshold, relative to ||input||_F
-JACOBI_TOL = 1e-14
-
-_MAX_SWEEPS = 60
 
 #: components smaller than this are ignored by the sign convention
 SIGN_EPS = 1e-12
@@ -58,56 +50,19 @@ def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
 
 
 def jacobi_eigendecomposition(matrix: np.ndarray) -> EigenDecomposition:
-    """Full symmetric eigendecomposition by cyclic Jacobi rotations."""
+    """Full symmetric eigendecomposition, eigenvalues in descending order.
+
+    Computed by ``numpy.linalg.eigh``; the function keeps its original name
+    for existing callers.
+    """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
         raise ValidationError("matrix is not symmetric")
-    d = a.shape[0]
-    a = a.copy()
-    v = np.eye(d)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return EigenDecomposition(eigenvalues=np.zeros(d), eigenvectors=v)
-    threshold = JACOBI_TOL * norm
-
-    def off_mass():
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
-
-    for _ in range(_MAX_SWEEPS):
-        if off_mass() <= threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # classic symmetric Schur rotation annihilating a[p, q]
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                a[p, :], a[q, :] = c * a[p, :] - s * a[q, :], s * a[p, :] + c * a[q, :]
-                a[p, q] = a[q, p] = 0.0
-                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
-    if off_mass() > threshold:
-        raise ValidationError(
-            f"Jacobi iteration failed to converge in {_MAX_SWEEPS} sweeps "
-            f"(off-diagonal mass {off_mass():.3e}, threshold {threshold:.3e})"
-        )
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = eigenvalues[order]
-    vectors = _apply_sign_convention(v[:, order])
+    eigenvalues, vectors = np.linalg.eigh(a)
+    eigenvalues = eigenvalues[::-1].copy()
+    vectors = _apply_sign_convention(vectors[:, ::-1])
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
