@@ -7,11 +7,17 @@ reads
 
     x - exp(-x) = c,      c = beta*p + alpha + 1.
 
-The left side is strictly increasing and concave, so Newton started at or
-below the root converges monotonically from below; every iterate is kept
-inside a bracketing interval with a bisection fallback.  The bracket is
-[x0, x0 + exp(-x0)] with x0 = c for c >= 0 and x0 = -log1p(-c) otherwise,
-which is cheap and always valid.
+The left side is strictly increasing, so the root is unique.  It has a
+closed form in the Wright omega function (Lawrence, Corless & Jeffrey, ACM
+TOMS 2012): with y = omega(-c) the root satisfies exp(-x) = y, so
+
+    x = c + y          for c >= 0,
+    x = -log(y)        for c < 0.
+
+The two branches are the same root; each is taken where it is free of
+cancellation.  For c >= 0, y lies in (0, omega(0)] and may underflow to 0
+(c above about 745), which leaves x = c exactly.  For c < 0, y exceeds
+omega(0) and c + y would cancel as c goes to -inf.
 
 Derived quantities at the optimizer d*(p):
 
@@ -27,68 +33,37 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .model import LogisticIntensity
 
-# quote tolerance of the scalar solve
-QUOTE_TOL = 1e-12
-_MAX_ITER = 80
 
-
-def solve_offset_equation(c, x0=None):
-    """Solve x - exp(-x) = c elementwise.
-
-    ``x0`` optionally warm-starts the iteration; it is projected into the
-    bracket before use.  Shapes broadcast like numpy ufuncs.
-    """
+def solve_offset_equation(c):
+    """Solve x - exp(-x) = c elementwise; scalars in, float out."""
     c = np.asarray(c, dtype=float)
-    scalar = c.ndim == 0
-    c = np.atleast_1d(c)
-    lo = np.where(c >= 0.0, c, -np.log1p(-np.minimum(c, 0.0)))
-    hi = lo + np.exp(-lo)
-    if x0 is None:
-        x = lo.copy()
-    else:
-        x = np.clip(np.broadcast_to(np.asarray(x0, dtype=float), c.shape), lo, hi).copy()
-    # converged entries freeze so each element's iterate sequence (and hence
-    # its bits) is independent of what else shares the batch
-    active = np.ones(c.shape, dtype=bool)
-    for _ in range(_MAX_ITER):
-        ex = np.exp(-x)
-        f = x - ex - c
-        below = f < 0.0
-        np.copyto(lo, x, where=below & active)
-        np.copyto(hi, x, where=~below & active)
-        step = f / (1.0 + ex)
-        x_new = x - step
-        outside = (x_new < lo) | (x_new > hi)
-        np.copyto(x_new, 0.5 * (lo + hi), where=outside)
-        converged = np.abs(x_new - x) <= 1e-13 * (1.0 + np.abs(x_new))
-        np.copyto(x, x_new, where=active)
-        active &= ~converged
-        if not active.any():
-            break
-    return float(x[0]) if scalar else x
+    y = wrightomega(-c)
+    with np.errstate(divide="ignore"):
+        x = np.where(c >= 0.0, c + y, -np.log(y))
+    return float(x) if x.ndim == 0 else x
 
 
-def batch_quote_kernel(p, lam, alpha, beta, floor, x0=None):
+def batch_quote_kernel(p, lam, alpha, beta, floor):
     """Vectorized optimizer and envelope for per-element intensity parameters.
 
-    Returns ``(delta, value, slope, x)`` where ``delta`` maximizes
-    Lambda(d) * (d - p) over d >= -floor, ``value``/``slope`` are the envelope
-    and its derivative in p, and ``x`` is the internal root for warm starts.
-    All of ``p, lam, alpha, beta`` broadcast elementwise.
+    Returns ``(delta, value, slope)`` where ``delta`` maximizes
+    Lambda(d) * (d - p) over d >= -floor and ``value``/``slope`` are the
+    envelope and its derivative in p.  All of ``p, lam, alpha, beta``
+    broadcast elementwise.
     """
     p = np.asarray(p, dtype=float)
-    c = beta * p + alpha + 1.0
-    x = solve_offset_equation(c, x0=x0)
+    x = solve_offset_equation(beta * p + alpha + 1.0)
     delta = np.maximum((x - alpha) / beta, -floor)
     u = alpha + beta * delta
     # Lambda(delta) without overflow for large u
     lam_d = lam / (1.0 + np.exp(np.minimum(u, 700.0)))
     value = lam_d * (delta - p)
     slope = -lam_d
-    return delta, value, slope, x
+    return delta, value, slope
 
 
 @dataclass(frozen=True)
@@ -108,9 +83,9 @@ class HamiltonianOps:
             raise ValueError(f"quote floor must be positive, got {self.quote_floor}")
         object.__setattr__(self, "lipschitz_bound", float(self.intensity(-self.quote_floor)))
 
-    def _kernel(self, p, x0=None):
+    def _kernel(self, p):
         lam = self.intensity
-        return batch_quote_kernel(p, lam.lambda_rfq, lam.alpha, lam.beta, self.quote_floor, x0=x0)
+        return batch_quote_kernel(p, lam.lambda_rfq, lam.alpha, lam.beta, self.quote_floor)
 
     def unconstrained_quote(self, p):
         """Optimizer ignoring the floor (the root of the first-order condition)."""

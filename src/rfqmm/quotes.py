@@ -149,7 +149,7 @@ def surface_quotes(surface, market, adjuster, t, inventories, asset_ix, side_ix,
             adjuster, t, inventories, asset_ix, side_ix, sizes
         )
     lam, alpha, beta = market.intensity_table[asset_ix, side_ix].T
-    delta, _, _, _ = batch_quote_kernel(reservation, lam, alpha, beta, market.quote_floor)
+    delta, _, _ = batch_quote_kernel(reservation, lam, alpha, beta, market.quote_floor)
     reason = np.where(ok, 0, np.where(inside, 2, 1))
     return np.where(ok, delta, np.nan), reason, np.where(ok, reservation, np.nan)
 
@@ -195,7 +195,7 @@ class MyopicPolicy:
 
     def __post_init__(self):
         lam, alpha, beta = np.moveaxis(self.market.intensity_table, -1, 0)
-        delta, _, _, _ = batch_quote_kernel(
+        delta, _, _ = batch_quote_kernel(
             np.zeros(alpha.shape), lam, alpha, beta, self.market.quote_floor
         )
         object.__setattr__(self, "_array", delta)

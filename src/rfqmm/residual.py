@@ -267,7 +267,7 @@ def adjusted_quote(
 
     adjusted_reservation = base.reservation + shift
     intensity = market.assets[asset].intensity(side)
-    delta_arr, _, _, _ = batch_quote_kernel(
+    delta_arr, _, _ = batch_quote_kernel(
         np.array([adjusted_reservation]),
         intensity.lambda_rfq,
         intensity.alpha,

@@ -45,7 +45,7 @@ from .model import MarketSpec
 #: relative slack when testing grid-box membership
 BOX_TOL = 1e-9
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,16 +516,13 @@ def solve(
     if store_all or 0 in snapshot_steps:
         stored.append((market.horizon, theta.copy()))
 
-    x_warm = None
     for m in range(1, n_steps + 1):
         t_m = 0.0 if m == n_steps else market.horizon - m * dt
         gathered = theta[idx]  # (rows, corners, nodes)
         interp = np.einsum("rcn,rcn->rn", wgt, gathered)
         p = (theta[None, :] - interp) * inv_z
         p[~valid] = 0.0
-        _, ham, _, x_warm = batch_quote_kernel(
-            p, lam_arr, alpha_arr, beta_arr, floor, x0=x_warm
-        )
+        _, ham, _ = batch_quote_kernel(p, lam_arr, alpha_arr, beta_arr, floor)
         ham[~valid] = 0.0
         theta = theta + dt * (-drain + zp_arr @ ham)
         if not np.isfinite(theta).all():

@@ -294,12 +294,14 @@ class TestPersistence:
             surface.save(tmp_path / "surface.npz")
         assert list(tmp_path.iterdir()) == []
 
-    def test_rejects_unknown_format(self, tmp_path):
+    # format 1 surfaces came from the iterative root and precomputed stencils
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_rejects_unknown_format(self, tmp_path, version):
         _, _, _, surface = small_surface(horizon=0.5, nodes=21)
         path = tmp_path / "surface.npz"
         surface.save(path)
         data = dict(np.load(path, allow_pickle=False))
-        data["meta"] = json.dumps({"format_version": 99, "config_hash": ""})
+        data["meta"] = json.dumps({"format_version": version, "config_hash": ""})
         np.savez_compressed(path, **data)
         with pytest.raises(ValidationError, match="format"):
             ValueSurface.load(path)
