@@ -13,7 +13,8 @@ factor displacement of one unit of asset i) and ``envelope`` is the quote
 optimization kernel of the matching intensity curve.  Shifted points are read
 by multilinear interpolation; where a shifted point leaves the bounding box
 the whole term is dropped (``drop_term``), which preserves monotonicity of
-the scheme.
+the scheme.  A shift is the same at every node of the uniform grid, so the
+read separates into one two-point lerp per axis.
 
 The scheme is monotone, hence stable, when dt times the sum over assets and
 sides of the intensity at the quote floor stays below 1; the default budget
@@ -46,6 +47,16 @@ from .model import MarketSpec
 BOX_TOL = 1e-9
 
 _FORMAT_VERSION = 2
+
+
+def _axis_positions(u, n: int):
+    """Lower node and fraction of fractional indices ``u`` on an n-node axis.
+
+    ``u`` is clipped into the axis first; the box test is the caller's.
+    """
+    u = np.clip(u, 0.0, n - 1.0)
+    lo = np.minimum(np.floor(u), n - 2).astype(np.int64)
+    return lo, u - lo
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +157,10 @@ class FactorGrid:
 
     @property
     def axes(self) -> tuple[np.ndarray, ...]:
+        """Node coordinates per axis: exact 0.0 centre, exact +-a ends, mirror symmetric."""
         return tuple(
-            np.linspace(-a, a, n) for a, n in zip(self.half_widths, self.nodes_per_axis)
+            a * ((np.arange(n) - n // 2) / (n // 2))
+            for a, n in zip(self.half_widths, self.nodes_per_axis)
         )
 
     def node_coordinates(self) -> np.ndarray:
@@ -185,11 +198,9 @@ class FactorGrid:
         inside = self.contains(pts)
         los, ws = [], []
         for j in range(k):
-            u = (pts[:, j] + self.half_widths[j]) / spacing[j]
-            u = np.clip(u, 0.0, ns[j] - 1.0)
-            lo = np.minimum(np.floor(u), ns[j] - 2).astype(np.int64)
+            lo, w = _axis_positions((pts[:, j] + self.half_widths[j]) / spacing[j], ns[j])
             los.append(lo)
-            ws.append(u - lo)
+            ws.append(w)
         strides = np.array([int(np.prod(ns[j + 1 :])) for j in range(k)], dtype=np.int64)
         n_corners = 1 << k
         corners = np.empty((n_corners, m), dtype=np.int64)
@@ -387,76 +398,67 @@ class ValueSurface:
             )
 
 
-def _build_shift_stencils(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid):
-    """Precompute, per (asset, side, size atom), the interpolation stencil.
+def _shift_rows(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid):
+    """Per (asset, side, size atom) row: where the sweep reads shifted theta.
 
-    Shift offsets are constant per row on a uniform grid, so the stencil for
-    "read theta at every node displaced by s" reduces to per-axis integer
-    bases and fractional weights, broadcast to flat corner indices.
+    A row moves every node by the same displacement s = +-z * e_i, so on the
+    uniform grid the read separates by axis: node b of axis j reads at
+    fractional index b + s_j / h_j.  Returns per-axis lower nodes and
+    fractions of shape (rows, n_j); the (rows, n_nodes) mask of dropped
+    terms, those outside the box on some axis; intensity parameters and z as
+    (rows, 1) columns; and z times the atom probability as (rows,).
     """
     ns = grid.nodes_per_axis
-    k = grid.ndim
-    spacing = grid.spacing
-    strides = np.array([int(np.prod(ns[j + 1 :])) for j in range(k)], dtype=np.int64)
-    n = grid.n_nodes
-    n_corners = 1 << k
-
-    rows = []
+    params, shifts = [], []
     for i, asset in enumerate(market.assets):
         direction = factor_model.shift_directions[i]
         for side, sign in (("bid", 1.0), ("ask", -1.0)):
             lam = asset.intensity(side)
             dist = asset.sizes(side)
             for z, pz in zip(dist.sizes, dist.probabilities):
-                shift = sign * z * direction
-                rows.append((lam, z, pz, shift))
+                params.append((lam.lambda_rfq, lam.alpha, lam.beta, z, z * pz))
+                shifts.append(sign * z * direction)
+    g = len(params)
+    offsets = np.array(shifts) / grid.spacing
 
-    g = len(rows)
-    idx = np.empty((g, n_corners, n), dtype=np.int32)
-    wgt = np.empty((g, n_corners, n), dtype=float)
-    valid = np.empty((g, n), dtype=bool)
-    lam_arr = np.empty((g, 1))
-    alpha_arr = np.empty((g, 1))
-    beta_arr = np.empty((g, 1))
-    z_arr = np.empty((g, 1))
-    zp_arr = np.empty(g)
+    lo, frac = [], []
+    inside = np.ones((g,) + ns, dtype=bool)
+    for j, n in enumerate(ns):
+        pos = np.arange(n, dtype=float) + offsets[:, j : j + 1]
+        lo_j, w_j = _axis_positions(pos, n)
+        lo.append(lo_j)
+        frac.append(w_j)
+        ok = (pos >= -BOX_TOL) & (pos <= n - 1 + BOX_TOL)
+        inside &= ok.reshape((g,) + (1,) * j + (n,) + (1,) * (len(ns) - 1 - j))
+    lam, alpha, beta, z, zp = np.array(params).T
+    columns = (c[:, None] for c in (lam, alpha, beta, z))
+    return lo, frac, ~inside.reshape(g, -1), *columns, zp
 
-    for r, (lam, z, pz, shift) in enumerate(rows):
-        offs = shift / spacing
-        los, ws, valids = [], [], []
-        for j in range(k):
-            gpos = np.arange(ns[j], dtype=float) + offs[j]
-            ok = (gpos >= -BOX_TOL) & (gpos <= ns[j] - 1 + BOX_TOL)
-            gc = np.clip(gpos, 0.0, ns[j] - 1.0)
-            lo = np.minimum(np.floor(gc), ns[j] - 2).astype(np.int64)
-            los.append(lo)
-            ws.append(gc - lo)
-            valids.append(ok)
-        shape_j = [
-            (ns[j],) + (1,) * (k - 1 - j) for j in range(k)
-        ]  # broadcast shapes per axis
-        v = np.ones(ns, dtype=bool)
-        for j in range(k):
-            v &= valids[j].reshape((1,) * j + shape_j[j])
-        valid[r] = v.ravel()
-        for c, bits in enumerate(itertools.product((0, 1), repeat=k)):
-            flat_idx = np.zeros(ns, dtype=np.int64)
-            flat_w = np.ones(ns, dtype=float)
-            for j, b in enumerate(bits):
-                axis_idx = (los[j] + b) * strides[j]
-                axis_w = ws[j] if b else 1.0 - ws[j]
-                bshape = (1,) * j + shape_j[j]
-                flat_idx = flat_idx + axis_idx.reshape(bshape)
-                flat_w = flat_w * axis_w.reshape(bshape)
-            idx[r, c] = flat_idx.ravel().astype(np.int32)
-            wgt[r, c] = flat_w.ravel()
-        lam_arr[r, 0] = lam.lambda_rfq
-        alpha_arr[r, 0] = lam.alpha
-        beta_arr[r, 0] = lam.beta
-        z_arr[r, 0] = z
-        zp_arr[r] = z * pz
 
-    return idx, wgt, valid, lam_arr, alpha_arr, beta_arr, z_arr, zp_arr
+def _read_shifted(theta: np.ndarray, lo, frac) -> np.ndarray:
+    """theta read at every node shifted by each row's displacement.
+
+    Interpolates one axis at a time, last axis first, with two reads and one
+    lerp per axis.  Before axis j is read the array is laid out as
+    (n_0, ..., n_j, m, n_j+1, ...), where the row axis m has length 1 until
+    the first read.  Merging axis j with the row axis turns the read of row
+    r at node b into a plain gather at index lo[j][r, b] * m + r.
+    Returns shape (rows,) + theta.shape.
+    """
+    rows = lo[0].shape[0]
+    out = theta[..., None]
+    for j in reversed(range(theta.ndim)):
+        m = out.shape[j + 1]
+        merged = out.reshape(out.shape[:j] + (-1,) + out.shape[j + 2 :])
+        at = (slice(None),) * j + (lo[j] * m + np.arange(rows)[:, None] % m,)
+        below = merged[at]
+        above = merged[at[:j] + (at[j] + m,)]
+        w = frac[j].reshape(frac[j].shape + (1,) * (theta.ndim - 1 - j))
+        below *= 1.0 - w
+        above *= w
+        below += above
+        out = below
+    return out
 
 
 def solve(
@@ -497,10 +499,8 @@ def solve(
     theta = -np.asarray(market.penalty.terminal(risk), dtype=float)
     drain = np.asarray(market.penalty.running(risk), dtype=float)
 
-    idx, wgt, valid, lam_arr, alpha_arr, beta_arr, z_arr, zp_arr = _build_shift_stencils(
-        market, factor_model, grid
-    )
-    inv_z = 1.0 / z_arr
+    lo, frac, dropped, lam, alpha, beta, z, zp = _shift_rows(market, factor_model, grid)
+    inv_z = 1.0 / z
     floor = market.quote_floor
 
     # slice bookkeeping: after step m (1-based) theta is the slice at
@@ -518,13 +518,12 @@ def solve(
 
     for m in range(1, n_steps + 1):
         t_m = 0.0 if m == n_steps else market.horizon - m * dt
-        gathered = theta[idx]  # (rows, corners, nodes)
-        interp = np.einsum("rcn,rcn->rn", wgt, gathered)
-        p = (theta[None, :] - interp) * inv_z
-        p[~valid] = 0.0
-        _, ham, _ = batch_quote_kernel(p, lam_arr, alpha_arr, beta_arr, floor)
-        ham[~valid] = 0.0
-        theta = theta + dt * (-drain + zp_arr @ ham)
+        shifted = _read_shifted(theta.reshape(grid.shape), lo, frac).reshape(len(z), -1)
+        p = (theta[None, :] - shifted) * inv_z
+        p[dropped] = 0.0
+        _, ham, _ = batch_quote_kernel(p, lam, alpha, beta, floor)
+        ham[dropped] = 0.0
+        theta = theta + dt * (-drain + zp @ ham)
         if not np.isfinite(theta).all():
             raise SolverError(
                 f"non-finite values after step {m} of {n_steps} (slice t={t_m:.6g} days); "

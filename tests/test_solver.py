@@ -9,13 +9,16 @@ import pytest
 from helpers import (
     make_market_1asset,
     make_market_2asset,
+    make_market_30asset,
     make_sizes,
     rk4_lattice_reference,
 )
+from rfqmm.cli import _bundled_config
+from rfqmm.config_io import load_config
 from rfqmm.errors import OutOfDomainError, SolverError, StabilityError, ValidationError
 from rfqmm.factors import build_factor_model
 from rfqmm.model import RiskPenalty
-from rfqmm.solver import FactorGrid, SolverConfig, ValueSurface, solve
+from rfqmm.solver import FactorGrid, SolverConfig, ValueSurface, _read_shifted, _shift_rows, solve
 
 H_AT_ZERO = 0.15625648530094234  # envelope value at zero reservation, lam 30
 
@@ -129,6 +132,18 @@ class TestGrid:
         np.testing.assert_allclose(grid.spacing, [5.0])
         assert grid.n_nodes == 5
 
+    @pytest.mark.parametrize("nodes", [21, 41, 71])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("target", ["paper-2asset", "paper-30asset"])
+    def test_axes_are_exact_and_symmetric(self, target, k, nodes):
+        market, _ = load_config(_bundled_config(target))
+        fm = build_factor_model(market.covariance, k)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, nodes)
+        for axis, a in zip(grid.axes, grid.half_widths):
+            assert axis[nodes // 2] == 0.0
+            assert axis[0] == -a and axis[-1] == a
+            np.testing.assert_array_equal(axis, -axis[::-1])
+
     def test_half_widths_from_risk_limit(self):
         market = make_market_2asset()
         fm = build_factor_model(market.covariance, 2)
@@ -218,6 +233,37 @@ class TestEvaluate:
         assert len(surface.times) == surface.n_steps + 1
         assert surface.times[0] == 0.0
         assert surface.times[-1] == market.horizon
+
+
+class TestShiftedReads:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("make_market", [make_market_2asset, make_market_30asset])
+    def test_reads_match_surface_interpolation(self, make_market, k):
+        # the sweep's separable reads against value_many at node + shift,
+        # on every term the sweep keeps
+        market = make_market()
+        fm = build_factor_model(market.covariance, k)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(1.0, 2.0, size=grid.shape)
+        surface = ValueSurface(
+            grid=grid, factor_model=fm, times=np.array([0.0]), values=theta[None],
+            horizon=market.horizon, dt=market.horizon, n_steps=1, intensity_budget=1.0,
+        )
+        lo, frac, dropped, *_ = _shift_rows(market, fm, grid)
+        reads = _read_shifted(theta, lo, frac).reshape(dropped.shape)
+        nodes = grid.node_coordinates()
+        row = 0
+        for i, asset in enumerate(market.assets):
+            for side, sign in (("bid", 1.0), ("ask", -1.0)):
+                for z in asset.sizes(side).sizes:
+                    kept = ~dropped[row]
+                    shifted = nodes[kept] + sign * z * fm.shift_directions[i]
+                    expected = surface.value_many(0.0, shifted)
+                    np.testing.assert_allclose(reads[row, kept], expected, rtol=1e-13, atol=0.0)
+                    row += 1
+        assert row == dropped.shape[0]
+        assert (~dropped).any(axis=1).all()
 
 
 class TestStructuralProperties:
