@@ -138,9 +138,10 @@ def surface_quotes(surface, market, adjuster, t, inventories, asset_ix, side_ix,
 
     # one interpolation pass over both point sets; reads do not depend on
     # what else shares the batch
-    values = _values_at(
-        surface, t if np.ndim(t) == 0 else np.concatenate([t, t]),
+    values = surface.value_many(
+        t if np.ndim(t) == 0 else np.concatenate([t, t]),
         np.concatenate([points, shifted]),
+        out_of_box="nan",
     )
     value_now, value_shifted = values[:n], np.where(inside, values[n:], 0.0)
     reservation = np.where(ok, (value_now - value_shifted) / sizes, 0.0)
@@ -163,20 +164,6 @@ def _adjuster_shifts(adjuster, t, inventories, asset_ix, side_ix, sizes):
             out[rows] = adjuster.reservation_shift(
                 t, inventories[rows], int(asset), SIDES[s], float(z)
             )
-    return out
-
-
-def _values_at(surface: ValueSurface, t, points: np.ndarray):
-    """Surface values at ``points`` (NaN outside the box), at one time or per row."""
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim == 0:
-        return surface.value_many(float(t_arr), points, out_of_box="nan")
-    # per-row times: group rows by the stored slice they resolve to
-    indices = np.array([surface.slice_index(tv) for tv in t_arr])
-    out = np.empty(points.shape[0], dtype=float)
-    for k in np.unique(indices):
-        rows = indices == k
-        out[rows] = surface.value_many(float(surface.times[k]), points[rows], out_of_box="nan")
     return out
 
 
@@ -262,19 +249,15 @@ def quote_table(
         _check_size(z)
     if not keys:
         return []
-    asset_ix, side_ix, row_sizes = (np.array(col) for col in zip(*keys))
-    rows = []
-    for q in inventories:
-        delta, reason, _ = surface_quotes(
-            surface, market, None, t, np.tile(q, (len(keys), 1)),
-            asset_ix, side_ix, row_sizes, None, None,
-        )
-        for (i, s, z), d, r in zip(keys, delta, reason):
-            rows.append(
-                (tuple(q), market.assets[i].asset_id, SIDES[s], z,
-                 None if r else float(d), REASONS[r])
-            )
-    return rows
+    asset_ix, side_ix, row_sizes = (np.tile(col, len(inventories)) for col in zip(*keys))
+    q_rows = np.repeat(inventories, len(keys), axis=0)
+    delta, reason, _ = surface_quotes(
+        surface, market, None, t, q_rows, asset_ix, side_ix, row_sizes, None, None
+    )
+    return [
+        (tuple(q), market.assets[i].asset_id, SIDES[s], z, None if r else float(d), REASONS[r])
+        for q, (i, s, z), d, r in zip(q_rows, keys * len(inventories), delta, reason)
+    ]
 
 
 def write_quote_table(fp: IO[str], rows, n_assets: int) -> None:

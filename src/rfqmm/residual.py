@@ -209,6 +209,18 @@ def residual_correction(
     return _summarise_samples(samples, n_paths, seed)
 
 
+def _shift_samples(surface, market, q, asset, side, size, t, n_paths, seed, seed_post):
+    """Per-path reservation shifts ``(correction(q) - correction(q'))/size``.
+
+    ``q'`` is the post-trade inventory.  Returns both estimates and the shifts.
+    """
+    q_post = q.copy()
+    q_post[asset] += (1.0 if side == SIDES[0] else -1.0) * size
+    here = residual_correction(surface, market, q, t=t, n_paths=n_paths, seed=seed)
+    there = residual_correction(surface, market, q_post, t=t, n_paths=n_paths, seed=seed_post)
+    return here, there, (here.samples - there.samples) / size
+
+
 def adjusted_quote(
     surface: ValueSurface,
     market: MarketSpec,
@@ -251,17 +263,10 @@ def adjusted_quote(
             correction_after_trade=None,
         )
 
-    sign = 1.0 if side == SIDES[0] else -1.0
-    q_post = q0.copy()
-    q_post[asset] += sign * size
-
-    here = residual_correction(surface, market, q0, t=t, n_paths=n_paths, seed=seed)
     seed_post = seed if shared_randomness else seed + _INDEPENDENT_STREAM_OFFSET
-    there = residual_correction(
-        surface, market, q_post, t=t, n_paths=n_paths, seed=seed_post
+    here, there, diffs = _shift_samples(
+        surface, market, q0, asset, side, size, t, n_paths, seed, seed_post
     )
-
-    diffs = (here.samples - there.samples) / size
     shift = float(diffs.mean())
     shift_stderr = float(diffs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
 
@@ -308,19 +313,14 @@ class CorrectionAdjuster:
 
     def reservation_shift(self, t, inventories, asset: int, side: str, size: float):
         inventories = np.asarray(inventories, dtype=float)
-        sign = 1.0 if side == SIDES[0] else -1.0
         out = np.zeros(inventories.shape[0])
         for i, row in enumerate(inventories):
-            post = row.copy()
-            post[asset] += sign * size
             try:
-                here = residual_correction(
-                    self.surface, self.market, row, t=t, n_paths=self.n_paths, seed=self.seed
-                )
-                there = residual_correction(
-                    self.surface, self.market, post, t=t, n_paths=self.n_paths, seed=self.seed
+                *_, diffs = _shift_samples(
+                    self.surface, self.market, row, asset, side, size, t,
+                    self.n_paths, self.seed, self.seed,
                 )
             except OutOfDomainError:
                 continue
-            out[i] = (here.value - there.value) / size
+            out[i] = diffs.mean()
         return out

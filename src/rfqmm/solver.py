@@ -10,11 +10,15 @@ horizon, each explicit Euler update adds
 
 where f_shift = f + z * e_i for a bid and f - z * e_i for an ask (e_i is the
 factor displacement of one unit of asset i) and ``envelope`` is the quote
-optimization kernel of the matching intensity curve.  Shifted points are read
-by multilinear interpolation; where a shifted point leaves the bounding box
-the whole term is dropped (``drop_term``), which preserves monotonicity of
-the scheme.  A shift is the same at every node of the uniform grid, so the
-read separates into one two-point lerp per axis.
+optimization kernel of the matching intensity curve.  Where a shifted point
+leaves the bounding box the whole term is dropped (the drop-term rule), which
+preserves monotonicity of the scheme; no other out-of-grid rule is offered.
+
+Both the sweep and the quotes read theta between nodes by multilinear
+interpolation done axis by axis: one two-point lerp per axis, last axis
+first.  A shift is the same at every node of the uniform grid, so the sweep
+lerps whole grids at once (``_read_shifted``); the quotes lerp each point's
+2^k cell (``ValueSurface.value_many``).
 
 The scheme is monotone, hence stable, when dt times the sum over assets and
 sides of the intensity at the quote floor stays below 1; the default budget
@@ -29,11 +33,10 @@ the sweep is deterministic regardless of evaluation order.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -182,39 +185,6 @@ class FactorGrid:
         slack = BOX_TOL * self.half_widths
         return np.all(np.abs(pts) <= self.half_widths + slack, axis=1)
 
-    def interpolation_indices(self, points):
-        """Per-point flat corner indices and weights for multilinear reads.
-
-        Returns ``(corners, weights, inside)`` with shapes (2^k, m), (2^k, m)
-        and (m,).  Points outside the box get weight columns of zeros and
-        ``inside`` False; callers choose between raising and masking.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        m, k = pts.shape
-        if k != self.ndim:
-            raise ValidationError(f"query dimension {k} does not match grid dimension {self.ndim}")
-        ns = self.nodes_per_axis
-        spacing = self.spacing
-        inside = self.contains(pts)
-        los, ws = [], []
-        for j in range(k):
-            lo, w = _axis_positions((pts[:, j] + self.half_widths[j]) / spacing[j], ns[j])
-            los.append(lo)
-            ws.append(w)
-        strides = np.array([int(np.prod(ns[j + 1 :])) for j in range(k)], dtype=np.int64)
-        n_corners = 1 << k
-        corners = np.empty((n_corners, m), dtype=np.int64)
-        weights = np.empty((n_corners, m), dtype=float)
-        for c, bits in enumerate(itertools.product((0, 1), repeat=k)):
-            idx = np.zeros(m, dtype=np.int64)
-            w = np.ones(m, dtype=float)
-            for j, b in enumerate(bits):
-                idx += (los[j] + b) * strides[j]
-                w *= ws[j] if b else 1.0 - ws[j]
-            corners[c] = idx
-            weights[c] = np.where(inside, w, 0.0)
-        return corners, weights, inside
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -230,7 +200,6 @@ class SolverConfig:
     stability_budget: float = 0.9
     store_policy: Literal["final_slice_only", "all_slices"] = "final_slice_only"
     snapshot_times: tuple[float, ...] = ()
-    out_of_grid_rule: Literal["drop_term"] = "drop_term"
 
     def __post_init__(self):
         if not 0.0 < self.stability_budget <= 1.0:
@@ -239,11 +208,6 @@ class SolverConfig:
             )
         if self.store_policy not in ("final_slice_only", "all_slices"):
             raise ValidationError(f"unknown store policy {self.store_policy!r}")
-        if self.out_of_grid_rule != "drop_term":
-            raise ValidationError(
-                f"unsupported out-of-grid rule {self.out_of_grid_rule!r}; "
-                "only 'drop_term' preserves monotonicity of the explicit scheme"
-            )
         if self.dt is not None and self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         for s in self.snapshot_times:
@@ -265,41 +229,49 @@ class ValueSurface:
     intensity_budget: float  # sum of intensities at the quote floor
     config_hash: str = ""
 
-    def slice_index(self, t: float) -> int:
-        """Nearest stored slice; earlier one on ties."""
-        return int(np.argmin(np.abs(self.times - t)))
+    def slice_index(self, t):
+        """Nearest stored slice per time; earlier one on ties."""
+        return np.argmin(np.abs(self.times - np.expand_dims(t, -1)), axis=-1)
 
     def slice_values(self, t: float) -> np.ndarray:
         return self.values[self.slice_index(t)]
 
-    def value_many(self, t: float, points, out_of_box: str = "raise") -> np.ndarray:
+    def value_many(self, t, points, out_of_box: str = "raise") -> np.ndarray:
         """Multilinear interpolation of the nearest stored slice.
 
-        ``out_of_box`` is either "raise" or "nan"; the NaN marker is what the
-        quote engine turns into refusals.
+        ``t`` is one time or one time per point; each point reads the slice
+        :meth:`slice_index` picks.  As in the sweep's shifted reads, each
+        point's 2^k cell is interpolated one axis at a time, last axis
+        first, with one lerp per axis, so a point reads the same bits alone
+        as in any batch.  ``out_of_box`` is either "raise" or "nan"; the NaN
+        marker is what the quote engine turns into refusals.
         """
+        grid = self.grid
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        corners, weights, inside = self.grid.interpolation_indices(pts)
+        m, k = pts.shape
+        if k != grid.ndim:
+            raise ValidationError(f"query dimension {k} does not match grid dimension {grid.ndim}")
+        inside = grid.contains(pts)
         if not inside.all():
             if out_of_box == "raise":
                 bad = pts[~inside][0]
                 raise OutOfDomainError(
                     f"factor point {bad.tolist()} lies outside the grid box "
-                    f"(half widths {self.grid.half_widths.tolist()})"
+                    f"(half widths {grid.half_widths.tolist()})"
                 )
             if out_of_box != "nan":
                 raise ValueError(f"unknown out_of_box mode {out_of_box!r}")
-        flat = self.slice_values(t).ravel()
-        # fixed-order corner accumulation: einsum picks different reduction
-        # kernels for different batch sizes, which perturbs the last ulp and
-        # would make a quote depend on what shares its batch
-        products = weights * flat[corners]
-        out = products[0].copy()
-        for c in range(1, products.shape[0]):
-            out += products[c]
-        if not inside.all():
-            out = np.where(inside, out, np.nan)
-        return out
+        lo, frac = zip(*(
+            _axis_positions((pts[:, j] + a) / h, n)
+            for j, (a, h, n) in enumerate(zip(grid.half_widths, grid.spacing, grid.shape))
+        ))
+        base = np.ravel_multi_index((self.slice_index(t), *lo), self.values.shape)
+        corners = np.ravel_multi_index(np.indices((2,) * k).reshape(k, -1), grid.shape)
+        cell = self.values.take(base[:, None] + corners).reshape((m,) + (2,) * k)
+        for j in reversed(range(k)):
+            w = frac[j].reshape((m,) + (1,) * j)
+            cell = cell[..., 0] * (1.0 - w) + cell[..., 1] * w
+        return cell if inside.all() else np.where(inside, cell, np.nan)
 
     def value(self, t: float, point) -> float:
         return float(self.value_many(t, np.atleast_2d(np.asarray(point, dtype=float)))[0])

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from helpers import (
     make_market_1asset,
@@ -114,8 +115,6 @@ class TestSafetyRails:
             SolverConfig(stability_budget=0.0)
         with pytest.raises(ValidationError):
             SolverConfig(store_policy="everything")
-        with pytest.raises(ValidationError):
-            SolverConfig(out_of_grid_rule="clamp")
         with pytest.raises(ValidationError):
             SolverConfig(dt=-0.1)
 
@@ -233,6 +232,38 @@ class TestEvaluate:
         assert len(surface.times) == surface.n_steps + 1
         assert surface.times[0] == 0.0
         assert surface.times[-1] == market.horizon
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_value_many_matches_regular_grid_interpolator(self, k):
+        # axes of unequal length so a stride mix-up shows; three stored
+        # slices so per-row times pick different ones
+        market = make_market_30asset()
+        fm = build_factor_model(market.covariance, k)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, (11, 9, 7)[:k])
+        rng = np.random.default_rng(17)
+        times = np.array([0.0, 0.5, 1.0])
+        values = rng.uniform(1.0, 2.0, size=(len(times),) + grid.shape)
+        surface = ValueSurface(
+            grid=grid, factor_model=fm, times=times, values=values,
+            horizon=1.0, dt=0.5, n_steps=2, intensity_budget=1.0,
+        )
+        pts = rng.uniform(-1.0, 1.0, size=(300, k)) * grid.half_widths
+        reference = [RegularGridInterpolator(grid.axes, v, method="linear") for v in values]
+
+        at_once = surface.value_many(0.3, pts)
+        np.testing.assert_allclose(at_once, reference[1](pts), rtol=1e-12, atol=0.0)
+
+        row_times = rng.uniform(0.0, 1.0, size=len(pts))
+        per_row = surface.value_many(row_times, pts)
+        slices = surface.slice_index(row_times)
+        assert set(slices.tolist()) == {0, 1, 2}
+        expected = [reference[s](p[None])[0] for s, p in zip(slices, pts)]
+        np.testing.assert_allclose(per_row, expected, rtol=1e-12, atol=0.0)
+
+        for t, p, batched in zip(row_times, pts, per_row):
+            assert surface.value_many(t, p[None])[0] == batched
 
 
 class TestShiftedReads:
