@@ -7,6 +7,9 @@ the residual risk the factors miss, and simulates the resulting quoting
 policies at event level.
 """
 
+# set before the submodule imports: the solver stamps it on every surface
+__version__ = "0.1.0"
+
 from .config_io import config_hash, load_config, parse_config
 from .errors import OutOfDomainError, SolverError, StabilityError, ValidationError
 from .factors import FactorModel, build_factor_model, inventory_factor_model, jacobi_eigendecomposition
@@ -41,8 +44,6 @@ from .residual import (
 )
 from .simulator import SimulationResult, SimulationSummary, TrajectoryStats, simulate
 from .solver import FactorGrid, SolverConfig, ValueSurface, solve
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AdjustedQuote",

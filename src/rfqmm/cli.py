@@ -39,9 +39,9 @@ from .errors import OutOfDomainError, SolverError, StabilityError, ValidationErr
 from .factors import build_factor_model
 from .model import MarketSpec, validate_hypotheses
 from .quotes import REASON_OK, MyopicPolicy, SurfacePolicy, quote_table, write_quote_table
-from .residual import adjusted_quote, residual_correction
+from .residual import _adjusted_quote, residual_correction
 from .simulator import DegenerateRunWarning, SimulationResult, simulate
-from .solver import FactorGrid, SolverConfig, ValueSurface, solve
+from .solver import FactorGrid, SolverConfig, ValueSurface, solve, solver_fingerprint
 
 REPRODUCTION_SEED = 23
 BUNDLED = {"paper-2asset": "paper_2asset.yaml", "paper-30asset": "paper_30asset.yaml"}
@@ -154,8 +154,7 @@ def _default_factors(market: MarketSpec, k) -> int:
 def _solve_surface(market, config_hash, k, grid_nodes, dt) -> ValueSurface:
     fm = build_factor_model(market.covariance, k)
     grid = FactorGrid.from_factor_model(fm, market.risk_limit, grid_nodes)
-    cfg = SolverConfig(dt=dt) if dt is not None else SolverConfig()
-    surface = solve(market, fm, grid, cfg)
+    surface = solve(market, fm, grid, SolverConfig(dt=dt))
     surface.config_hash = config_hash
     return surface
 
@@ -173,6 +172,14 @@ def _cached_surface(runner: Runner, market, k, grid_nodes, dt, solve_on_miss: bo
                 "change --out-dir",
                 code=2,
             )
+        for key, want in solver_fingerprint(SolverConfig(dt=dt)).items():
+            got = surface.fingerprint.get(key)
+            if got != want:
+                raise CliError(
+                    f"cached surface {path} was solved with {key}={got!r}, this build "
+                    f"solves with {key}={want!r}; delete it or change --out-dir",
+                    code=2,
+                )
         return surface
     if not solve_on_miss:
         raise CliError(
@@ -368,19 +375,14 @@ def cmd_simulate(args) -> int:
 
 
 def _adjust_rows(surface, market, inventory, rfqs, t, n_paths, seed):
+    # one estimate at the given state serves every RFQ and the report
+    here = residual_correction(surface, market, inventory, t=t, n_paths=n_paths, seed=seed)
     adjusted = [
-        adjusted_quote(
-            surface, market, inventory, asset, side, size, t=t, n_paths=n_paths, seed=seed
+        _adjusted_quote(
+            surface, market, inventory, asset, side, size, t, n_paths, seed, seed, here=here
         )
         for asset, side, size in rfqs
     ]
-    # every priced quote estimated the correction at the given state with
-    # this seed already; run it only when none did
-    here = next(
-        (a.correction_at_state for a in adjusted if a.correction_at_state is not None), None
-    )
-    if here is None:
-        here = residual_correction(surface, market, inventory, t=t, n_paths=n_paths, seed=seed)
     rows = []
     for (asset, side, size), a in zip(rfqs, adjusted):
         after = a.correction_after_trade

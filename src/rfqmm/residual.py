@@ -209,16 +209,16 @@ def residual_correction(
     return _summarise_samples(samples, n_paths, seed)
 
 
-def _shift_samples(surface, market, q, asset, side, size, t, n_paths, seed, seed_post):
+def _shift_samples(surface, market, here, q, asset, side, size, t, n_paths, seed_post):
     """Per-path reservation shifts ``(correction(q) - correction(q'))/size``.
 
-    ``q'`` is the post-trade inventory.  Returns both estimates and the shifts.
+    ``here`` is the estimate at ``q``; ``q'`` is the post-trade inventory,
+    estimated with ``seed_post``.  Returns that estimate and the shifts.
     """
     q_post = q.copy()
     q_post[asset] += (1.0 if side == SIDES[0] else -1.0) * size
-    here = residual_correction(surface, market, q, t=t, n_paths=n_paths, seed=seed)
     there = residual_correction(surface, market, q_post, t=t, n_paths=n_paths, seed=seed_post)
-    return here, there, (here.samples - there.samples) / size
+    return there, (here.samples - there.samples) / size
 
 
 def adjusted_quote(
@@ -245,6 +245,19 @@ def adjusted_quote(
     A refused base quote is returned as-is (NaN delta, the refusal reason,
     no simulation).
     """
+    seed_post = seed if shared_randomness else seed + _INDEPENDENT_STREAM_OFFSET
+    return _adjusted_quote(surface, market, q, asset, side, size, t, n_paths, seed, seed_post)
+
+
+def _adjusted_quote(
+    surface, market, q, asset, side, size, t, n_paths, seed, seed_post, here=None
+) -> AdjustedQuote:
+    """:func:`adjusted_quote` with the post-trade estimate seeded by ``seed_post``.
+
+    ``here`` is the correction at ``q`` estimated with ``seed``, for callers
+    pricing several RFQs from one state; when None it is estimated here, and
+    only if the base quote is priced.
+    """
     q0 = _clean_inventory(market, q)
     base = optimal_quote(surface, market, q0, asset, side, size, t=t)
     if base.refused:
@@ -263,9 +276,10 @@ def adjusted_quote(
             correction_after_trade=None,
         )
 
-    seed_post = seed if shared_randomness else seed + _INDEPENDENT_STREAM_OFFSET
-    here, there, diffs = _shift_samples(
-        surface, market, q0, asset, side, size, t, n_paths, seed, seed_post
+    if here is None:
+        here = residual_correction(surface, market, q0, t=t, n_paths=n_paths, seed=seed)
+    there, diffs = _shift_samples(
+        surface, market, here, q0, asset, side, size, t, n_paths, seed_post
     )
     shift = float(diffs.mean())
     shift_stderr = float(diffs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -316,9 +330,12 @@ class CorrectionAdjuster:
         out = np.zeros(inventories.shape[0])
         for i, row in enumerate(inventories):
             try:
-                *_, diffs = _shift_samples(
-                    self.surface, self.market, row, asset, side, size, t,
-                    self.n_paths, self.seed, self.seed,
+                here = residual_correction(
+                    self.surface, self.market, row, t=t, n_paths=self.n_paths, seed=self.seed
+                )
+                _, diffs = _shift_samples(
+                    self.surface, self.market, here, row, asset, side, size, t,
+                    self.n_paths, self.seed,
                 )
             except OutOfDomainError:
                 continue

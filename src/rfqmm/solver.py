@@ -28,19 +28,37 @@ All nodes of the rectangle are evolved, including those outside the
 admissible risk ellipsoid; the ellipsoid only matters to consumers (quote
 refusal, CSV flags).  Updates read exclusively the previous time slice, so
 the sweep is deterministic regardless of evaluation order.
+
+Each step splits the (asset, side, size) rows into contiguous blocks of
+about 2^16 row-node elements, so every temporary of a block stays near
+512 KiB, and runs the blocks on worker threads, one per CPU the process may
+use (inline when there is one block or one CPU).  A block gathers, lerps
+and evaluates the quote kernel for its rows only and writes their envelope
+into its slice of one (rows, nodes) buffer; numpy and the kernel release
+the GIL while they do.  Every one of those operations is elementwise per
+row, so a row's envelope has the same bits in any block; the update
+``theta + dt * (-drain + zp @ envelope)`` then runs on the calling thread
+over the whole buffer once all blocks are done, in the same summation order
+as an unblocked step.  Surfaces therefore do not depend on the worker count
+or the block size.  The threads live for one ``solve`` call.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
+import dataclasses
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
+from . import __version__
 from .errors import OutOfDomainError, SolverError, StabilityError, ValidationError
 from .factors import FactorModel
 from .hamiltonian import batch_quote_kernel
@@ -50,6 +68,9 @@ from .model import MarketSpec
 BOX_TOL = 1e-9
 
 _FORMAT_VERSION = 2
+
+#: row-node elements per block of a sweep step: 512 KiB per float64 temporary
+_BLOCK_ELEMS = 2**16
 
 
 def _axis_positions(u, n: int):
@@ -215,6 +236,15 @@ class SolverConfig:
                 raise ValidationError(f"snapshot times must be nonnegative, got {s}")
 
 
+def solver_fingerprint(config: SolverConfig) -> dict:
+    """The package version and every ``config`` field, as a cache stores them.
+
+    A cached surface stands in for a new solve only when the two
+    fingerprints are equal.
+    """
+    return json.loads(json.dumps({"version": __version__, **dataclasses.asdict(config)}))
+
+
 @dataclass(eq=False)
 class ValueSurface:
     """Stored slices of the value surface plus interpolation access."""
@@ -228,6 +258,7 @@ class ValueSurface:
     n_steps: int
     intensity_budget: float  # sum of intensities at the quote floor
     config_hash: str = ""
+    fingerprint: dict = field(default_factory=dict)  # solver_fingerprint of the solve
 
     def slice_index(self, t):
         """Nearest stored slice per time; earlier one on ties."""
@@ -303,6 +334,7 @@ class ValueSurface:
         meta = {
             "format_version": _FORMAT_VERSION,
             "config_hash": config_hash if config_hash is not None else self.config_hash,
+            "fingerprint": self.fingerprint,
         }
         path = os.fspath(path)
         if not path.endswith(".npz"):
@@ -367,6 +399,7 @@ class ValueSurface:
                 n_steps=int(data["n_steps"]),
                 intensity_budget=float(data["intensity_budget"]),
                 config_hash=meta.get("config_hash", ""),
+                fingerprint=meta.get("fingerprint", {}),
             )
 
 
@@ -433,13 +466,55 @@ def _read_shifted(theta: np.ndarray, lo, frac) -> np.ndarray:
     return out
 
 
+def _row_blocks(size: int, lo, frac, *columns):
+    """Contiguous blocks of ``size`` rows.
+
+    Each block holds views of the per-axis ``lo`` and ``frac`` lists and of
+    each of ``columns`` (arrays with rows first), in that order: the
+    arguments of :func:`_envelope_rows` after theta and the floor.
+    """
+    return [
+        ([a[r] for a in lo], [a[r] for a in frac], *(c[r] for c in columns))
+        for r in (slice(s, s + size) for s in range(0, lo[0].shape[0], size))
+    ]
+
+
+def _envelope_rows(theta, floor, lo, frac, dropped, lam, alpha, beta, inv_z, out):
+    """Envelope of each row's term at every node, written into ``out``.
+
+    ``theta`` has the grid's shape; the other arguments are one row block
+    (see :func:`_row_blocks`), with ``out`` its (rows, nodes) slice of the
+    step's buffer.  Dropped terms are zero.
+    """
+    shifted = _read_shifted(theta, lo, frac)
+    p = (theta - shifted).reshape(out.shape) * inv_z
+    p[dropped] = 0.0
+    out[...] = batch_quote_kernel(p, lam, alpha, beta, floor)[1]
+    out[dropped] = 0.0
+
+
+def _worker_count() -> int:
+    """Worker threads for the sweep: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def solve(
     market: MarketSpec,
     factor_model: FactorModel,
     grid: FactorGrid,
     config: SolverConfig | None = None,
 ) -> ValueSurface:
-    """Run the backward sweep and return the stored slices."""
+    """Run the backward sweep and return the stored slices.
+
+    Each step computes the envelope in blocks of rows on a pool of worker
+    threads opened for this call and joined before it returns; the update
+    and the finiteness check run on the calling thread once every block is
+    done.  The stored values do not depend on the worker count or the block
+    size (see the module docstring).
+    """
     cfg = config if config is not None else SolverConfig()
     if factor_model.n_factors != grid.ndim:
         raise ValidationError(
@@ -472,8 +547,11 @@ def solve(
     drain = np.asarray(market.penalty.running(risk), dtype=float)
 
     lo, frac, dropped, lam, alpha, beta, z, zp = _shift_rows(market, factor_model, grid)
-    inv_z = 1.0 / z
-    floor = market.quote_floor
+    envelope = np.empty(dropped.shape)
+    blocks = _row_blocks(
+        max(1, _BLOCK_ELEMS // grid.n_nodes), lo, frac, dropped, lam, alpha, beta, 1.0 / z, envelope
+    )
+    workers = min(_worker_count(), len(blocks))
 
     # slice bookkeeping: after step m (1-based) theta is the slice at
     # t = horizon - m * dt
@@ -488,21 +566,28 @@ def solve(
     if store_all or 0 in snapshot_steps:
         stored.append((market.horizon, theta.copy()))
 
-    for m in range(1, n_steps + 1):
-        t_m = 0.0 if m == n_steps else market.horizon - m * dt
-        shifted = _read_shifted(theta.reshape(grid.shape), lo, frac).reshape(len(z), -1)
-        p = (theta[None, :] - shifted) * inv_z
-        p[dropped] = 0.0
-        _, ham, _ = batch_quote_kernel(p, lam, alpha, beta, floor)
-        ham[dropped] = 0.0
-        theta = theta + dt * (-drain + zp @ ham)
-        if not np.isfinite(theta).all():
-            raise SolverError(
-                f"non-finite values after step {m} of {n_steps} (slice t={t_m:.6g} days); "
-                "check penalty scales and grid extents"
-            )
-        if store_all or m in snapshot_steps:
-            stored.append((t_m, theta.copy()))
+    pool = ThreadPoolExecutor(workers, "rfqmm-solve") if workers > 1 else contextlib.nullcontext()
+    with pool:
+        for m in range(1, n_steps + 1):
+            t_m = 0.0 if m == n_steps else market.horizon - m * dt
+            rows = functools.partial(_envelope_rows, theta.reshape(grid.shape), market.quote_floor)
+            if workers > 1:
+                # each block runs in a copy of the caller's context, so an
+                # np.errstate set around solve holds in the workers too
+                futures = [pool.submit(contextvars.copy_context().run, rows, *b) for b in blocks]
+                for f in futures:
+                    f.result()
+            else:
+                for b in blocks:
+                    rows(*b)
+            theta = theta + dt * (-drain + zp @ envelope)
+            if not np.isfinite(theta).all():
+                raise SolverError(
+                    f"non-finite values after step {m} of {n_steps} (slice t={t_m:.6g} days); "
+                    "check penalty scales and grid extents"
+                )
+            if store_all or m in snapshot_steps:
+                stored.append((t_m, theta.copy()))
 
     if not stored or stored[-1][0] > 0.0:
         stored.append((0.0, theta.copy()))
@@ -519,4 +604,5 @@ def solve(
         dt=dt,
         n_steps=n_steps,
         intensity_budget=budget,
+        fingerprint=solver_fingerprint(cfg),
     )

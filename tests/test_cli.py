@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 import yaml
 
-from rfqmm.cli import main
+from rfqmm.cli import _surface_cache_name, main
 from rfqmm.config_io import config_hash, load_config, parse_config
 from rfqmm.errors import ValidationError
+from rfqmm.factors import build_factor_model
+from rfqmm.solver import FactorGrid, SolverConfig, solve
 
 BASE = {
     "horizon": 0.5,
@@ -290,6 +292,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "rfqmm solve" in err and "--grid 33" in err
 
+    def test_cache_from_another_solver_config_refused(self, work, tmp_path, capsys):
+        cfg, _ = work
+        market, h = load_config(cfg)
+        fm = build_factor_model(market.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
+        surface = solve(market, fm, grid, SolverConfig(stability_budget=0.5))
+        (tmp_path / "cache").mkdir()
+        surface.save(tmp_path / "cache" / _surface_cache_name(h[:12], 2, 21, None), config_hash=h)
+        code = main(
+            ["quotes", "--config", str(cfg), "--out-dir", str(tmp_path),
+             "--grid", "21", "--factors", "2"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stability_budget=0.5" in err and "stability_budget=0.9" in err
+
     def test_simulate_writes_byte_identical_reruns(self, work):
         cfg, out = work
         args = [
@@ -371,7 +389,7 @@ class TestReproduce:
         assert main(args + ["--stage", "quotes"]) == 0
         assert npzs[0].stat().st_mtime_ns == stamp
 
-    def test_adjust_stage_runs_two_simulations_per_rfq(self, tmp_path, monkeypatch):
+    def test_adjust_stage_runs_three_simulations_for_two_rfqs(self, tmp_path, monkeypatch):
         import rfqmm.residual
 
         calls = []
@@ -387,9 +405,10 @@ class TestReproduce:
              "--paths", "10", "--out-dir", str(tmp_path)]
         )
         assert code == 0
-        # two RFQs, each priced from the flat state and its post-trade state;
-        # the correction at the flat state is reused from the first of them
-        assert len(calls) == 4
+        # one estimate at the flat state, shared by both RFQs, then each
+        # RFQ's post-trade state
+        starts = [[0.0, 0.0], [12500.0, 0.0], [-12500.0, 0.0]]
+        assert [c.tolist() for c in calls] == starts
 
     def test_adjust_stage_reports_corrected_value(self, tmp_path, capsys):
         code = main(

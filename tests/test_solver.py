@@ -2,6 +2,8 @@
 safety rails and interpolation access."""
 
 import json
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -16,10 +18,22 @@ from helpers import (
 )
 from rfqmm.cli import _bundled_config
 from rfqmm.config_io import load_config
+from rfqmm import solver
 from rfqmm.errors import OutOfDomainError, SolverError, StabilityError, ValidationError
 from rfqmm.factors import build_factor_model
+from rfqmm.hamiltonian import batch_quote_kernel
 from rfqmm.model import RiskPenalty
-from rfqmm.solver import FactorGrid, SolverConfig, ValueSurface, _read_shifted, _shift_rows, solve
+from rfqmm.solver import (
+    FactorGrid,
+    SolverConfig,
+    ValueSurface,
+    _envelope_rows,
+    _read_shifted,
+    _row_blocks,
+    _shift_rows,
+    solve,
+    solver_fingerprint,
+)
 
 H_AT_ZERO = 0.15625648530094234  # envelope value at zero reservation, lam 30
 
@@ -297,6 +311,86 @@ class TestShiftedReads:
         assert (~dropped).any(axis=1).all()
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBlockedStep:
+    @pytest.mark.parametrize(
+        "target, k",
+        [("paper-2asset", 1), ("paper-2asset", 2), ("paper-30asset", 1),
+         ("paper-30asset", 2), ("paper-30asset", 3)],
+    )
+    def test_blocks_match_the_unblocked_step(self, target, k):
+        market, _ = load_config(_bundled_config(target))
+        fm = build_factor_model(market.covariance, k)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, (11, 9, 7) if k == 3 else 21)
+        theta = np.random.default_rng(29).uniform(-5e3, 5e3, size=grid.shape)
+        lo, frac, dropped, lam, alpha, beta, z, _ = _shift_rows(market, fm, grid)
+        inv_z = 1.0 / z
+        floor = market.quote_floor
+
+        # the whole-batch step
+        shifted = _read_shifted(theta, lo, frac).reshape(dropped.shape)
+        p = (theta.reshape(1, -1) - shifted) * inv_z
+        p[dropped] = 0.0
+        expected = batch_quote_kernel(p, lam, alpha, beta, floor)[1]
+        expected[dropped] = 0.0
+
+        rows = dropped.shape[0]
+        for size in (1, 7, rows):
+            out = np.full(dropped.shape, np.nan)
+            blocks = _row_blocks(size, lo, frac, dropped, lam, alpha, beta, inv_z, out)
+            assert len(blocks) == -(-rows // size)
+            for block in blocks:
+                _envelope_rows(theta, floor, *block)
+            np.testing.assert_array_equal(bits(out), bits(expected))
+
+    def test_values_do_not_depend_on_workers_or_blocks(self, monkeypatch):
+        market = make_market_2asset(horizon=0.1)
+        fm = build_factor_model(market.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
+        reference = solve(market, fm, grid)  # 16 rows on 441 nodes: one block
+
+        caller = threading.current_thread()
+        runners = []
+
+        def spy(*args):
+            runners.append(threading.current_thread())
+            return batch_quote_kernel(*args)
+
+        monkeypatch.setattr(solver, "batch_quote_kernel", spy)
+        monkeypatch.setattr(solver, "_BLOCK_ELEMS", 1000)  # 2 rows a block: 8 blocks
+        for workers in (1, 2):
+            monkeypatch.setattr(solver, "_worker_count", lambda: workers)
+            runners.clear()
+            before = threading.active_count()
+            surface = solve(market, fm, grid)
+            assert threading.active_count() == before
+            np.testing.assert_array_equal(bits(surface.values), bits(reference.values))
+            assert len(runners) == 8 * surface.n_steps
+            on_caller = sum(t is caller for t in runners)
+            assert on_caller == (len(runners) if workers == 1 else 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caller_error_state_holds_in_workers(self, monkeypatch, workers):
+        # an infinite terminal penalty makes the first step's differences
+        # inf - inf inside the blocks; the caller silences that with
+        # np.errstate, which must reach the worker threads as well
+        penalty = RiskPenalty(
+            running_form="quadratic", gamma=8e-7, terminal_form="quadratic", zeta=1e308
+        )
+        market = make_market_2asset(horizon=0.1, penalty=penalty)
+        fm = build_factor_model(market.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
+        monkeypatch.setattr(solver, "_BLOCK_ELEMS", 1000)
+        monkeypatch.setattr(solver, "_worker_count", lambda: workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"), pytest.raises(SolverError, match="step 1 of"):
+                solve(market, fm, grid)
+
+
 class TestStructuralProperties:
     def test_value_peaks_at_zero_risk(self):
         _, _, grid, surface = small_surface(horizon=1.5)
@@ -356,6 +450,7 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.grid.half_widths, surface.grid.half_widths)
         np.testing.assert_array_equal(loaded.factor_model.loadings, fm.loadings)
         assert loaded.config_hash == "abc123"
+        assert loaded.fingerprint == surface.fingerprint == solver_fingerprint(SolverConfig())
         assert loaded.n_steps == surface.n_steps
         assert loaded.horizon == surface.horizon
 
