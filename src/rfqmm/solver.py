@@ -566,7 +566,7 @@ def solve(
     if store_all or 0 in snapshot_steps:
         stored.append((market.horizon, theta.copy()))
 
-    pool = ThreadPoolExecutor(workers, "rfqmm-solve") if workers > 1 else contextlib.nullcontext()
+    pool = ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
     with pool:
         for m in range(1, n_steps + 1):
             t_m = 0.0 if m == n_steps else market.horizon - m * dt
