@@ -37,7 +37,6 @@ from .quotes import (
 )
 from .residual import (
     AdjustedQuote,
-    CorrectionAdjuster,
     ResidualCorrection,
     adjusted_quote,
     residual_correction,
@@ -48,7 +47,6 @@ from .solver import FactorGrid, SolverConfig, ValueSurface, solve
 __all__ = [
     "AdjustedQuote",
     "AssetSpec",
-    "CorrectionAdjuster",
     "FactorGrid",
     "FactorModel",
     "GammaSpec",

@@ -151,11 +151,16 @@ def _default_factors(market: MarketSpec, k) -> int:
     return min(2, market.n_assets)
 
 
+def _cache_fingerprint(config_hash: str, dt) -> dict:
+    """What a cached surface must carry to stand in for a new solve."""
+    return {**solver_fingerprint(SolverConfig(dt=dt)), "config_hash": config_hash}
+
+
 def _solve_surface(market, config_hash, k, grid_nodes, dt) -> ValueSurface:
     fm = build_factor_model(market.covariance, k)
     grid = FactorGrid.from_factor_model(fm, market.risk_limit, grid_nodes)
     surface = solve(market, fm, grid, SolverConfig(dt=dt))
-    surface.config_hash = config_hash
+    surface.fingerprint = _cache_fingerprint(config_hash, dt)
     return surface
 
 
@@ -165,19 +170,12 @@ def _cached_surface(runner: Runner, market, k, grid_nodes, dt, solve_on_miss: bo
     path = cache / _surface_cache_name(runner.tag, k, grid_nodes, dt)
     if path.exists():
         surface = ValueSurface.load(path)
-        if surface.config_hash != runner.hash:
-            raise CliError(
-                f"cached surface {path} was built from configuration "
-                f"{surface.config_hash[:12]}, not {runner.tag}; delete it or "
-                "change --out-dir",
-                code=2,
-            )
-        for key, want in solver_fingerprint(SolverConfig(dt=dt)).items():
+        for key, want in _cache_fingerprint(runner.hash, dt).items():
             got = surface.fingerprint.get(key)
             if got != want:
                 raise CliError(
-                    f"cached surface {path} was solved with {key}={got!r}, this build "
-                    f"solves with {key}={want!r}; delete it or change --out-dir",
+                    f"cached surface {path} was solved with {key}={got!r}, this run "
+                    f"needs {key}={want!r}; delete it or change --out-dir",
                     code=2,
                 )
         return surface

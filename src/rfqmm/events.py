@@ -29,17 +29,22 @@ import numpy as np
 
 from .model import SIDES, MarketSpec
 
-BID, ASK = 0, 1
 SIDE_SIGNS = (1.0, -1.0)  # a filled bid buys, a filled ask sells
 
 
 @dataclass(frozen=True)
 class BucketTable:
-    """Flat view of every arrival bucket, ordered asset, then side, then size."""
+    """Flat view of every arrival bucket, ordered asset, then side, then size.
+
+    This is the one (asset, side, size atom) row order: the solver's sweep
+    terms follow it too.  ``probability`` is the atom's weight within its
+    (asset, side) size distribution.
+    """
 
     asset: np.ndarray
     side: np.ndarray
     size: np.ndarray
+    probability: np.ndarray
     arrival_rate: np.ndarray
     lam: np.ndarray
     alpha: np.ndarray
@@ -47,7 +52,7 @@ class BucketTable:
 
     @classmethod
     def from_market(cls, market: MarketSpec) -> "BucketTable":
-        asset, side, size, rate = [], [], [], []
+        asset, side, size, prob, rate = [], [], [], [], []
         for i, spec in enumerate(market.assets):
             for s, side_name in enumerate(SIDES):
                 dist = spec.sizes(side_name)
@@ -55,6 +60,7 @@ class BucketTable:
                     asset.append(i)
                     side.append(s)
                     size.append(z)
+                    prob.append(p)
                     rate.append(spec.intensity(side_name).lambda_rfq * p)
         asset = np.array(asset, dtype=np.int64)
         side = np.array(side, dtype=np.int64)
@@ -63,6 +69,7 @@ class BucketTable:
             asset=asset,
             side=side,
             size=np.array(size, dtype=float),
+            probability=np.array(prob, dtype=float),
             arrival_rate=np.array(rate, dtype=float),
             lam=lam,
             alpha=alpha,

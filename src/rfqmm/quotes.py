@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import IO, Optional, Sequence
+from typing import IO, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -101,21 +101,20 @@ def optimal_quote(
     _check_size(size)
     q = _check_inventories(market, np.reshape(q, (1, -1)))
     delta, reason, reservation = surface_quotes(
-        surface, market, None, t, q,
+        surface, market, t, q,
         np.array([asset]), np.array([SIDES.index(side)]), np.array([float(size)]), None, None,
     )
     return QuoteResult(float(delta[0]), REASONS[reason[0]], float(reservation[0]))
 
 
-def surface_quotes(surface, market, adjuster, t, inventories, asset_ix, side_ix, sizes, sq, risk):
+def surface_quotes(surface, market, t, inventories, asset_ix, side_ix, sizes, sq, risk):
     """The quoting rule, row by row: inventory, asset, side (0 bid, 1 ask) and size.
 
     ``sq`` (inventories @ Sigma) and ``risk`` (current q'Sigma q) may be
     passed in by callers that maintain them incrementally; both are
-    recomputed when None.  An ``adjuster`` shifts the reservation level
-    before the envelope kernel runs.  Returns ``(delta, reason,
-    reservation)``: ``reason`` holds indices into :data:`REASONS`, and
-    ``delta`` and ``reservation`` are NaN on refused rows.
+    recomputed when None.  Returns ``(delta, reason, reservation)``:
+    ``reason`` holds indices into :data:`REASONS`, and ``delta`` and
+    ``reservation`` are NaN on refused rows.
     """
     fm = surface.factor_model
     grid = surface.grid
@@ -145,26 +144,10 @@ def surface_quotes(surface, market, adjuster, t, inventories, asset_ix, side_ix,
     )
     value_now, value_shifted = values[:n], np.where(inside, values[n:], 0.0)
     reservation = np.where(ok, (value_now - value_shifted) / sizes, 0.0)
-    if adjuster is not None:
-        reservation = reservation + _adjuster_shifts(
-            adjuster, t, inventories, asset_ix, side_ix, sizes
-        )
     lam, alpha, beta = market.intensity_table[asset_ix, side_ix].T
     delta, _, _ = batch_quote_kernel(reservation, lam, alpha, beta, market.quote_floor)
     reason = np.where(ok, 0, np.where(inside, 2, 1))
     return np.where(ok, delta, np.nan), reason, np.where(ok, reservation, np.nan)
-
-
-def _adjuster_shifts(adjuster, t, inventories, asset_ix, side_ix, sizes):
-    out = np.zeros(inventories.shape[0])
-    keys = np.stack([asset_ix, side_ix], axis=1)
-    for asset, s in np.unique(keys, axis=0):
-        for z in np.unique(sizes[(asset_ix == asset) & (side_ix == s)]):
-            rows = (asset_ix == asset) & (side_ix == s) & (sizes == z)
-            out[rows] = adjuster.reservation_shift(
-                t, inventories[rows], int(asset), SIDES[s], float(z)
-            )
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +160,7 @@ class MyopicPolicy:
     """
 
     market: MarketSpec
-    kind: str = "myopic"
+    kind: ClassVar[str] = "myopic"
     _array: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -194,21 +177,15 @@ class MyopicPolicy:
 
 @dataclass(frozen=True, eq=False)
 class SurfacePolicy:
-    """Feedback quotes read off a solved surface.
+    """Feedback quotes read off a solved surface by :func:`surface_quotes`.
 
-    With an ``adjuster`` attached (see the residual-correction module) the
-    reservation level is shifted by the first-order correction before the
-    envelope kernel runs, and the policy reports itself as the adjusted
-    kind.
+    Quotes price the factor-grid risk only; the residual-risk correction
+    applies to single RFQs (:func:`rfqmm.residual.adjusted_quote`).
     """
 
     surface: ValueSurface
     market: MarketSpec
-    adjuster: Optional[object] = None
-
-    @property
-    def kind(self) -> str:
-        return "surface" if self.adjuster is None else "surface_mc_adjusted"
+    kind: ClassVar[str] = "surface"
 
     def quote_rows(self, t, inventories, asset_ix, side_ix, sizes, sq=None, risk=None):
         """Per-row (asset, side, size) quoting for the event loop.
@@ -216,7 +193,7 @@ class SurfacePolicy:
         Returns ``(delta, ok)``; ``delta`` is NaN where the policy refuses.
         """
         delta, reason, _ = surface_quotes(
-            self.surface, self.market, self.adjuster, t,
+            self.surface, self.market, t,
             np.asarray(inventories, dtype=float), asset_ix, side_ix, sizes, sq, risk,
         )
         return delta, reason == 0
@@ -252,7 +229,7 @@ def quote_table(
     asset_ix, side_ix, row_sizes = (np.tile(col, len(inventories)) for col in zip(*keys))
     q_rows = np.repeat(inventories, len(keys), axis=0)
     delta, reason, _ = surface_quotes(
-        surface, market, None, t, q_rows, asset_ix, side_ix, row_sizes, None, None
+        surface, market, t, q_rows, asset_ix, side_ix, row_sizes, None, None
     )
     return [
         (tuple(q), market.assets[i].asset_id, SIDES[s], z, None if r else float(d), REASONS[r])

@@ -12,7 +12,8 @@ along the inventory path the surface policy itself induces:
 
 with the expectation over fill arrivals quoted by the surface.  This module
 estimates it by Monte-Carlo and applies the difference of two estimates to
-single quotes.
+single RFQ quotes (:func:`adjusted_quote`); the simulator's policies quote
+off the surface alone, so no correction runs inside the event loop.
 
 Trajectories come from :func:`rfqmm.simulator.simulate` under a
 :class:`rfqmm.quotes.SurfacePolicy`, so a seeded run here is event-for-event
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomainError, ValidationError
+from .errors import ValidationError
+from .events import SIDE_SIGNS
 from .factors import FactorModel
 from .hamiltonian import batch_quote_kernel
 from .model import SIDES, MarketSpec
@@ -209,18 +211,6 @@ def residual_correction(
     return _summarise_samples(samples, n_paths, seed)
 
 
-def _shift_samples(surface, market, here, q, asset, side, size, t, n_paths, seed_post):
-    """Per-path reservation shifts ``(correction(q) - correction(q'))/size``.
-
-    ``here`` is the estimate at ``q``; ``q'`` is the post-trade inventory,
-    estimated with ``seed_post``.  Returns that estimate and the shifts.
-    """
-    q_post = q.copy()
-    q_post[asset] += (1.0 if side == SIDES[0] else -1.0) * size
-    there = residual_correction(surface, market, q_post, t=t, n_paths=n_paths, seed=seed_post)
-    return there, (here.samples - there.samples) / size
-
-
 def adjusted_quote(
     surface: ValueSurface,
     market: MarketSpec,
@@ -278,9 +268,10 @@ def _adjusted_quote(
 
     if here is None:
         here = residual_correction(surface, market, q0, t=t, n_paths=n_paths, seed=seed)
-    there, diffs = _shift_samples(
-        surface, market, here, q0, asset, side, size, t, n_paths, seed_post
-    )
+    q_post = q0.copy()
+    q_post[asset] += SIDE_SIGNS[SIDES.index(side)] * size
+    there = residual_correction(surface, market, q_post, t=t, n_paths=n_paths, seed=seed_post)
+    diffs = (here.samples - there.samples) / size
     shift = float(diffs.mean())
     shift_stderr = float(diffs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
 
@@ -307,37 +298,3 @@ def _adjusted_quote(
         correction_at_state=here,
         correction_after_trade=there,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class CorrectionAdjuster:
-    """Plug-in for :class:`rfqmm.quotes.SurfacePolicy` applying the correction.
-
-    Each distinct (inventory, asset, side, size) row costs two Monte-Carlo
-    runs, so this is a demonstration and audit device, not something to put
-    inside a hot simulation loop.  Post-trade states outside the grid box
-    get a zero shift; the policy refuses those rows anyway, so the value is
-    never used.
-    """
-
-    surface: ValueSurface
-    market: MarketSpec
-    n_paths: int = 200
-    seed: int = 0
-
-    def reservation_shift(self, t, inventories, asset: int, side: str, size: float):
-        inventories = np.asarray(inventories, dtype=float)
-        out = np.zeros(inventories.shape[0])
-        for i, row in enumerate(inventories):
-            try:
-                here = residual_correction(
-                    self.surface, self.market, row, t=t, n_paths=self.n_paths, seed=self.seed
-                )
-                _, diffs = _shift_samples(
-                    self.surface, self.market, here, row, asset, side, size, t,
-                    self.n_paths, self.seed,
-                )
-            except OutOfDomainError:
-                continue
-            out[i] = diffs.mean()
-        return out

@@ -32,7 +32,7 @@ from typing import IO, List, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .events import BID, SIDE_SIGNS, BucketTable, draw_path_events, path_generator
+from .events import SIDE_SIGNS, BucketTable, draw_path_events, path_generator
 from .model import MarketSpec
 from .solver import FactorGrid
 

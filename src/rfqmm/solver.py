@@ -60,6 +60,7 @@ import numpy as np
 
 from . import __version__
 from .errors import OutOfDomainError, SolverError, StabilityError, ValidationError
+from .events import SIDE_SIGNS, BucketTable
 from .factors import FactorModel
 from .hamiltonian import batch_quote_kernel
 from .model import MarketSpec
@@ -257,8 +258,8 @@ class ValueSurface:
     dt: float
     n_steps: int
     intensity_budget: float  # sum of intensities at the quote floor
-    config_hash: str = ""
-    fingerprint: dict = field(default_factory=dict)  # solver_fingerprint of the solve
+    # solver_fingerprint of the solve, plus any keys a cache writer adds
+    fingerprint: dict = field(default_factory=dict)
 
     def slice_index(self, t):
         """Nearest stored slice per time; earlier one on ties."""
@@ -323,7 +324,7 @@ class ValueSurface:
         for row, val, ok in zip(nodes, flat, admissible):
             writer.writerow([repr(float(x)) for x in row] + [repr(float(val)), int(ok)])
 
-    def save(self, path, config_hash: str | None = None) -> None:
+    def save(self, path) -> None:
         """Write the surface to ``path`` (".npz" appended if missing).
 
         The archive goes to a temporary file in the same directory first and
@@ -331,11 +332,7 @@ class ValueSurface:
         truncated archive at ``path``.
         """
         fm = self.factor_model
-        meta = {
-            "format_version": _FORMAT_VERSION,
-            "config_hash": config_hash if config_hash is not None else self.config_hash,
-            "fingerprint": self.fingerprint,
-        }
+        meta = {"format_version": _FORMAT_VERSION, "fingerprint": self.fingerprint}
         path = os.fspath(path)
         if not path.endswith(".npz"):
             path += ".npz"
@@ -398,7 +395,6 @@ class ValueSurface:
                 dt=float(data["dt"]),
                 n_steps=int(data["n_steps"]),
                 intensity_budget=float(data["intensity_budget"]),
-                config_hash=meta.get("config_hash", ""),
                 fingerprint=meta.get("fingerprint", {}),
             )
 
@@ -414,17 +410,12 @@ def _shift_rows(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid)
     (rows, 1) columns; and z times the atom probability as (rows,).
     """
     ns = grid.nodes_per_axis
-    params, shifts = [], []
-    for i, asset in enumerate(market.assets):
-        direction = factor_model.shift_directions[i]
-        for side, sign in (("bid", 1.0), ("ask", -1.0)):
-            lam = asset.intensity(side)
-            dist = asset.sizes(side)
-            for z, pz in zip(dist.sizes, dist.probabilities):
-                params.append((lam.lambda_rfq, lam.alpha, lam.beta, z, z * pz))
-                shifts.append(sign * z * direction)
-    g = len(params)
-    offsets = np.array(shifts) / grid.spacing
+    rows = BucketTable.from_market(market)
+    g = len(rows)
+    shifts = (np.array(SIDE_SIGNS)[rows.side] * rows.size)[:, None] * (
+        factor_model.shift_directions[rows.asset]
+    )
+    offsets = shifts / grid.spacing
 
     lo, frac = [], []
     inside = np.ones((g,) + ns, dtype=bool)
@@ -435,9 +426,8 @@ def _shift_rows(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid)
         frac.append(w_j)
         ok = (pos >= -BOX_TOL) & (pos <= n - 1 + BOX_TOL)
         inside &= ok.reshape((g,) + (1,) * j + (n,) + (1,) * (len(ns) - 1 - j))
-    lam, alpha, beta, z, zp = np.array(params).T
-    columns = (c[:, None] for c in (lam, alpha, beta, z))
-    return lo, frac, ~inside.reshape(g, -1), *columns, zp
+    columns = (c[:, None] for c in (rows.lam, rows.alpha, rows.beta, rows.size))
+    return lo, frac, ~inside.reshape(g, -1), *columns, rows.size * rows.probability
 
 
 def _read_shifted(theta: np.ndarray, lo, frac) -> np.ndarray:

@@ -292,21 +292,37 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "rfqmm solve" in err and "--grid 33" in err
 
-    def test_cache_from_another_solver_config_refused(self, work, tmp_path, capsys):
-        cfg, _ = work
+    @staticmethod
+    def quote_off_cache(cfg, out, config, config_hash, capsys):
+        """Run `quotes` over a 21-node k=2 cache solved with ``config`` and
+        stamped with ``config_hash``; returns the exit code and stderr."""
         market, h = load_config(cfg)
         fm = build_factor_model(market.covariance, 2)
         grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
-        surface = solve(market, fm, grid, SolverConfig(stability_budget=0.5))
-        (tmp_path / "cache").mkdir()
-        surface.save(tmp_path / "cache" / _surface_cache_name(h[:12], 2, 21, None), config_hash=h)
+        surface = solve(market, fm, grid, config)
+        surface.fingerprint = {**surface.fingerprint, "config_hash": config_hash}
+        (out / "cache").mkdir()
+        surface.save(out / "cache" / _surface_cache_name(h[:12], 2, 21, None))
         code = main(
-            ["quotes", "--config", str(cfg), "--out-dir", str(tmp_path),
+            ["quotes", "--config", str(cfg), "--out-dir", str(out),
              "--grid", "21", "--factors", "2"]
         )
+        return code, capsys.readouterr().err
+
+    def test_cache_from_another_solver_config_refused(self, work, tmp_path, capsys):
+        cfg, _ = work
+        _, h = load_config(cfg)
+        code, err = self.quote_off_cache(cfg, tmp_path, SolverConfig(stability_budget=0.5), h, capsys)
         assert code == 2
-        err = capsys.readouterr().err
         assert "stability_budget=0.5" in err and "stability_budget=0.9" in err
+
+    def test_cache_from_another_config_refused(self, work, tmp_path, capsys):
+        cfg, _ = work
+        _, h = load_config(cfg)
+        other = "0" * len(h)
+        code, err = self.quote_off_cache(cfg, tmp_path, SolverConfig(), other, capsys)
+        assert code == 2
+        assert f"config_hash={other!r}" in err and f"config_hash={h!r}" in err
 
     def test_simulate_writes_byte_identical_reruns(self, work):
         cfg, out = work

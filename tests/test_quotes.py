@@ -234,23 +234,6 @@ class TestPolicies:
         cached = policy.quote_rows(0.0, qs, *rows, sq=sq, risk=risk)
         np.testing.assert_array_equal(base[0], cached[0])
 
-    def test_adjusted_kind_shifts_the_reservation(self, short_setup):
-        market, _, _, surface = short_setup
-
-        class Bump:
-            def reservation_shift(self, t, inventories, asset, side, size):
-                return np.full(np.asarray(inventories).shape[0], 0.01)
-
-        plain = SurfacePolicy(surface, market)
-        bumped = SurfacePolicy(surface, market, adjuster=Bump())
-        assert bumped.kind == "surface_mc_adjusted"
-        qs = np.array([[0.0, 0.0], [15000.0, -5000.0]])
-        d0, _ = plain.quote_rows(0.0, qs, *same_rows(2, 0, 0, 6250.0))
-        d1, _ = bumped.quote_rows(0.0, qs, *same_rows(2, 0, 0, 6250.0))
-        # a higher reservation level widens the quote
-        assert np.all(d1 > d0)
-        assert np.all(d1 >= -market.quote_floor)
-
     def test_per_row_times_group_to_slices(self):
         market = make_market_2asset(horizon=0.05)
         fm = build_factor_model(market.covariance, 2)

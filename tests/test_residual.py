@@ -11,12 +11,7 @@ from rfqmm.errors import ValidationError
 from rfqmm.factors import FactorModel, build_factor_model
 from rfqmm.model import RiskPenalty
 from rfqmm.quotes import SurfacePolicy, optimal_quote
-from rfqmm.residual import (
-    CorrectionAdjuster,
-    adjusted_quote,
-    correction_samples,
-    residual_correction,
-)
+from rfqmm.residual import adjusted_quote, correction_samples, residual_correction
 from rfqmm.simulator import simulate
 from rfqmm.solver import FactorGrid, solve
 
@@ -287,16 +282,3 @@ class TestAdjustedQuote:
             assert np.sign(applied) == np.sign(reference_gap)
             assert abs(adj.shift) > 3.0 * adj.shift_stderr
 
-
-class TestPolicyAdjuster:
-    def test_policy_shift_matches_direct_calls(self, flat_setup):
-        surface, priced, _ = flat_setup
-        adjuster = CorrectionAdjuster(surface, priced, n_paths=40, seed=8)
-        policy = SurfacePolicy(surface, priced, adjuster=adjuster)
-        assert policy.kind == "surface_mc_adjusted"
-        direct = adjusted_quote(surface, priced, [40000.0], 0, "ask", 6250.0, n_paths=40, seed=8)
-        via_policy, ok = policy.quote_rows(
-            0.0, np.array([[40000.0]]), np.array([0]), np.array([1]), np.array([6250.0])
-        )
-        assert ok[0]
-        assert via_policy[0] == pytest.approx(direct.delta, rel=1e-12)

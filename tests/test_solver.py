@@ -441,7 +441,7 @@ class TestStructuralProperties:
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         _, fm, grid, surface = small_surface(horizon=0.5, nodes=21)
-        surface.config_hash = "abc123"
+        surface.fingerprint = {**surface.fingerprint, "config_hash": "abc123"}
         path = tmp_path / "surface.npz"
         surface.save(path)
         loaded = ValueSurface.load(path)
@@ -449,8 +449,8 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.times, surface.times)
         np.testing.assert_array_equal(loaded.grid.half_widths, surface.grid.half_widths)
         np.testing.assert_array_equal(loaded.factor_model.loadings, fm.loadings)
-        assert loaded.config_hash == "abc123"
-        assert loaded.fingerprint == surface.fingerprint == solver_fingerprint(SolverConfig())
+        assert loaded.fingerprint == surface.fingerprint
+        assert loaded.fingerprint == {**solver_fingerprint(SolverConfig()), "config_hash": "abc123"}
         assert loaded.n_steps == surface.n_steps
         assert loaded.horizon == surface.horizon
 
