@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .config_io import config_hash, load_config, parse_config
 from .errors import OutOfDomainError, SolverError, StabilityError, ValidationError
 from .factors import FactorModel, build_factor_model, inventory_factor_model, jacobi_eigendecomposition
-from .hamiltonian import HamiltonianOps
 from .model import (
     AssetSpec,
     GammaSpec,
@@ -50,7 +49,6 @@ __all__ = [
     "FactorGrid",
     "FactorModel",
     "GammaSpec",
-    "HamiltonianOps",
     "HypothesisReport",
     "LogisticIntensity",
     "MarketSpec",

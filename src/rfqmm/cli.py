@@ -37,10 +37,10 @@ from . import __version__
 from .config_io import load_config
 from .errors import OutOfDomainError, SolverError, StabilityError, ValidationError
 from .factors import build_factor_model
-from .model import MarketSpec, validate_hypotheses
+from .model import SIDES, MarketSpec, validate_hypotheses
 from .quotes import REASON_OK, MyopicPolicy, SurfacePolicy, quote_table, write_quote_table
 from .residual import _adjusted_quote, residual_correction
-from .simulator import DegenerateRunWarning, SimulationResult, simulate
+from .simulator import ENGINES, DegenerateRunWarning, SimulationResult, simulate
 from .solver import FactorGrid, SolverConfig, ValueSurface, solve, solver_fingerprint
 
 REPRODUCTION_SEED = 23
@@ -169,7 +169,10 @@ def _cached_surface(runner: Runner, market, k, grid_nodes, dt, solve_on_miss: bo
     cache.mkdir(parents=True, exist_ok=True)
     path = cache / _surface_cache_name(runner.tag, k, grid_nodes, dt)
     if path.exists():
-        surface = ValueSurface.load(path)
+        try:
+            surface = ValueSurface.load(path)
+        except ValidationError as exc:
+            raise CliError(f"{exc}; delete it or change --out-dir", code=2)
         for key, want in _cache_fingerprint(runner.hash, dt).items():
             got = surface.fingerprint.get(key)
             if got != want:
@@ -212,8 +215,8 @@ def _parse_rfq(text: str, market: MarketSpec) -> tuple[int, str, float]:
     side = parts[1]
     if not 0 <= asset < market.n_assets:
         raise CliError(f"RFQ {text!r}: asset index out of range for {market.n_assets} assets")
-    if side not in ("bid", "ask"):
-        raise CliError(f"RFQ {text!r}: side must be bid or ask")
+    if side not in SIDES:
+        raise CliError(f"RFQ {text!r}: side must be one of {SIDES}")
     return asset, side, size
 
 
@@ -553,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="event-level simulation")
     p.add_argument("--config", required=True)
     p.add_argument("--policy", choices=("surface", "myopic"), default="surface")
-    p.add_argument("--engine", choices=("thinning", "collapsed", "price_paths"),
-                   default="thinning")
+    p.add_argument("--engine", choices=ENGINES, default="thinning")
     p.add_argument("--event-logs", action="store_true",
                    help=f"dump event logs for the first {EVENT_LOG_PATH_CAP} paths")
     common(p, seed=True, paths=2000, surface_opts=True)

@@ -28,10 +28,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def explained_ratio(self, k: int) -> float:
         """Share of total variance carried by the top k eigenvalues."""
         total = float(self.eigenvalues.sum())

@@ -1,4 +1,8 @@
-"""Exact quote optimization kernels for logistic fill intensities.
+"""The quote optimizer for logistic fill intensities.
+
+:func:`batch_quote_kernel` is the one optimizer: the solver's sweep, the
+quoting rule, the myopic quote and the residual-adjusted quote all call it,
+and it reads Lambda through :func:`rfqmm.model.fill_intensity`.
 
 Quoting a spread d against a reservation level p earns Lambda(d) * (d - p)
 per unit time.  For the logistic intensity the supremum over d >= -floor has
@@ -30,12 +34,10 @@ floor, H is affine with slope -Lambda(-floor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.special import wrightomega
 
-from .model import LogisticIntensity
+from .model import fill_intensity
 
 
 def solve_offset_equation(c):
@@ -58,49 +60,7 @@ def batch_quote_kernel(p, lam, alpha, beta, floor):
     p = np.asarray(p, dtype=float)
     x = solve_offset_equation(beta * p + alpha + 1.0)
     delta = np.maximum((x - alpha) / beta, -floor)
-    u = alpha + beta * delta
-    # Lambda(delta) without overflow for large u
-    lam_d = lam / (1.0 + np.exp(np.minimum(u, 700.0)))
+    lam_d = fill_intensity(lam, alpha + beta * delta)
     value = lam_d * (delta - p)
     slope = -lam_d
     return delta, value, slope
-
-
-@dataclass(frozen=True)
-class HamiltonianOps:
-    """Quote optimizer bound to one intensity curve and one quote floor.
-
-    ``lipschitz_bound`` is Lambda(-floor), the uniform bound on the envelope
-    slope; the explicit solver's step budget is built from it.
-    """
-
-    intensity: LogisticIntensity
-    quote_floor: float
-    lipschitz_bound: float = field(init=False)
-
-    def __post_init__(self):
-        if self.quote_floor <= 0.0:
-            raise ValueError(f"quote floor must be positive, got {self.quote_floor}")
-        object.__setattr__(self, "lipschitz_bound", float(self.intensity(-self.quote_floor)))
-
-    def _kernel(self, p):
-        lam = self.intensity
-        return batch_quote_kernel(p, lam.lambda_rfq, lam.alpha, lam.beta, self.quote_floor)
-
-    def unconstrained_quote(self, p):
-        """Optimizer ignoring the floor (the root of the first-order condition)."""
-        lam = self.intensity
-        x = solve_offset_equation(lam.beta * np.asarray(p, dtype=float) + lam.alpha + 1.0)
-        return (x - lam.alpha) / lam.beta
-
-    def delta_star(self, p):
-        """Floor-clamped optimal quote."""
-        return self._kernel(p)[0]
-
-    def hamiltonian(self, p):
-        """Envelope value sup_{d >= -floor} Lambda(d) * (d - p)."""
-        return self._kernel(p)[1]
-
-    def hamiltonian_derivative(self, p):
-        """Envelope slope, equal to -Lambda(delta_star(p))."""
-        return self._kernel(p)[2]

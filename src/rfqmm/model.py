@@ -2,6 +2,9 @@
 
 This module defines the immutable inputs everything else consumes:
 
+* :func:`fill_intensity` - the logistic fill intensity, the one evaluation of
+  the curve that the quote kernel, the simulator and
+  :class:`LogisticIntensity` share.
 * :class:`LogisticIntensity` - arrival intensity of fillable quote requests as
   a function of the quoted spread, logistic in the quote.
 * :class:`GammaSpec` / :class:`SizeDistribution` - trade size law and its
@@ -43,17 +46,14 @@ Side = Literal["bid", "ask"]
 SIDES: tuple[Side, Side] = ("bid", "ask")
 
 
-def _sigmoid(x):
-    """Numerically stable logistic function 1 / (1 + exp(-x))."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
-    return out
+def fill_intensity(lam, u):
+    """Logistic fill intensity ``lam / (1 + exp(u))`` at ``u = alpha + beta * delta``.
+
+    The one evaluation of the curve: the quote kernel, the simulator (with
+    ``lam = 1``, a fill probability) and :class:`LogisticIntensity` all call
+    it.  Capping ``u`` at 700 keeps ``exp`` finite at very wide quotes.
+    """
+    return lam / (1.0 + np.exp(np.minimum(u, 700.0)))
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,16 @@ class LogisticIntensity:
                 "fill probability must decrease in the quoted spread"
             )
 
+    def _exponent(self, delta):
+        return self.alpha + self.beta * np.asarray(delta, dtype=float)
+
     def fill_probability(self, delta):
         """Probability that a request quoted at ``delta`` is filled."""
-        return _sigmoid(-(self.alpha + self.beta * np.asarray(delta, dtype=float)))
+        return fill_intensity(1.0, self._exponent(delta))
 
     def __call__(self, delta):
         """Fill intensity Lambda(delta), per day."""
-        return self.lambda_rfq * self.fill_probability(delta)
+        return fill_intensity(self.lambda_rfq, self._exponent(delta))
 
     def derivative(self, delta):
         """d Lambda / d delta, always negative."""
@@ -113,8 +116,7 @@ class LogisticIntensity:
         Strictly below 1 everywhere, hence below the bound of 2 required for
         the quote optimization to be well posed.
         """
-        u = self.alpha + self.beta * np.asarray(delta, dtype=float)
-        return 1.0 - np.exp(np.minimum(-u, 700.0))
+        return 1.0 - np.exp(np.minimum(-self._exponent(delta), 700.0))
 
 
 @dataclass(frozen=True)
@@ -412,10 +414,6 @@ class MarketSpec:
     @property
     def n_assets(self) -> int:
         return len(self.assets)
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([a.sigma for a in self.assets])
 
     @cached_property
     def intensity_table(self) -> np.ndarray:

@@ -4,8 +4,8 @@ The quoting rule prices a bid (ask) for ``z`` units of asset ``i`` off the
 per-unit value change the fill would cause: ``p = (theta(f) - theta(f'))/z``
 with ``f' = f + z*e_i`` for a bid and ``f - z*e_i`` for an ask, where ``e_i``
 is the factor image of one unit of the asset.  The offset that maximises
-expected spread revenue against that reservation level is then
-``delta_star(p)`` from the envelope kernel.
+expected spread revenue against that reservation level is then the
+optimizer of :func:`rfqmm.hamiltonian.batch_quote_kernel`.
 
 Two situations yield no quote at all: the shifted factor point would leave
 the grid box, or the post-trade inventory would breach the quadratic risk
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import OutOfDomainError, ValidationError
 from .events import SIDE_SIGNS
-from .hamiltonian import batch_quote_kernel, solve_offset_equation
+from .hamiltonian import batch_quote_kernel
 from .model import SIDES, LogisticIntensity, MarketSpec
 from .solver import ValueSurface
 
@@ -44,12 +44,14 @@ _SIGNS = np.array(SIDE_SIGNS)
 def myopic_quote(intensity: LogisticIntensity, quote_floor: float = 1.0) -> float:
     """Inventory-blind offset maximising instantaneous expected revenue.
 
-    This is ``delta_star`` at zero reservation level; the arrival rate
+    This is the quote kernel at zero reservation level; the arrival rate
     cancels out of the first-order condition, so only the shape parameters
     matter.
     """
-    x = solve_offset_equation(intensity.alpha + 1.0)
-    return max((x - intensity.alpha) / intensity.beta, -quote_floor)
+    delta, _, _ = batch_quote_kernel(
+        0.0, intensity.lambda_rfq, intensity.alpha, intensity.beta, quote_floor
+    )
+    return float(delta)
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,9 @@ def _check_inventories(market: MarketSpec, inventories) -> np.ndarray:
         raise ValidationError(
             f"inventory has {q.shape[1]} components, market has {market.n_assets} assets"
         )
+    finite = np.isfinite(q).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"inventory {q[~finite][0].tolist()} must be finite")
     return q
 
 

@@ -42,7 +42,7 @@ from .factors import FactorModel
 from .hamiltonian import batch_quote_kernel
 from .model import SIDES, MarketSpec
 from .quotes import SurfacePolicy, optimal_quote
-from .simulator import SimulationResult, inventory_paths, simulate
+from .simulator import SimulationResult, clean_inventory, inventory_paths, simulate
 from .solver import ValueSurface
 
 # Seed offset for the deliberately de-paired control arm of variance
@@ -101,18 +101,6 @@ class AdjustedQuote:
         return self.reason != "ok"
 
 
-def _clean_inventory(market: MarketSpec, q) -> np.ndarray:
-    d = market.n_assets
-    if q is None:
-        return np.zeros(d)
-    arr = np.asarray(q, dtype=float)
-    if arr.shape != (d,):
-        raise ValidationError(f"inventory must have shape ({d},), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("inventory must be finite")
-    return arr
-
-
 def _check_estimation_inputs(market: MarketSpec, t: float, n_paths: int) -> None:
     if not market.penalty.is_smooth:
         raise ValidationError(
@@ -140,7 +128,7 @@ def correction_samples(
     given ``start_inventory`` must equal it.
     """
     if start_inventory is not None and not np.array_equal(
-        _clean_inventory(result.market, start_inventory), result.start_inventory
+        clean_inventory(result.market, start_inventory), result.start_inventory
     ):
         raise ValidationError(
             f"start_inventory {np.asarray(start_inventory).tolist()} is not the run's "
@@ -189,7 +177,7 @@ def residual_correction(
     """
     _check_estimation_inputs(market, t, n_paths)
     fm = surface.factor_model
-    q0 = _clean_inventory(market, q)
+    q0 = clean_inventory(market, q)
     if not fm.residual_cov.any():
         return _summarise_samples(np.zeros(n_paths), n_paths, seed)
 
@@ -248,7 +236,7 @@ def _adjusted_quote(
     pricing several RFQs from one state; when None it is estimated here, and
     only if the base quote is priced.
     """
-    q0 = _clean_inventory(market, q)
+    q0 = clean_inventory(market, q)
     base = optimal_quote(surface, market, q0, asset, side, size, t=t)
     if base.refused:
         return AdjustedQuote(
@@ -276,13 +264,9 @@ def _adjusted_quote(
     shift_stderr = float(diffs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
 
     adjusted_reservation = base.reservation + shift
-    intensity = market.assets[asset].intensity(side)
+    lam, alpha, beta = market.intensity_table[asset, SIDES.index(side)]
     delta_arr, _, _ = batch_quote_kernel(
-        np.array([adjusted_reservation]),
-        intensity.lambda_rfq,
-        intensity.alpha,
-        intensity.beta,
-        market.quote_floor,
+        np.array([adjusted_reservation]), lam, alpha, beta, market.quote_floor
     )
     return AdjustedQuote(
         asset=asset,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .events import SIDE_SIGNS, BucketTable, draw_path_events, path_generator
-from .model import MarketSpec
+from .model import MarketSpec, fill_intensity
 from .solver import FactorGrid
 
 ENGINES = ("thinning", "collapsed", "price_paths")
@@ -169,9 +169,17 @@ def total_variance_gap(result: SimulationResult):
     return float(gap), se
 
 
-def _fill_probability(buckets: BucketTable, b: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    u = buckets.alpha[b] + buckets.beta[b] * delta
-    return 1.0 / (1.0 + np.exp(np.minimum(u, 700.0)))
+def clean_inventory(market: MarketSpec, q) -> np.ndarray:
+    """A fresh ``(assets,)`` inventory array: zeros for None, else finite ``q``."""
+    d = market.n_assets
+    if q is None:
+        return np.zeros(d)
+    arr = np.array(q, dtype=float)
+    if arr.shape != (d,):
+        raise ValidationError(f"inventory must have shape ({d},), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"inventory {arr.tolist()} must be finite")
+    return arr
 
 
 def _check_degenerate(market: MarketSpec, policy, buckets: BucketTable, q0: np.ndarray) -> None:
@@ -209,16 +217,7 @@ def simulate(
         raise ValidationError(f"quote_times must be 'stationary' or 'event', got {quote_times!r}")
     if n_paths <= 0:
         raise ValidationError(f"n_paths must be positive, got {n_paths}")
-    if start_inventory is None:
-        q0 = np.zeros(market.n_assets)
-    else:
-        q0 = np.array(start_inventory, dtype=float)
-        if q0.shape != (market.n_assets,):
-            raise ValidationError(
-                f"start_inventory must have shape ({market.n_assets},), got {q0.shape}"
-            )
-        if not np.isfinite(q0).all():
-            raise ValidationError("start_inventory must be finite")
+    q0 = clean_inventory(market, start_inventory)
     q0.setflags(write=False)
     buckets = BucketTable.from_market(market)
     _check_degenerate(market, policy, buckets, q0)
@@ -313,7 +312,8 @@ def _run_thinning(
             t_quote, q[alive], a_ix, s_ix, z, sq=sq[alive], risk=y[alive]
         )
         refused[alive] += ~ok
-        prob = np.where(ok, _fill_probability(buckets, b, np.where(ok, delta, 0.0)), 0.0)
+        exponent = buckets.alpha[b] + buckets.beta[b] * np.where(ok, delta, 0.0)
+        prob = np.where(ok, fill_intensity(1.0, exponent), 0.0)
         fill = thin[alive, j] < prob
         signs = signs_by_side[s_ix]
         post, admissible = market.post_trade_risk(y[alive], sq[alive, a_ix], signs, z, a_ix)
@@ -428,7 +428,8 @@ def _run_collapsed(market, policy, n_paths, seed, buckets, keep_logs, q0):
             delta, ok = policy.quote_rows(
                 0.0, np.tile(q, (nb, 1)), buckets.asset, buckets.side, buckets.size
             )
-            prob = np.where(ok, _fill_probability(buckets, np.arange(nb), np.where(ok, delta, 0.0)), 0.0)
+            exponent = buckets.alpha + buckets.beta * np.where(ok, delta, 0.0)
+            prob = np.where(ok, fill_intensity(1.0, exponent), 0.0)
             post, admissible = market.post_trade_risk(
                 y, sq[buckets.asset], signs, buckets.size, buckets.asset
             )

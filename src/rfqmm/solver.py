@@ -63,7 +63,7 @@ from .errors import OutOfDomainError, SolverError, StabilityError, ValidationErr
 from .events import SIDE_SIGNS, BucketTable
 from .factors import FactorModel
 from .hamiltonian import batch_quote_kernel
-from .model import MarketSpec
+from .model import RISK_SLACK, MarketSpec
 
 #: relative slack when testing grid-box membership
 BOX_TOL = 1e-9
@@ -199,7 +199,7 @@ class FactorGrid:
         return np.einsum("nj,jk,nk->n", nodes, self.factor_cov, nodes)
 
     def admissible_mask(self) -> np.ndarray:
-        return self.risk_levels() <= self.risk_limit * (1.0 + 1e-12)
+        return self.risk_levels() <= self.risk_limit * RISK_SLACK
 
     def contains(self, points) -> np.ndarray:
         """Which query points lie inside the bounding box (with slack)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from rfqmm.hamiltonian import batch_quote_kernel
 from rfqmm.model import (
     AssetSpec,
     GammaSpec,
@@ -110,6 +111,11 @@ def make_market_30asset(
     )
 
 
+def quote_kernel(intensity: LogisticIntensity, p, floor: float = 1.0):
+    """``(delta, value, slope)`` of the quote kernel for one intensity curve."""
+    return batch_quote_kernel(p, intensity.lambda_rfq, intensity.alpha, intensity.beta, floor)
+
+
 def rk4_lattice_reference(market, grid, n_steps: int) -> np.ndarray:
     """Classical RK4 integration of the single-asset lattice dynamics.
 
@@ -117,8 +123,6 @@ def rk4_lattice_reference(market, grid, n_steps: int) -> np.ndarray:
     spacing, so shifted reads land exactly on nodes.  Independent of the
     production stepper: plain index shifts, fixed-step RK4.
     """
-    from rfqmm.hamiltonian import HamiltonianOps
-
     assert grid.ndim == 1
     asset = market.assets[0]
     nodes = grid.axes[0]
@@ -126,10 +130,6 @@ def rk4_lattice_reference(market, grid, n_steps: int) -> np.ndarray:
     spacing = grid.spacing[0]
     risk = nodes**2 * asset.sigma**2
     drain = np.asarray(market.penalty.running(risk), dtype=float)
-    ops = {
-        side: HamiltonianOps(intensity=asset.intensity(side), quote_floor=market.quote_floor)
-        for side in ("bid", "ask")
-    }
 
     def rhs(theta):
         out = -drain.copy()
@@ -141,7 +141,8 @@ def rk4_lattice_reference(market, grid, n_steps: int) -> np.ndarray:
                 shifted = np.arange(n) + sign * m
                 ok = (shifted >= 0) & (shifted < n)
                 values = theta[np.clip(shifted, 0, n - 1)]
-                h = ops[side].hamiltonian((theta - values) / z)
+                p_res = (theta - values) / z
+                _, h, _ = quote_kernel(asset.intensity(side), p_res, market.quote_floor)
                 out = out + np.where(ok, p * z * h, 0.0)
         return out
 

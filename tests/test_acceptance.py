@@ -19,7 +19,6 @@ import pytest
 
 from rfqmm.cli import REPRODUCTION_SEED
 from rfqmm.factors import build_factor_model, inventory_factor_model, jacobi_eigendecomposition
-from rfqmm.hamiltonian import HamiltonianOps
 from rfqmm.model import LogisticIntensity
 from rfqmm.quotes import MyopicPolicy, SurfacePolicy, myopic_quote, optimal_quote
 from rfqmm.residual import residual_correction
@@ -31,6 +30,7 @@ from helpers import (
     make_market_1asset,
     make_market_2asset,
     make_sizes,
+    quote_kernel,
     rk4_lattice_reference,
 )
 from rfqmm.model import MarketSpec, RiskPenalty
@@ -121,24 +121,22 @@ def test_criterion_02_myopic_quote_reference():
 
 
 def test_criterion_03_hamiltonian_against_grid_search():
-    ops = HamiltonianOps(
-        intensity=LogisticIntensity(lambda_rfq=30.0, alpha=0.7, beta=30.0), quote_floor=1.0
-    )
+    curve = LogisticIntensity(lambda_rfq=30.0, alpha=0.7, beta=30.0)
     rng = np.random.default_rng(20260814)
     ps = rng.uniform(-2.0, 2.0, size=100)
     # route two: exhaustive grid at 1e-6 over [-floor, floor + 5], wide
     # enough to contain the unconstrained maximiser for every sampled p
     grid = np.arange(-1.0, 6.0 + 1e-6, 1e-6)
-    lam_grid = np.asarray(ops.intensity(grid))
-    values = ops.hamiltonian(ps)
+    lam_grid = np.asarray(curve(grid))
+    _, values, _ = quote_kernel(curve, ps)
     worst = 0.0
     for p, val in zip(ps, values):
         brute = float(np.max(lam_grid * (grid - p)))
         worst = max(worst, abs(val - brute) / abs(brute))
         assert val == pytest.approx(brute, rel=1e-8)
     h = 1e-6
-    fd = (ops.hamiltonian(ps + h) - ops.hamiltonian(ps - h)) / (2 * h)
-    np.testing.assert_allclose(ops.hamiltonian_derivative(ps), fd, rtol=1e-6)
+    fd = (quote_kernel(curve, ps + h)[1] - quote_kernel(curve, ps - h)[1]) / (2 * h)
+    np.testing.assert_allclose(quote_kernel(curve, ps)[2], fd, rtol=1e-6)
     print(f"criterion 3: 100 points, worst envelope deviation {worst:.2e} (band 1e-8)")
 
 
@@ -310,14 +308,13 @@ def test_criterion_10_property_sweep():
 
         # Hamiltonian: strictly decreasing, slope bounded by the intensity
         # at the floor
-        ops = HamiltonianOps(
-            intensity=market.assets[0].intensity("bid"), quote_floor=market.quote_floor
-        )
+        curve = market.assets[0].intensity("bid")
+        lipschitz_bound = float(curve(-market.quote_floor))
         ps = np.sort(rng.uniform(-3.0, 3.0, size=200))
-        hs = ops.hamiltonian(ps)
+        _, hs, _ = quote_kernel(curve, ps, market.quote_floor)
         assert np.all(np.diff(hs) < 0.0)
         assert np.all(
-            np.abs(np.diff(hs)) <= ops.lipschitz_bound * np.diff(ps) * (1.0 + 1e-9)
+            np.abs(np.diff(hs)) <= lipschitz_bound * np.diff(ps) * (1.0 + 1e-9)
         )
 
         # bid/ask antisymmetry and bid monotonicity along each axis

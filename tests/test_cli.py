@@ -324,6 +324,25 @@ class TestCommands:
         assert code == 2
         assert f"config_hash={other!r}" in err and f"config_hash={h!r}" in err
 
+    def test_cache_of_another_format_refused(self, work, tmp_path, capsys):
+        cfg, out = work
+        _, h = load_config(cfg)
+        name = _surface_cache_name(h[:12], 2, 21, None)
+        with np.load(out / "cache" / name) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays["meta"]))
+        arrays["meta"] = json.dumps({**meta, "format_version": 1})
+        (tmp_path / "cache").mkdir()
+        np.savez_compressed(tmp_path / "cache" / name, **arrays)
+        code = main(
+            ["quotes", "--config", str(cfg), "--out-dir", str(tmp_path),
+             "--grid", "21", "--factors", "2"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "format 1" in err
+        assert err.rstrip().endswith("delete it or change --out-dir")
+
     def test_simulate_writes_byte_identical_reruns(self, work):
         cfg, out = work
         args = [
@@ -382,6 +401,18 @@ class TestCommands:
         )
         assert code == 1
         assert "2 assets" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("text", ["nan,0", "0,inf"])
+    def test_non_finite_inventory_named(self, work, capsys, text):
+        cfg, out = work
+        code = main(
+            ["quotes", "--config", str(cfg), "--out-dir", str(out),
+             "--grid", "21", "--factors", "2", "--inventory", text]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "inventory" in err and "finite" in err
 
 
 class TestReproduce:

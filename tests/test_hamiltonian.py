@@ -12,18 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import wrightomega
 
-from helpers import make_intensity
-from rfqmm.hamiltonian import HamiltonianOps, batch_quote_kernel, solve_offset_equation
+from helpers import make_intensity, quote_kernel
+from rfqmm.hamiltonian import batch_quote_kernel, solve_offset_equation
 from rfqmm.model import LogisticIntensity
 
 # frozen mpmath roots for lambda_rfq in {30, 10}, alpha 0.7, beta 30
 MYOPIC_QUOTE = 0.038541882843364745
 VALUE_AT_ZERO = {30.0: 0.15625648530094234, 10.0: 0.052085495100314112}
 SLOPE_AT_ZERO = {30.0: -4.0541995816855373, 10.0: -1.3513998605618458}
-
-
-def reference_ops(lam=30.0, alpha=0.7, beta=30.0, floor=1.0) -> HamiltonianOps:
-    return HamiltonianOps(intensity=make_intensity(lam, alpha, beta), quote_floor=floor)
 
 
 def omega_route(p, lam, alpha, beta):
@@ -63,14 +59,13 @@ class TestScalarSolve:
 
 class TestAgainstOmegaRoute:
     def test_unconstrained_quote(self):
-        ops = reference_ops()
+        # with floor 1 the clamp never binds here: the lowest optimum is about -0.16
         p = np.linspace(-2.0, 2.0, 401)
-        mine = ops.unconstrained_quote(p)
+        mine, _, _ = quote_kernel(make_intensity(), p)
         ref, _, _ = omega_route(p, 30.0, 0.7, 30.0)
         np.testing.assert_allclose(mine, ref, atol=1e-10)
 
     def test_value_and_slope_off_the_clamp(self):
-        ops = reference_ops()
         p = np.linspace(-0.9, 2.0, 301)  # unconstrained optimum stays above the floor here
         _, value, slope = batch_quote_kernel(p, 30.0, 0.7, 30.0, 1.0)
         _, ref_value, ref_slope = omega_route(p, 30.0, 0.7, 30.0)
@@ -81,75 +76,70 @@ class TestAgainstOmegaRoute:
 class TestReferenceValues:
     @pytest.mark.parametrize("lam", [30.0, 10.0])
     def test_quote_at_zero_reservation(self, lam):
-        ops = reference_ops(lam=lam)
-        assert ops.delta_star(0.0) == pytest.approx(MYOPIC_QUOTE, abs=1e-12)
-        assert ops.hamiltonian(0.0) == pytest.approx(VALUE_AT_ZERO[lam], rel=1e-12)
-        assert ops.hamiltonian_derivative(0.0) == pytest.approx(SLOPE_AT_ZERO[lam], rel=1e-12)
+        delta, value, slope = quote_kernel(make_intensity(lam=lam), 0.0)
+        assert delta == pytest.approx(MYOPIC_QUOTE, abs=1e-12)
+        assert value == pytest.approx(VALUE_AT_ZERO[lam], rel=1e-12)
+        assert slope == pytest.approx(SLOPE_AT_ZERO[lam], rel=1e-12)
 
     def test_lipschitz_bound_is_intensity_at_floor(self):
-        ops = reference_ops()
-        assert ops.lipschitz_bound == pytest.approx(float(ops.intensity(-1.0)), rel=1e-15)
+        curve = make_intensity()
+        lipschitz_bound = float(curve(-1.0))
         p = np.linspace(-50.0, 50.0, 2001)
-        slopes = ops.hamiltonian_derivative(p)
-        assert np.all(np.abs(slopes) <= ops.lipschitz_bound * (1 + 1e-12))
+        _, _, slopes = quote_kernel(curve, p)
+        assert np.all(np.abs(slopes) <= lipschitz_bound * (1 + 1e-12))
 
 
 class TestEnvelopeProperties:
     def test_grid_search_envelope(self):
         # brute force at 1e-6 over [-floor, floor + 5]
-        ops = reference_ops()
+        curve = make_intensity()
         rng = np.random.default_rng(42)
         ps = rng.uniform(-2.0, 2.0, size=100)
         grid = np.arange(-1.0, 6.0 + 1e-6, 1e-6)
-        lam_grid = np.asarray(ops.intensity(grid))
-        values = ops.hamiltonian(ps)
+        lam_grid = np.asarray(curve(grid))
+        _, values, _ = quote_kernel(curve, ps)
         for p, val in zip(ps, values):
             brute = float(np.max(lam_grid * (grid - p)))
             assert val == pytest.approx(brute, rel=1e-8)
 
     def test_derivative_matches_finite_differences(self):
-        ops = reference_ops()
+        curve = make_intensity()
         rng = np.random.default_rng(7)
         ps = rng.uniform(-2.0, 2.0, size=100)
         h = 1e-6
-        fd = (ops.hamiltonian(ps + h) - ops.hamiltonian(ps - h)) / (2 * h)
-        np.testing.assert_allclose(ops.hamiltonian_derivative(ps), fd, rtol=1e-6)
+        fd = (quote_kernel(curve, ps + h)[1] - quote_kernel(curve, ps - h)[1]) / (2 * h)
+        np.testing.assert_allclose(quote_kernel(curve, ps)[2], fd, rtol=1e-6)
 
     def test_quote_is_nondecreasing_in_reservation(self):
-        ops = reference_ops()
         p = np.linspace(-8.0, 8.0, 4001)
-        d = ops.delta_star(p)
+        d, _, _ = quote_kernel(make_intensity(), p)
         assert np.all(np.diff(d) >= -1e-12)
 
     def test_quote_respects_floor_exactly(self):
         # with a tight floor of 0.05 the clamp binds for p below about -0.158
-        ops = reference_ops(floor=0.05)
         p = np.linspace(-2.0, -0.2, 101)
-        d = ops.delta_star(p)
+        d, _, _ = quote_kernel(make_intensity(), p, floor=0.05)
         assert np.all(d >= -0.05)
         assert np.min(d) == -0.05
 
     def test_first_order_condition_off_the_clamp(self):
-        ops = reference_ops()
+        lam = make_intensity()
         p = np.linspace(-0.5, 2.0, 101)
-        d = ops.delta_star(p)
-        lam = ops.intensity
+        d, _, _ = quote_kernel(lam, p)
         residual = np.asarray(lam.derivative(d)) * (d - p) + np.asarray(lam(d))
         assert np.max(np.abs(residual)) <= 1e-9 * float(lam.lambda_rfq)
 
     def test_affine_branch_below_the_clamp(self):
-        ops = reference_ops(floor=0.05)
-        lam_floor = ops.lipschitz_bound
+        curve = make_intensity()
+        lam_floor = float(curve(-0.05))
         p = np.array([-2.0, -1.0, -0.5])
-        values = ops.hamiltonian(p)
-        slopes = ops.hamiltonian_derivative(p)
+        _, values, slopes = quote_kernel(curve, p, floor=0.05)
         np.testing.assert_allclose(values, lam_floor * (-0.05 - p), rtol=1e-12)
         np.testing.assert_allclose(slopes, -lam_floor, rtol=1e-12)
 
     def test_value_positive_decreasing_convex(self):
-        ops = reference_ops()
         p = np.linspace(-3.0, 3.0, 601)
-        h = ops.hamiltonian(p)
+        _, h, _ = quote_kernel(make_intensity(), p)
         assert np.all(h > 0.0)
         assert np.all(np.diff(h) < 0.0)
         second = np.diff(h, 2)
@@ -165,8 +155,7 @@ class TestEnvelopeProperties:
     @settings(max_examples=150, deadline=None)
     def test_dominates_sampled_quotes(self, lam, alpha, beta, p, floor):
         curve = LogisticIntensity(lambda_rfq=lam, alpha=alpha, beta=beta)
-        ops = HamiltonianOps(intensity=curve, quote_floor=floor)
-        value = ops.hamiltonian(p)
+        _, value, _ = quote_kernel(curve, p, floor)
         quotes = np.linspace(-floor, -floor + 10.0, 500)
         sampled = np.max(np.asarray(curve(quotes)) * (quotes - p))
         assert value >= sampled - 1e-9 * max(1.0, abs(sampled))

@@ -12,11 +12,11 @@ from helpers import (
     make_market_2asset,
     make_market_30asset,
     make_sizes,
+    quote_kernel,
     rk4_lattice_reference,
 )
 from rfqmm.errors import OutOfDomainError, ValidationError
 from rfqmm.factors import build_factor_model
-from rfqmm.hamiltonian import HamiltonianOps
 from rfqmm.quotes import (
     REASON_BOX,
     REASON_OK,
@@ -140,12 +140,11 @@ class TestOptimalQuote:
         grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
         surface = solve(market, fm, grid, SolverConfig(dt=0.002))
         reference = rk4_lattice_reference(market, grid, n_steps=4000)
-        ops = HamiltonianOps(market.assets[0].intensity("bid"), market.quote_floor)
         nodes = grid.axes[0]
         z = 10000.0
         for j in range(5, 16):  # interior nodes, step of one base atom
             p_ref = (reference[j] - reference[j + 1]) / z
-            want = ops.delta_star(p_ref)
+            want, _, _ = quote_kernel(market.assets[0].intensity("bid"), p_ref, market.quote_floor)
             got = optimal_quote(surface, market, [nodes[j]], 0, "bid", z)
             assert not got.refused
             assert got.delta == pytest.approx(want, abs=1e-3)
@@ -160,6 +159,10 @@ class TestOptimalQuote:
             optimal_quote(surface, market, [0.0, 0.0], 0, "bid", 0.0)
         with pytest.raises(ValidationError, match="components"):
             optimal_quote(surface, market, [0.0, 0.0, 1.0], 0, "bid", 100.0)
+        with pytest.raises(ValidationError, match=r"inventory \[nan, 0.0\] must be finite"):
+            optimal_quote(surface, market, [np.nan, 0.0], 0, "bid", 100.0)
+        with pytest.raises(ValidationError, match=r"inventory \[0.0, inf\] must be finite"):
+            quote_table(surface, market, [[0.0, 0.0], [0.0, np.inf]])
 
 
 class TestRefusals:

@@ -207,6 +207,8 @@ class TestDegenerateAndErrors:
             residual_correction(surface, priced, n_paths=0, seed=0)
         with pytest.raises(ValidationError, match="shape"):
             residual_correction(surface, priced, [1.0, 2.0], n_paths=10, seed=0)
+        with pytest.raises(ValidationError, match=r"inventory \[inf\] must be finite"):
+            residual_correction(surface, priced, [np.inf], n_paths=10, seed=0)
         with pytest.raises(ValidationError, match="keep_event_logs"):
             run = simulate(priced, SurfacePolicy(surface, priced), 2, 0)
             correction_samples(run, surface.factor_model)

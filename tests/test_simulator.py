@@ -206,6 +206,8 @@ class TestEngines:
             simulate(market, policy, 5, seed=1, quote_times="midpoint")
         with pytest.raises(ValidationError, match="n_paths"):
             simulate(market, policy, 0, seed=1)
+        with pytest.raises(ValidationError, match=r"inventory \[nan, 0.0\] must be finite"):
+            simulate(market, policy, 5, seed=1, start_inventory=[np.nan, 0.0])
 
 
 class TestRiskGate:
