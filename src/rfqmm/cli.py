@@ -10,6 +10,12 @@ Subcommands
 ``adjust``     residual-risk correction and adjusted quotes for listed RFQs.
 ``reproduce``  the bundled reference scenarios, stage by stage.
 
+Each stage has one function that writes the stage's artifacts and prints
+its result line.  A subcommand parses its flags and calls its stage;
+``reproduce`` calls the same stage functions with each scenario's defaults
+(see ``SCENARIOS``), so a reproduction writes the same bytes as the
+matching subcommand run.
+
 Artifact discipline: every output file name embeds the first 12 hex digits
 of the configuration hash, and each run writes a manifest JSON listing the
 artifacts it produced.  CSV and NDJSON outputs are byte-identical across
@@ -39,29 +45,41 @@ from .errors import OutOfDomainError, SolverError, StabilityError, ValidationErr
 from .factors import build_factor_model
 from .model import SIDES, MarketSpec, validate_hypotheses
 from .quotes import REASON_OK, MyopicPolicy, SurfacePolicy, quote_table, write_quote_table
-from .residual import _adjusted_quote, residual_correction
-from .simulator import ENGINES, DegenerateRunWarning, SimulationResult, simulate
+from .residual import adjusted_quote, residual_correction
+from .simulator import ENGINES, DegenerateRunWarning, SimulationSummary, clean_inventory, simulate
 from .solver import FactorGrid, SolverConfig, ValueSurface, solve, solver_fingerprint
 
 REPRODUCTION_SEED = 23
-BUNDLED = {"paper-2asset": "paper_2asset.yaml", "paper-30asset": "paper_30asset.yaml"}
 STAGES = ("validate", "factors", "solve", "quotes", "simulate", "adjust", "all")
 EVENT_LOG_PATH_CAP = 100
+SIMULATE_PATHS = 2000
+ADJUST_PATHS = 500
 
-SUMMARY_COLUMNS = (
-    "policy",
-    "engine",
-    "seed",
-    "n_paths",
-    "mean_pnl",
-    "stdev_pnl",
-    "stdev_from_rfq",
-    "objective",
-    "mean_risk_integral",
-    "se_mean_pnl",
-    "se_stdev_pnl",
-    "se_stdev_from_rfq",
-    "se_objective",
+
+@dataclasses.dataclass(frozen=True)
+class Scenario:
+    """A bundled reference run: what ``reproduce`` solves, simulates and adjusts."""
+
+    config: str
+    grid: int
+    #: factor counts solved; the first one is also used for factors and quotes
+    factors: tuple[int, ...]
+    #: simulation runs as (label, factor count), None for the myopic policy
+    runs: tuple[tuple[str, int | None], ...]
+    adjust_factors: int
+
+
+SCENARIOS = {
+    "paper-2asset": Scenario(
+        "paper_2asset.yaml", 141, (2, 1),
+        (("optimal", 2), ("myopic", None), ("one_factor", 1)), adjust_factors=1,
+    ),
+    "paper-30asset": Scenario("paper_30asset.yaml", 71, (2,), (("optimal", 2),), adjust_factors=2),
+}
+REPRODUCTION_RFQS = ((0, "bid", 12500.0), (0, "ask", 12500.0))
+
+SUMMARY_COLUMNS = ("policy", "engine", "seed") + tuple(
+    f.name for f in dataclasses.fields(SimulationSummary)
 )
 ADJUST_COLUMNS = (
     "asset",
@@ -87,22 +105,6 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclasses.dataclass
-class RunManifest:
-    """What a run produced, for reproducibility audits."""
-
-    version: str
-    subcommand: str
-    config_hash: str
-    seed: int | None
-    artifacts: list[str]
-    wall_clock_seconds: float
-
-    def write(self, path: Path) -> None:
-        payload = dataclasses.asdict(self)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 class Runner:
     """Holds the output directory and collects artifact paths for the manifest."""
 
@@ -122,15 +124,17 @@ class Runner:
         return p
 
     def finish(self) -> None:
-        manifest = RunManifest(
-            version=__version__,
-            subcommand=self.subcommand,
-            config_hash=self.hash,
-            seed=self.seed,
-            artifacts=self.artifacts,
-            wall_clock_seconds=round(time.perf_counter() - self.started, 3),
-        )
-        manifest.write(self.out_dir / f"manifest_{self.subcommand}_{self.tag}.json")
+        """Write the manifest: what the run produced, for reproducibility audits."""
+        manifest = {
+            "version": __version__,
+            "subcommand": self.subcommand,
+            "config_hash": self.hash,
+            "seed": self.seed,
+            "artifacts": self.artifacts,
+            "wall_clock_seconds": round(time.perf_counter() - self.started, 3),
+        }
+        path = self.out_dir / f"manifest_{self.subcommand}_{self.tag}.json"
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _load(args) -> tuple[MarketSpec, str]:
@@ -145,6 +149,12 @@ def _surface_cache_name(tag: str, k: int, grid: int, dt) -> str:
     return f"surface_{tag}_k{k}_g{grid}_dt{dt_tag}.npz"
 
 
+def _cache_path(runner: Runner, k: int, grid_nodes: int, dt) -> Path:
+    cache = runner.out_dir / "cache"
+    cache.mkdir(parents=True, exist_ok=True)
+    return cache / _surface_cache_name(runner.tag, k, grid_nodes, dt)
+
+
 def _default_factors(market: MarketSpec, k) -> int:
     if k is not None:
         return int(k)
@@ -156,18 +166,18 @@ def _cache_fingerprint(config_hash: str, dt) -> dict:
     return {**solver_fingerprint(SolverConfig(dt=dt)), "config_hash": config_hash}
 
 
-def _solve_surface(market, config_hash, k, grid_nodes, dt) -> ValueSurface:
+def _solve_surface(runner: Runner, market, k, grid_nodes, dt) -> ValueSurface:
+    """Solve, stamp and cache a surface, overwriting any cached one."""
     fm = build_factor_model(market.covariance, k)
     grid = FactorGrid.from_factor_model(fm, market.risk_limit, grid_nodes)
     surface = solve(market, fm, grid, SolverConfig(dt=dt))
-    surface.fingerprint = _cache_fingerprint(config_hash, dt)
+    surface.fingerprint = _cache_fingerprint(runner.hash, dt)
+    surface.save(_cache_path(runner, k, grid_nodes, dt))
     return surface
 
 
 def _cached_surface(runner: Runner, market, k, grid_nodes, dt, solve_on_miss: bool) -> ValueSurface:
-    cache = runner.out_dir / "cache"
-    cache.mkdir(parents=True, exist_ok=True)
-    path = cache / _surface_cache_name(runner.tag, k, grid_nodes, dt)
+    path = _cache_path(runner, k, grid_nodes, dt)
     if path.exists():
         try:
             surface = ValueSurface.load(path)
@@ -188,9 +198,7 @@ def _cached_surface(runner: Runner, market, k, grid_nodes, dt, solve_on_miss: bo
             f"--factors {k} --grid {grid_nodes}` with the same --out-dir first",
             code=2,
         )
-    surface = _solve_surface(market, runner.hash, k, grid_nodes, dt)
-    surface.save(path)
-    return surface
+    return _solve_surface(runner, market, k, grid_nodes, dt)
 
 
 def _parse_inventory(text: str, d: int) -> np.ndarray:
@@ -233,57 +241,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_and_warn(market, policy, n_paths, seed, engine, keep_event_logs=False) -> SimulationResult:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateRunWarning)
-        result = simulate(
-            market, policy, n_paths, seed, engine=engine, keep_event_logs=keep_event_logs
-        )
-    for w in caught:
-        if issubclass(w.category, DegenerateRunWarning):
-            print(f"warn[sim]: {w.message}", file=sys.stderr)
-    return result
+# One function per stage: it writes the stage's artifacts and prints its
+# result line.  The subcommands and ``reproduce`` both call these.
 
 
-def _write_simulation(runner: Runner, result: SimulationResult, label: str) -> None:
-    s = result.summary()
-    row = [
-        result.policy_kind,
-        result.engine,
-        result.seed,
-        len(result.paths),
-        s.mean_pnl,
-        s.stdev_pnl,
-        s.stdev_from_rfq,
-        s.objective,
-        s.mean_risk_integral,
-        s.se_mean_pnl,
-        s.se_stdev_pnl,
-        s.se_stdev_from_rfq,
-        s.se_objective,
-    ]
-    _write_csv(
-        runner.path(f"summary_{label}_{runner.tag}.csv"),
-        SUMMARY_COLUMNS,
-        [[_fmt(v) for v in row]],
-    )
-    with open(runner.path(f"paths_{label}_{runner.tag}.ndjson"), "w", encoding="utf-8") as fh:
-        result.to_ndjson(fh)
-    print(
-        f"{label}: mean {s.mean_pnl:.0f}  stdev {s.stdev_pnl:.0f}  "
-        f"rfq-stdev {s.stdev_from_rfq:.0f}  objective {s.objective:.0f}"
-    )
-
-
-def _write_event_logs(runner: Runner, result: SimulationResult, label: str) -> None:
-    with open(runner.path(f"events_{label}_{runner.tag}.ndjson"), "w", encoding="utf-8") as fh:
-        for i, log in enumerate(result.event_logs[:EVENT_LOG_PATH_CAP]):
-            record = {"path": i, **{k: list(v) for k, v in log.items()}}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def cmd_validate(args) -> int:
-    market, config_hash = _load(args)
+def _validate_stage(market: MarketSpec, config_hash: str) -> int:
     report = validate_hypotheses(market)
     print(f"config {config_hash[:12]}: {market.n_assets} assets, horizon {market.horizon} days")
     if report.passed:
@@ -294,27 +256,97 @@ def cmd_validate(args) -> int:
     return 1
 
 
-def cmd_factors(args) -> int:
-    market, config_hash = _load(args)
-    k = _default_factors(market, args.factors)
+def _factors_stage(runner: Runner, market: MarketSpec, k: int) -> None:
     fm = build_factor_model(market.covariance, k)
-    runner = Runner(Path(args.out_dir), config_hash, "factors", seed=None)
     _write_csv(
         runner.path(f"eigenvalues_{runner.tag}.csv"),
         ("index", "eigenvalue"),
-        [[i, _fmt(float(v))] for i, v in enumerate(fm.eigenvalues)],
+        [[i, _fmt(v)] for i, v in enumerate(fm.eigenvalues.tolist())],
     )
     _write_csv(
         runner.path(f"loadings_{runner.tag}.csv"),
         ("asset_id",) + tuple(f"f{j + 1}" for j in range(k)),
-        [
-            [market.assets[i].asset_id] + [_fmt(float(x)) for x in fm.loadings[i]]
-            for i in range(market.n_assets)
-        ],
+        [[a.asset_id, *map(_fmt, row)] for a, row in zip(market.assets, fm.loadings.tolist())],
     )
-    runner.finish()
     top = ", ".join(f"{v:.6f}" for v in fm.eigenvalues[:k])
     print(f"kept {k} factors; leading eigenvalues {top}; explained {fm.explained_ratio:.4f}")
+
+
+def _solve_stage(runner: Runner, surface: ValueSurface, k: int, grid_nodes: int) -> None:
+    name = f"surface_{runner.tag}_k{k}_g{grid_nodes}.csv"
+    with open(runner.path(name), "w", encoding="utf-8") as fh:
+        surface.to_csv(fh)
+    origin = surface.value_at_origin()
+    peak = float(np.max(surface.slice_values(0.0)))
+    print(f"solved grid={grid_nodes}: k={k} value at origin {origin:.1f}, grid maximum {peak:.1f}")
+
+
+def _quotes_stage(runner: Runner, market, surface, k, grid_nodes, inventories, sizes=None) -> None:
+    rows = quote_table(surface, market, inventories, sizes=sizes)
+    name = f"quotes_{runner.tag}_k{k}_g{grid_nodes}.csv"
+    with open(runner.path(name), "w", encoding="utf-8") as fh:
+        write_quote_table(fh, rows, market.n_assets)
+    refused = sum(1 for r in rows if r[5] != REASON_OK)
+    print(f"quoted {len(rows)} rows ({refused} refusals) for {len(inventories)} inventories")
+
+
+def _simulate_stage(
+    runner: Runner, market, policy, label, n_paths, seed, engine="thinning", event_logs=False
+) -> None:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateRunWarning)
+        result = simulate(market, policy, n_paths, seed, engine=engine, keep_event_logs=event_logs)
+    for w in caught:
+        if issubclass(w.category, DegenerateRunWarning):
+            print(f"warn[sim]: {w.message}", file=sys.stderr)
+    s = result.summary()
+    row = (result.policy_kind, result.engine, result.seed) + dataclasses.astuple(s)
+    _write_csv(runner.path(f"summary_{label}_{runner.tag}.csv"), SUMMARY_COLUMNS, [map(_fmt, row)])
+    with open(runner.path(f"paths_{label}_{runner.tag}.ndjson"), "w", encoding="utf-8") as fh:
+        result.to_ndjson(fh)
+    if event_logs:
+        with open(runner.path(f"events_{label}_{runner.tag}.ndjson"), "w", encoding="utf-8") as fh:
+            for i, log in enumerate(result.event_logs[:EVENT_LOG_PATH_CAP]):
+                record = {"path": i, **{k: list(v) for k, v in log.items()}}
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    print(
+        f"{label}: mean {s.mean_pnl:.0f}  stdev {s.stdev_pnl:.0f}  "
+        f"rfq-stdev {s.stdev_from_rfq:.0f}  objective {s.objective:.0f}"
+    )
+
+
+def _adjust_stage(runner: Runner, market, surface, inventory, rfqs, t, n_paths, seed, name) -> None:
+    q = clean_inventory(market, inventory)
+    # one estimate at the given state serves every RFQ and the report
+    here = residual_correction(surface, market, q, t=t, n_paths=n_paths, seed=seed)
+    rows = []
+    for asset, side, size in rfqs:
+        a = adjusted_quote(
+            surface, market, q, asset, side, size, t=t, n_paths=n_paths, seed=seed, here=here
+        )
+        after = a.correction_after_trade
+        numbers = (float(size), a.base_delta, a.delta, a.shift, a.shift_stderr)
+        numbers += (here.value, here.stderr)
+        after_cells = ("", "") if after is None else (_fmt(after.value), _fmt(after.stderr))
+        rows.append([asset, side, *map(_fmt, numbers), *after_cells, a.reason])
+    _write_csv(runner.path(name), ADJUST_COLUMNS, rows)
+    value = surface.value(t, surface.factor_model.factor_coordinates(q))
+    print(
+        f"value at the given state {value:.1f}; correction {here.value:.1f} (stderr "
+        f"{here.stderr:.1f}, {here.n_paths} paths); corrected value {value + here.value:.1f}"
+    )
+
+
+def cmd_validate(args) -> int:
+    market, config_hash = _load(args)
+    return _validate_stage(market, config_hash)
+
+
+def cmd_factors(args) -> int:
+    market, config_hash = _load(args)
+    runner = Runner(Path(args.out_dir), config_hash, "factors", seed=None)
+    _factors_stage(runner, market, _default_factors(market, args.factors))
+    runner.finish()
     return 0
 
 
@@ -322,18 +354,11 @@ def cmd_solve(args) -> int:
     market, config_hash = _load(args)
     k = _default_factors(market, args.factors)
     runner = Runner(Path(args.out_dir), config_hash, "solve", seed=None)
-    cache = runner.out_dir / "cache"
-    cache.mkdir(parents=True, exist_ok=True)
-    path = cache / _surface_cache_name(runner.tag, k, args.grid, args.dt)
-    surface = _solve_surface(market, config_hash, k, args.grid, args.dt)
-    surface.save(path)
-    runner.artifacts.append(str(path.relative_to(runner.out_dir)))
-    with open(runner.path(f"surface_{runner.tag}_k{k}_g{args.grid}.csv"), "w", encoding="utf-8") as fh:
-        surface.to_csv(fh)
+    surface = _solve_surface(runner, market, k, args.grid, args.dt)
+    cache = _cache_path(runner, k, args.grid, args.dt)
+    runner.artifacts.append(str(cache.relative_to(runner.out_dir)))
+    _solve_stage(runner, surface, k, args.grid)
     runner.finish()
-    origin = surface.value_at_origin()
-    peak = float(np.max(surface.slice_values(0.0)))
-    print(f"solved k={k} grid={args.grid}: value at origin {origin:.1f}, grid maximum {peak:.1f}")
     return 0
 
 
@@ -342,17 +367,12 @@ def cmd_quotes(args) -> int:
     k = _default_factors(market, args.factors)
     runner = Runner(Path(args.out_dir), config_hash, "quotes", seed=None)
     surface = _cached_surface(runner, market, k, args.grid, args.dt, solve_on_miss=False)
-    inventories = [
-        _parse_inventory(text, market.n_assets)
-        for text in (args.inventory or ["0" + ",0" * (market.n_assets - 1)])
-    ]
+    inventories = [_parse_inventory(text, market.n_assets) for text in args.inventory or []]
     sizes = [float(s) for s in args.sizes.split(",")] if args.sizes else None
-    rows = quote_table(surface, market, inventories, sizes=sizes)
-    with open(runner.path(f"quotes_{runner.tag}_k{k}_g{args.grid}.csv"), "w", encoding="utf-8") as fh:
-        write_quote_table(fh, rows, market.n_assets)
+    _quotes_stage(
+        runner, market, surface, k, args.grid, inventories or [np.zeros(market.n_assets)], sizes
+    )
     runner.finish()
-    refused = sum(1 for r in rows if r[5] != REASON_OK)
-    print(f"quoted {len(rows)} rows ({refused} refusals) for {len(inventories)} inventories")
     return 0
 
 
@@ -365,45 +385,11 @@ def cmd_simulate(args) -> int:
         k = _default_factors(market, args.factors)
         surface = _cached_surface(runner, market, k, args.grid, args.dt, solve_on_miss=False)
         policy = SurfacePolicy(surface, market)
-    result = _run_and_warn(
-        market, policy, args.paths, args.seed, args.engine, keep_event_logs=args.event_logs
+    _simulate_stage(
+        runner, market, policy, args.policy, args.paths, args.seed, args.engine, args.event_logs
     )
-    _write_simulation(runner, result, args.policy)
-    if args.event_logs:
-        _write_event_logs(runner, result, args.policy)
     runner.finish()
     return 0
-
-
-def _adjust_rows(surface, market, inventory, rfqs, t, n_paths, seed):
-    # one estimate at the given state serves every RFQ and the report
-    here = residual_correction(surface, market, inventory, t=t, n_paths=n_paths, seed=seed)
-    adjusted = [
-        _adjusted_quote(
-            surface, market, inventory, asset, side, size, t, n_paths, seed, seed, here=here
-        )
-        for asset, side, size in rfqs
-    ]
-    rows = []
-    for (asset, side, size), a in zip(rfqs, adjusted):
-        after = a.correction_after_trade
-        rows.append(
-            [
-                asset,
-                side,
-                _fmt(float(size)),
-                _fmt(a.base_delta),
-                _fmt(a.delta),
-                _fmt(a.shift),
-                _fmt(a.shift_stderr),
-                _fmt(here.value),
-                _fmt(here.stderr),
-                _fmt(after.value) if after is not None else "",
-                _fmt(after.stderr) if after is not None else "",
-                a.reason,
-            ]
-        )
-    return here, rows
 
 
 def cmd_adjust(args) -> int:
@@ -413,97 +399,52 @@ def cmd_adjust(args) -> int:
     surface = _cached_surface(runner, market, k, args.grid, args.dt, solve_on_miss=False)
     inventory = _parse_inventory(args.inventory, market.n_assets) if args.inventory else None
     rfqs = [_parse_rfq(text, market) for text in (args.rfq or [])]
-    here, rows = _adjust_rows(surface, market, inventory, rfqs, args.t, args.paths, args.seed)
-    _write_csv(runner.path(f"adjust_{runner.tag}_k{k}.csv"), ADJUST_COLUMNS, rows)
-    runner.finish()
-    origin = surface.value_at_origin()
-    print(
-        f"correction at the given state: {here.value:.1f} (stderr {here.stderr:.1f}, "
-        f"{here.n_paths} paths); surface value at origin {origin:.1f}"
+    _adjust_stage(
+        runner, market, surface, inventory, rfqs, args.t, args.paths, args.seed,
+        f"adjust_{runner.tag}_k{k}.csv",
     )
+    runner.finish()
     return 0
 
 
 def _bundled_config(target: str) -> Path:
-    return Path(str(resources.files("rfqmm.configs").joinpath(BUNDLED[target])))
+    return Path(str(resources.files("rfqmm.configs").joinpath(SCENARIOS[target].config)))
 
 
 def cmd_reproduce(args) -> int:
-    config_path = _bundled_config(args.target)
-    market, config_hash = load_config(config_path)
-    two_asset = args.target == "paper-2asset"
-    grid_nodes = args.grid if args.grid is not None else (141 if two_asset else 71)
-    stages = [args.stage] if args.stage != "all" else list(STAGES[:-1])
+    scenario = SCENARIOS[args.target]
+    market, config_hash = load_config(_bundled_config(args.target))
+    grid_nodes = args.grid if args.grid is not None else scenario.grid
+    stages = STAGES[:-1] if args.stage == "all" else (args.stage,)
     runner = Runner(Path(args.out_dir), config_hash, f"reproduce_{args.target}", seed=args.seed)
 
-    def surface_k(k, nodes=None):
-        return _cached_surface(
-            runner, market, k, nodes if nodes is not None else grid_nodes, args.dt, solve_on_miss=True
-        )
+    def surface(k):
+        return _cached_surface(runner, market, k, grid_nodes, args.dt, solve_on_miss=True)
 
+    k_first = scenario.factors[0]
     status = 0
     for stage in stages:
         print(f"--- {args.target} / {stage} ---")
         if stage == "validate":
-            report = validate_hypotheses(market)
-            print(
-                f"config {runner.tag}: {market.n_assets} assets; "
-                + ("hypotheses hold" if report.passed else "hypothesis failures")
-            )
-            if not report.passed:
-                for line in report.failures():
-                    print(f"fail: {line}", file=sys.stderr)
-                status = 1
+            status = _validate_stage(market, config_hash)
         elif stage == "factors":
-            fm = build_factor_model(market.covariance, 2)
-            vals = ", ".join(f"{v:.6f}" for v in fm.eigenvalues[: min(4, len(fm.eigenvalues))])
-            print(f"leading eigenvalues: {vals}; explained by 2 factors {fm.explained_ratio:.4f}")
+            _factors_stage(runner, market, k_first)
         elif stage == "solve":
-            surface = surface_k(2)
-            with open(
-                runner.path(f"surface_{runner.tag}_k2_g{grid_nodes}.csv"), "w", encoding="utf-8"
-            ) as fh:
-                surface.to_csv(fh)
-            peak = float(np.max(surface.slice_values(0.0)))
-            print(f"k=2 value at origin {surface.value_at_origin():.1f}, grid maximum {peak:.1f}")
-            if two_asset:
-                one = surface_k(1)
-                print(f"k=1 value at origin {one.value_at_origin():.1f}")
+            for k in scenario.factors:
+                _solve_stage(runner, surface(k), k, grid_nodes)
         elif stage == "quotes":
-            surface = surface_k(2)
-            zero = [np.zeros(market.n_assets)]
-            rows = quote_table(surface, market, zero)
-            with open(
-                runner.path(f"quotes_{runner.tag}_k2_g{grid_nodes}.csv"), "w", encoding="utf-8"
-            ) as fh:
-                write_quote_table(fh, rows, market.n_assets)
-            print(f"quoted {len(rows)} rows at flat inventory")
+            flat = [np.zeros(market.n_assets)]
+            _quotes_stage(runner, market, surface(k_first), k_first, grid_nodes, flat)
         elif stage == "simulate":
-            n = args.paths if args.paths is not None else 2000
-            surface = surface_k(2)
-            if two_asset:
-                runs = [
-                    ("optimal", SurfacePolicy(surface, market)),
-                    ("myopic", MyopicPolicy(market)),
-                    ("one_factor", SurfacePolicy(surface_k(1), market)),
-                ]
-            else:
-                runs = [("optimal", SurfacePolicy(surface, market))]
-            for label, policy in runs:
-                result = _run_and_warn(market, policy, n, args.seed, "thinning")
-                _write_simulation(runner, result, label)
+            n = args.paths if args.paths is not None else SIMULATE_PATHS
+            for label, k in scenario.runs:
+                policy = MyopicPolicy(market) if k is None else SurfacePolicy(surface(k), market)
+                _simulate_stage(runner, market, policy, label, n, args.seed)
         elif stage == "adjust":
-            n = args.paths if args.paths is not None else 500
-            surface = surface_k(1 if two_asset else 2)
-            here, rows = _adjust_rows(
-                surface, market, None, [(0, "bid", 12500.0), (0, "ask", 12500.0)],
-                0.0, n, args.seed,
-            )
-            _write_csv(runner.path(f"adjust_{runner.tag}.csv"), ADJUST_COLUMNS, rows)
-            origin = surface.value_at_origin()
-            print(
-                f"value at origin {origin:.1f}; correction {here.value:.1f} "
-                f"(stderr {here.stderr:.1f}); corrected value {origin + here.value:.1f}"
+            n = args.paths if args.paths is not None else ADJUST_PATHS
+            _adjust_stage(
+                runner, market, surface(scenario.adjust_factors), None, REPRODUCTION_RFQS,
+                0.0, n, args.seed, f"adjust_{runner.tag}.csv",
             )
     runner.finish()
     return status
@@ -559,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=ENGINES, default="thinning")
     p.add_argument("--event-logs", action="store_true",
                    help=f"dump event logs for the first {EVENT_LOG_PATH_CAP} paths")
-    common(p, seed=True, paths=2000, surface_opts=True)
+    common(p, seed=True, paths=SIMULATE_PATHS, surface_opts=True)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("adjust", help="residual-risk corrected quotes")
@@ -568,11 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rfq", action="append", metavar="ASSET:SIDE:SIZE",
                    help="RFQ to price; repeatable")
     p.add_argument("--t", type=float, default=0.0, help="evaluation time in days")
-    common(p, seed=True, paths=500, surface_opts=True)
+    common(p, seed=True, paths=ADJUST_PATHS, surface_opts=True)
     p.set_defaults(fn=cmd_adjust)
 
     p = sub.add_parser("reproduce", help="bundled reference scenarios")
-    p.add_argument("target", choices=tuple(BUNDLED))
+    p.add_argument("target", choices=tuple(SCENARIOS))
     p.add_argument("--stage", choices=STAGES, default="all")
     p.add_argument("--paths", type=int, default=None,
                    help="path count (default: 2000 simulate, 500 adjust)")

@@ -28,11 +28,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def explained_ratio(self, k: int) -> float:
-        """Share of total variance carried by the top k eigenvalues."""
-        total = float(self.eigenvalues.sum())
-        return float(self.eigenvalues[:k].sum()) / total
-
 
 def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
     """Flip columns so the first component above SIGN_EPS is positive."""

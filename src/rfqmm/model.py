@@ -490,13 +490,19 @@ def validate_hypotheses(market: MarketSpec, n_probes: int = 100) -> HypothesisRe
       must stay below 2 where the intensity is numerically supported,
     * the intensity must have decayed to numerical zero at the upper probe.
 
-    Positivity of ``lambda_rfq`` and ``beta`` is enforced at construction
-    time; the probes here guard the shape conditions.
+    Positivity of ``beta`` is enforced at construction time; the probes here
+    guard the shape conditions.  A side with ``lambda_rfq == 0`` never
+    trades, so it has no shape to check: it is reported with no messages and
+    NaN statistics, unprobed.
     """
     checks = []
     for asset in market.assets:
         for side in SIDES:
             lam = asset.intensity(side)
+            if lam.lambda_rfq == 0.0:
+                nan = float("nan")
+                checks.append(SideCheck(asset.asset_id, side, nan, nan, nan, messages=()))
+                continue
             messages: list[str] = []
             h = 1e-4 / lam.beta
 

@@ -210,6 +210,7 @@ def adjusted_quote(
     n_paths: int = 500,
     seed: int = 0,
     shared_randomness: bool = True,
+    here: ResidualCorrection | None = None,
 ) -> AdjustedQuote:
     """Quote with the reservation level corrected for residual risk.
 
@@ -220,22 +221,14 @@ def adjusted_quote(
     so the difference is a paired estimator; disabling it exists for
     variance studies and uses a far-offset seed for the second arm.
 
+    ``here`` is the correction at ``q`` already estimated with ``seed``,
+    for callers pricing several RFQs from one state; when None it is
+    estimated here, and only if the base quote is priced.
+
     A refused base quote is returned as-is (NaN delta, the refusal reason,
     no simulation).
     """
     seed_post = seed if shared_randomness else seed + _INDEPENDENT_STREAM_OFFSET
-    return _adjusted_quote(surface, market, q, asset, side, size, t, n_paths, seed, seed_post)
-
-
-def _adjusted_quote(
-    surface, market, q, asset, side, size, t, n_paths, seed, seed_post, here=None
-) -> AdjustedQuote:
-    """:func:`adjusted_quote` with the post-trade estimate seeded by ``seed_post``.
-
-    ``here`` is the correction at ``q`` estimated with ``seed``, for callers
-    pricing several RFQs from one state; when None it is estimated here, and
-    only if the base quote is priced.
-    """
     q0 = clean_inventory(market, q)
     base = optimal_quote(surface, market, q0, asset, side, size, t=t)
     if base.refused:

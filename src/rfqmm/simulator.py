@@ -182,7 +182,7 @@ def clean_inventory(market: MarketSpec, q) -> np.ndarray:
     return arr
 
 
-def _check_degenerate(market: MarketSpec, policy, buckets: BucketTable, q0: np.ndarray) -> None:
+def _check_degenerate(policy, buckets: BucketTable, q0: np.ndarray) -> None:
     start = np.tile(q0, (len(buckets), 1))
     _, ok = policy.quote_rows(0.0, start, buckets.asset, buckets.side, buckets.size)
     if len(buckets) and not ok.any():
@@ -220,7 +220,7 @@ def simulate(
     q0 = clean_inventory(market, start_inventory)
     q0.setflags(write=False)
     buckets = BucketTable.from_market(market)
-    _check_degenerate(market, policy, buckets, q0)
+    _check_degenerate(policy, buckets, q0)
     if engine == "collapsed":
         return _run_collapsed(market, policy, n_paths, seed, buckets, keep_event_logs, q0)
     return _run_thinning(
@@ -229,7 +229,6 @@ def simulate(
         n_paths,
         seed,
         buckets,
-        price_paths=(engine == "price_paths"),
         keep_logs=keep_event_logs,
         quote_times=quote_times,
         engine=engine,
@@ -237,9 +236,8 @@ def simulate(
     )
 
 
-def _run_thinning(
-    market, policy, n_paths, seed, buckets, price_paths, keep_logs, quote_times, engine, q0
-):
+def _run_thinning(market, policy, n_paths, seed, buckets, keep_logs, quote_times, engine, q0):
+    price_paths = engine == "price_paths"
     d = market.n_assets
     horizon = market.horizon
     sigma = market.covariance

@@ -52,6 +52,8 @@ import functools
 import json
 import math
 import os
+import zipfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal
@@ -366,37 +368,44 @@ class ValueSurface:
 
     @classmethod
     def load(cls, path) -> "ValueSurface":
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta.get("format_version") != _FORMAT_VERSION:
-                raise ValidationError(
-                    f"surface cache {path} has format {meta.get('format_version')}, "
-                    f"this build reads format {_FORMAT_VERSION}"
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                meta = json.loads(str(data["meta"]))
+                if meta.get("format_version") != _FORMAT_VERSION:
+                    raise ValidationError(
+                        f"surface cache {path} has format {meta.get('format_version')}, "
+                        f"this build reads format {_FORMAT_VERSION}"
+                    )
+                grid = FactorGrid(
+                    factor_cov=data["grid_factor_cov"],
+                    half_widths=data["grid_half_widths"],
+                    nodes_per_axis=tuple(int(n) for n in data["grid_nodes"]),
+                    risk_limit=float(data["grid_risk_limit"]),
                 )
-            grid = FactorGrid(
-                factor_cov=data["grid_factor_cov"],
-                half_widths=data["grid_half_widths"],
-                nodes_per_axis=tuple(int(n) for n in data["grid_nodes"]),
-                risk_limit=float(data["grid_risk_limit"]),
-            )
-            fm = FactorModel(
-                covariance=data["fm_covariance"],
-                loadings=data["fm_loadings"],
-                factor_cov=data["fm_factor_cov"],
-                residual_cov=data["fm_residual_cov"],
-                eigenvalues=data["fm_eigenvalues"],
-            )
-            return cls(
-                grid=grid,
-                factor_model=fm,
-                times=data["times"],
-                values=data["values"],
-                horizon=float(data["horizon"]),
-                dt=float(data["dt"]),
-                n_steps=int(data["n_steps"]),
-                intensity_budget=float(data["intensity_budget"]),
-                fingerprint=meta.get("fingerprint", {}),
-            )
+                fm = FactorModel(
+                    covariance=data["fm_covariance"],
+                    loadings=data["fm_loadings"],
+                    factor_cov=data["fm_factor_cov"],
+                    residual_cov=data["fm_residual_cov"],
+                    eigenvalues=data["fm_eigenvalues"],
+                )
+                return cls(
+                    grid=grid,
+                    factor_model=fm,
+                    times=data["times"],
+                    values=data["values"],
+                    horizon=float(data["horizon"]),
+                    dt=float(data["dt"]),
+                    n_steps=int(data["n_steps"]),
+                    intensity_budget=float(data["intensity_budget"]),
+                    fingerprint=meta.get("fingerprint", {}),
+                )
+        except ValidationError:
+            raise
+        except (EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+            raise ValidationError(
+                f"surface cache {path} is not a readable surface archive ({type(exc).__name__})"
+            ) from exc
 
 
 def _shift_rows(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid):

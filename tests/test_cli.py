@@ -343,6 +343,24 @@ class TestCommands:
         assert "format 1" in err
         assert err.rstrip().endswith("delete it or change --out-dir")
 
+    @pytest.mark.parametrize("kind", ["truncated", "junk"])
+    def test_unreadable_cache_is_actionable(self, work, tmp_path, capsys, kind):
+        cfg, out = work
+        _, h = load_config(cfg)
+        name = _surface_cache_name(h[:12], 2, 21, None)
+        raw = (out / "cache" / name).read_bytes()
+        (tmp_path / "cache").mkdir()
+        bad = tmp_path / "cache" / name
+        bad.write_bytes(raw[:100] if kind == "truncated" else b"junk")
+        code = main(
+            ["quotes", "--config", str(cfg), "--out-dir", str(tmp_path),
+             "--grid", "21", "--factors", "2"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert err.rstrip().endswith("delete it or change --out-dir")
+
     def test_simulate_writes_byte_identical_reruns(self, work):
         cfg, out = work
         args = [
@@ -464,3 +482,46 @@ class TestReproduce:
         )
         assert code == 0
         assert "corrected value" in capsys.readouterr().out
+
+
+class TestFrontEndsAgree:
+    def test_subcommands_write_the_bytes_reproduce_writes(self, tmp_path):
+        from rfqmm.cli import _bundled_config
+
+        cfg = str(_bundled_config("paper-2asset"))
+        tag = load_config(cfg)[1][:12]
+        sub, rep = tmp_path / "sub", tmp_path / "rep"
+        common = ["--config", cfg, "--out-dir", str(sub)]
+        surface = common + ["--grid", "15"]
+        runs = [
+            ["factors", *common, "--factors", "2"],
+            ["solve", *surface, "--factors", "2"],
+            ["solve", *surface, "--factors", "1"],
+            ["quotes", *surface, "--factors", "2"],
+            ["simulate", *common, "--policy", "myopic", "--paths", "20", "--seed", "23"],
+            ["adjust", *surface, "--factors", "1", "--rfq", "0:bid:12500",
+             "--rfq", "0:ask:12500", "--paths", "20", "--seed", "23"],
+        ]
+        for argv in runs:
+            assert main(argv) == 0, argv
+        assert main(
+            ["reproduce", "paper-2asset", "--stage", "all", "--grid", "15",
+             "--paths", "20", "--out-dir", str(rep)]
+        ) == 0
+        same = [
+            f"eigenvalues_{tag}.csv",
+            f"loadings_{tag}.csv",
+            f"surface_{tag}_k2_g15.csv",
+            f"surface_{tag}_k1_g15.csv",
+            f"quotes_{tag}_k2_g15.csv",
+            f"summary_myopic_{tag}.csv",
+            f"paths_myopic_{tag}.ndjson",
+        ]
+        for name in same:
+            assert (sub / name).read_bytes() == (rep / name).read_bytes(), name
+        assert (sub / f"adjust_{tag}_k1.csv").read_bytes() == (rep / f"adjust_{tag}.csv").read_bytes()
+        manifest = json.loads(
+            (rep / f"manifest_reproduce_paper-2asset_{tag}.json").read_text(encoding="utf-8")
+        )
+        for name in (f"eigenvalues_{tag}.csv", f"loadings_{tag}.csv", f"surface_{tag}_k1_g15.csv"):
+            assert name in manifest["artifacts"]

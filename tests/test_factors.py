@@ -123,10 +123,6 @@ class TestReferenceSpectra:
         assert np.all(second[:15] > 0.0)
         assert np.all(second[15:] < 0.0)
 
-    def test_explained_ratio(self, market_30asset):
-        dec = jacobi_eigendecomposition(market_30asset.covariance)
-        assert dec.explained_ratio(2) == pytest.approx(0.9066666666667, abs=1e-9)
-
 
 class TestFactorModel:
     def test_full_rank_residual_vanishes(self, market_2asset):

@@ -6,6 +6,7 @@ against copy errors.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -276,3 +277,12 @@ class TestHypothesisValidation:
         report = validate_hypotheses(market_2asset)
         labels = {(c.asset_id, c.side) for c in report.checks}
         assert labels == {("A0", "bid"), ("A0", "ask"), ("A1", "bid"), ("A1", "ask")}
+
+    def test_side_that_never_trades_passes_unprobed(self):
+        # lambda_rfq = 0 is a flat curve: no slope, no tail mass to divide by
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = validate_hypotheses(make_market_2asset(lam=0.0))
+        assert report.passed
+        assert len(report.checks) == 4
+        assert all(c.messages == () for c in report.checks)
