@@ -201,11 +201,15 @@ def _cached_surface(runner: Runner, market, k, grid_nodes, dt, solve_on_miss: bo
     return _solve_surface(runner, market, k, grid_nodes, dt)
 
 
-def _parse_inventory(text: str, d: int) -> np.ndarray:
+def _parse_numbers(text: str, what: str) -> list[float]:
     try:
-        values = np.array([float(x) for x in text.split(",")], dtype=float)
+        return [float(x) for x in text.split(",")]
     except ValueError:
-        raise CliError(f"could not parse inventory {text!r}; expected comma-separated numbers")
+        raise CliError(f"could not parse {what} {text!r}; expected comma-separated numbers")
+
+
+def _parse_inventory(text: str, d: int) -> np.ndarray:
+    values = np.array(_parse_numbers(text, "inventory"))
     if values.shape != (d,):
         raise CliError(f"inventory {text!r} has {values.size} entries, the market has {d} assets")
     return values
@@ -368,7 +372,7 @@ def cmd_quotes(args) -> int:
     runner = Runner(Path(args.out_dir), config_hash, "quotes", seed=None)
     surface = _cached_surface(runner, market, k, args.grid, args.dt, solve_on_miss=False)
     inventories = [_parse_inventory(text, market.n_assets) for text in args.inventory or []]
-    sizes = [float(s) for s in args.sizes.split(",")] if args.sizes else None
+    sizes = _parse_numbers(args.sizes, "sizes") if args.sizes else None
     _quotes_stage(
         runner, market, surface, k, args.grid, inventories or [np.zeros(market.n_assets)], sizes
     )

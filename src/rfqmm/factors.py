@@ -98,9 +98,14 @@ class FactorModel:
         return float(np.linalg.norm(self.residual_cov))
 
     def factor_coordinates(self, inventory) -> np.ndarray:
-        """Project inventories (last axis = assets) into factor space."""
+        """Project inventories (last axis = assets) into factor space.
+
+        A fixed-order row-wise contraction: a row's coordinates are the same
+        bits whatever else shares the call, which a BLAS product does not
+        guarantee.
+        """
         q = np.asarray(inventory, dtype=float)
-        return q @ self.loadings
+        return np.einsum("...d,kd->...k", q, np.ascontiguousarray(self.loadings.T))
 
 
 def build_factor_model(covariance: np.ndarray, n_factors: int) -> FactorModel:

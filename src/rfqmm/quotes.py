@@ -116,10 +116,10 @@ def surface_quotes(surface, market, t, inventories, asset_ix, side_ix, sizes, sq
     """The quoting rule, row by row: inventory, asset, side (0 bid, 1 ask) and size.
 
     ``sq`` (inventories @ Sigma) and ``risk`` (current q'Sigma q) may be
-    passed in by callers that maintain them incrementally; both are
-    recomputed when None.  Returns ``(delta, reason, reservation)``:
-    ``reason`` holds indices into :data:`REASONS`, and ``delta`` and
-    ``reservation`` are NaN on refused rows.
+    passed in together by callers that maintain them incrementally; both
+    are recomputed when ``sq`` is None.  Returns ``(delta, reason,
+    reservation)``: ``reason`` holds indices into :data:`REASONS`, and
+    ``delta`` and ``reservation`` are NaN on refused rows.
     """
     fm = surface.factor_model
     grid = surface.grid
@@ -132,11 +132,10 @@ def surface_quotes(surface, market, t, inventories, asset_ix, side_ix, sizes, sq
     inside = grid.contains(shifted)
 
     if sq is None:
-        own = np.einsum("nd,dn->n", inventories, market.covariance[:, asset_ix])
-    else:
-        own = sq[np.arange(n), asset_ix]
-    if risk is None:
-        risk = np.einsum("nd,dn->n", inventories, market.covariance @ inventories.T)
+        # row-wise contractions, so a row's risk does not depend on the batch
+        sq = np.einsum("nd,ed->ne", inventories, market.covariance)
+        risk = np.einsum("nd,nd->n", inventories, sq)
+    own = sq[np.arange(n), asset_ix]
     _, admissible = market.post_trade_risk(risk, own, signs, sizes, asset_ix)
     ok = inside & admissible
 

@@ -18,8 +18,15 @@ exactly and the mark-to-market increment is drawn as one Gaussian with
 variance q'Sigma q * dt (exact in law; the price-path engine replaces this
 with d correlated increments).
 
-Paths are mutually independent; summary statistics use numpy reductions
-(pairwise summation), so results do not depend on any parallel schedule.
+Paths are mutually independent: path ``i`` draws from
+``path_generator(seed, i)``, and ``simulate`` runs the paths in contiguous
+chunks of :data:`PATH_CHUNK`, appending each chunk's results in path order.
+Every product that mixes a path's components is a fixed-order row-wise
+contraction, so a path's numbers do not depend on the chunk size or on how
+many paths are still alive at an event step, and memory is bounded by one
+chunk's padded events whatever the path count.  Summary statistics use
+numpy reductions (pairwise summation), so results do not depend on any
+parallel schedule.
 """
 
 from __future__ import annotations
@@ -37,6 +44,9 @@ from .model import MarketSpec, fill_intensity
 from .solver import FactorGrid
 
 ENGINES = ("thinning", "collapsed", "price_paths")
+
+#: paths simulated together; a chunk's padded events bound the memory of a run
+PATH_CHUNK = 256
 
 
 class DegenerateRunWarning(RuntimeWarning):
@@ -209,7 +219,8 @@ def simulate(
     Paths start from ``start_inventory`` (zero by default).  ``quote_times``
     is "stationary" (every quote read at t = 0, the default and the right
     choice for final-slice surfaces) or "event" (quotes read at the arrival
-    time, for surfaces storing all slices).
+    time, for surfaces storing all slices).  Paths run in contiguous chunks
+    of :data:`PATH_CHUNK`; results are appended in path order.
     """
     if engine not in ENGINES:
         raise ValidationError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -222,22 +233,38 @@ def simulate(
     buckets = BucketTable.from_market(market)
     _check_degenerate(policy, buckets, q0)
     if engine == "collapsed":
-        return _run_collapsed(market, policy, n_paths, seed, buckets, keep_event_logs, q0)
-    return _run_thinning(
-        market,
-        policy,
-        n_paths,
-        seed,
-        buckets,
-        keep_logs=keep_event_logs,
-        quote_times=quote_times,
+        def run(chunk):
+            return _run_collapsed(market, policy, chunk, seed, buckets, keep_event_logs, q0)
+    else:
+        def run(chunk):
+            return _run_thinning(
+                market, policy, chunk, seed, buckets, keep_event_logs, quote_times, engine, q0
+            )
+    paths, logs = [], []
+    for start in range(0, n_paths, PATH_CHUNK):
+        chunk_paths, chunk_logs = run(range(start, min(start + PATH_CHUNK, n_paths)))
+        paths += chunk_paths
+        logs += chunk_logs
+    return SimulationResult(
+        market=market,
+        policy_kind=policy.kind,
         engine=engine,
-        q0=q0,
+        seed=seed,
+        buckets=buckets,
+        paths=paths,
+        start_inventory=q0,
+        event_logs=logs if keep_event_logs else None,
     )
 
 
-def _run_thinning(market, policy, n_paths, seed, buckets, keep_logs, quote_times, engine, q0):
+def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, engine, q0):
+    """One chunk of paths stepped together, one event index at a time.
+
+    Returns the chunk's ``TrajectoryStats`` and event logs (empty unless
+    ``keep_logs``), in path order.
+    """
     price_paths = engine == "price_paths"
+    n_paths = len(paths)
     d = market.n_assets
     horizon = market.horizon
     sigma = market.covariance
@@ -245,20 +272,26 @@ def _run_thinning(market, policy, n_paths, seed, buckets, keep_logs, quote_times
         draw_path_events(
             buckets, horizon, path_generator(seed, i), price_dims=d if price_paths else 0
         )
-        for i in range(n_paths)
+        for i in paths
     ]
     n_ev = np.array([e.n_events for e in drawn], dtype=np.int64)
-    max_ev = int(n_ev.max()) if n_paths else 0
+    max_ev = int(n_ev.max())
     times = np.full((n_paths, max_ev), np.inf)
     bucket = np.zeros((n_paths, max_ev), dtype=np.int64)
     thin = np.zeros((n_paths, max_ev))
     if price_paths:
         normals = np.zeros((n_paths, max_ev + 1, d))
+        # Prices are s0 + chol @ w, with w the running sum of sqrt(dt) * z.
+        # The mark-to-market increment q . (chol @ z) is booked as
+        # (chol' q) . z, with chol' q updated on fills, so no event step
+        # needs a d x d product.
         chol = np.linalg.cholesky(sigma)
-        prices = np.tile(np.array([a.s0 for a in market.assets]), (n_paths, 1))
+        s0 = np.array([a.s0 for a in market.assets])
+        w = np.zeros((n_paths, d))
+        lq = np.tile(q0 @ chol, (n_paths, 1))
         # Booking the starting position at its initial mark keeps the final
         # cash + q.S figure a wealth *change*, comparable across engines.
-        cash = np.full(n_paths, -float(q0 @ prices[0]))
+        cash = np.full(n_paths, -float(q0 @ s0))
     else:
         normals = np.zeros((n_paths, max_ev + 1))
     for i, e in enumerate(drawn):
@@ -294,9 +327,10 @@ def _run_thinning(market, policy, n_paths, seed, buckets, keep_logs, quote_times
         risk_int[alive] += y_a * dt
         pen_int[alive] += running(y_a) * dt
         if price_paths:
-            step = np.sqrt(dt)[:, None] * (normals[alive, j] @ chol.T)
-            market_pnl[alive] += np.einsum("nd,nd->n", q[alive], step)
-            prices[alive] += step
+            z = normals[alive, j]
+            sdt = np.sqrt(dt)
+            market_pnl[alive] += sdt * np.einsum("nd,nd->n", lq[alive], z)
+            w[alive] += sdt[:, None] * z
         else:
             market_pnl[alive] += np.sqrt(y_a * dt) * normals[alive, j]
         t_prev[alive] = tj
@@ -330,7 +364,9 @@ def _run_thinning(market, policy, n_paths, seed, buckets, keep_logs, quote_times
             spread[rows] += df * zf
             fills[rows, b[fill]] += 1
             if price_paths:
-                cash[rows] -= sf * zf * (prices[rows, af] - sf * df)
+                price = s0[af] + np.einsum("nd,nd->n", chol[af], w[rows])
+                cash[rows] -= sf * zf * (price - sf * df)
+                lq[rows] += (sf * zf)[:, None] * chol[af]
             if keep_logs:
                 fill_steps.append((rows, af, sf * zf, tj[fill], b[fill]))
 
@@ -339,9 +375,12 @@ def _run_thinning(market, policy, n_paths, seed, buckets, keep_logs, quote_times
     pen_int += running(y) * dt
     last = normals[np.arange(n_paths), n_ev]
     if price_paths:
-        step = np.sqrt(dt)[:, None] * (last @ chol.T)
-        market_pnl += np.einsum("nd,nd->n", q, step)
-        prices += step
+        sdt = np.sqrt(dt)
+        market_pnl += sdt * np.einsum("nd,nd->n", lq, last)
+        w += sdt[:, None] * last
+        # chol @ w row by row: a BLAS product may round a row differently
+        # depending on how many rows share the call
+        prices = s0 + np.einsum("nd,ed->ne", w, chol)
         # cash account plus terminal mark; the starting position was booked
         # at its initial price, so this is the wealth change over the run
         pnl = cash + np.einsum("nd,nd->n", q, prices)
@@ -353,7 +392,7 @@ def _run_thinning(market, policy, n_paths, seed, buckets, keep_logs, quote_times
     if pnl is None:
         pnl = spread + market_pnl
     objective = pnl - pen_int - terminal_pen
-    paths = [
+    stats = [
         TrajectoryStats(
             pnl=float(pnl[i]),
             spread_pnl=float(spread[i]),
@@ -369,16 +408,7 @@ def _run_thinning(market, policy, n_paths, seed, buckets, keep_logs, quote_times
         )
         for i in range(n_paths)
     ]
-    return SimulationResult(
-        market=market,
-        policy_kind=policy.kind,
-        engine=engine,
-        seed=seed,
-        buckets=buckets,
-        paths=paths,
-        start_inventory=q0,
-        event_logs=_split_fills(fill_steps, n_paths) if keep_logs else None,
-    )
+    return stats, _split_fills(fill_steps, n_paths) if keep_logs else []
 
 
 def _split_fills(fill_steps, n_paths):
@@ -397,23 +427,24 @@ def _split_fills(fill_steps, n_paths):
     return [{k: split[k][i].tolist() for k in columns} for i in range(n_paths)]
 
 
-def _run_collapsed(market, policy, n_paths, seed, buckets, keep_logs, q0):
+def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
     """Competing state-dependent exponential clocks; audit engine.
 
     Per event the draw order is: one exponential (time step), one Gaussian
     (market increment over the elapsed interval), one uniform (bucket
     choice).  Buckets whose fill would breach the risk limit carry zero
-    rate, so rejected fills never materialise here.
+    rate, so rejected fills never materialise here.  Paths run one by one;
+    returns their ``TrajectoryStats`` and event logs like the thinning engine.
     """
     horizon = market.horizon
     sigma = market.covariance
     nb = len(buckets)
     signs = np.array(SIDE_SIGNS)[buckets.side]
     running = market.penalty.running
-    paths = []
-    logs = [] if keep_logs else None
+    stats = []
+    logs = []
 
-    for i in range(n_paths):
+    for i in paths:
         rng = path_generator(seed, i)
         t = 0.0
         q = q0.copy()
@@ -424,7 +455,8 @@ def _run_collapsed(market, policy, n_paths, seed, buckets, keep_logs, q0):
         log = {"t": [], "asset": [], "dq": [], "bucket": []} if keep_logs else None
         while True:
             delta, ok = policy.quote_rows(
-                0.0, np.tile(q, (nb, 1)), buckets.asset, buckets.side, buckets.size
+                0.0, np.tile(q, (nb, 1)), buckets.asset, buckets.side, buckets.size,
+                sq=np.tile(sq, (nb, 1)), risk=np.full(nb, y),
             )
             exponent = buckets.alpha + buckets.beta * np.where(ok, delta, 0.0)
             prob = np.where(ok, fill_intensity(1.0, exponent), 0.0)
@@ -463,7 +495,7 @@ def _run_collapsed(market, policy, n_paths, seed, buckets, keep_logs, q0):
                 log["bucket"].append(b)
         pnl = spread + market_pnl
         terminal_pen = float(market.penalty.terminal(y))
-        paths.append(
+        stats.append(
             TrajectoryStats(
                 pnl=float(pnl),
                 spread_pnl=float(spread),
@@ -480,16 +512,7 @@ def _run_collapsed(market, policy, n_paths, seed, buckets, keep_logs, q0):
         )
         if keep_logs:
             logs.append(log)
-    return SimulationResult(
-        market=market,
-        policy_kind=policy.kind,
-        engine="collapsed",
-        seed=seed,
-        buckets=buckets,
-        paths=paths,
-        start_inventory=q0,
-        event_logs=logs,
-    )
+    return stats, logs
 
 
 def inventory_paths(result: SimulationResult):

@@ -421,6 +421,15 @@ class TestCommands:
         assert "2 assets" in capsys.readouterr().err
 
 
+    def test_malformed_sizes_named(self, work, capsys):
+        cfg, out = work
+        code = main(
+            ["quotes", "--config", str(cfg), "--out-dir", str(out),
+             "--grid", "21", "--factors", "2", "--sizes", "6250,abc"]
+        )
+        assert code == 1
+        assert "could not parse sizes '6250,abc'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["nan,0", "0,inf"])
     def test_non_finite_inventory_named(self, work, capsys, text):
         cfg, out = work

@@ -266,7 +266,7 @@ class TestQuoteTable:
             assert reason == res.reason
 
     @staticmethod
-    def assert_rows_match_direct_calls(surface, market, qs, rtol):
+    def assert_rows_match_direct_calls(surface, market, qs):
         rows = quote_table(surface, market, qs)
         assert len(rows) == len(qs) * sum(
             len(a.sizes(side).sizes) for a in market.assets for side in ("bid", "ask")
@@ -279,10 +279,8 @@ class TestQuoteTable:
             if res.refused:
                 assert delta is None
                 refused += 1
-            elif rtol == 0.0:
-                assert delta == res.delta
             else:
-                assert delta == pytest.approx(res.delta, rel=rtol, abs=0.0)
+                assert delta == res.delta
         return refused
 
     def test_nonzero_inventories_match_direct_calls(self, short_setup):
@@ -290,12 +288,10 @@ class TestQuoteTable:
         rng = np.random.default_rng(11)
         qs = rng.uniform(-1.0, 1.0, size=(6, 2)) * 50000.0
         qs = np.vstack([qs, TestRefusals.hot_state(fm, grid)])
-        refused = self.assert_rows_match_direct_calls(surface, market, qs, rtol=0.0)
+        refused = self.assert_rows_match_direct_calls(surface, market, qs)
         assert refused > 0
 
     def test_nonzero_inventories_match_direct_calls_many_assets(self):
-        # q @ loadings over many identical rows may differ from one row in
-        # the last bit at d > 2, hence the relative tolerance
         market = make_market_30asset(horizon=0.02)
         fm = build_factor_model(market.covariance, 2)
         grid = FactorGrid.from_factor_model(fm, market.risk_limit, 15)
@@ -304,7 +300,7 @@ class TestQuoteTable:
         qs = rng.normal(size=(3, market.n_assets))
         risk = np.einsum("nd,de,ne->n", qs, market.covariance, qs)
         qs *= np.sqrt(0.25 * market.risk_limit / risk)[:, None]
-        self.assert_rows_match_direct_calls(surface, market, qs, rtol=1e-12)
+        self.assert_rows_match_direct_calls(surface, market, qs)
 
     def test_default_sizes_come_from_the_market(self, short_setup):
         market, _, _, surface = short_setup

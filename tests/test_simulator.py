@@ -1,20 +1,25 @@
 """Simulation engine: replay oracle, engine cross-checks, randomness layout,
 risk gating and the summary statistics."""
 
+import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import make_market_1asset, make_market_2asset, make_sizes
+from helpers import make_market_1asset, make_market_2asset, make_market_30asset, make_sizes
+from rfqmm import simulator
 from rfqmm.errors import ValidationError
 from rfqmm.events import BucketTable, draw_path_events, path_generator
 from rfqmm.factors import build_factor_model
 from rfqmm.quotes import MyopicPolicy, SurfacePolicy, myopic_quote
+from rfqmm.residual import correction_samples
 from rfqmm.simulator import (
+    ENGINES,
     DegenerateRunWarning,
     inventory_histogram,
     occupancy_second_moment,
@@ -153,6 +158,71 @@ class TestDeterminismAndLayout:
         record = json.loads(lines[0])
         assert list(record) == sorted(record)
         assert record["path"] == 0
+
+
+@pytest.fixture(scope="module")
+def thirty_setup():
+    market = make_market_30asset(horizon=0.02)
+    fm = build_factor_model(market.covariance, 2)
+    grid = FactorGrid.from_factor_model(fm, market.risk_limit, 15)
+    # a dense start inventory, so every factor coordinate sums 30 nonzero terms
+    start = 1000.0 * np.sin(np.arange(1.0, 31.0))
+    return market, fm, solve(market, fm, grid), start
+
+
+def _bits(result, fm, start):
+    """Every per-path output of a run, as bytes, plus logs and residual samples."""
+    paths = [
+        tuple(np.asarray(getattr(p, f.name)).tobytes() for f in dataclasses.fields(p))
+        for p in result.paths
+    ]
+    return paths, result.event_logs, correction_samples(result, fm, start).tobytes()
+
+
+class TestChunking:
+    """A path's numbers depend only on (seed, path): not on the chunk size,
+    nor on how many paths share an event step."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("policy_kind", ["surface", "myopic"])
+    @pytest.mark.parametrize("setup", ["two", "thirty"])
+    def test_results_do_not_depend_on_the_chunk_size(
+        self, request, monkeypatch, engine, policy_kind, setup
+    ):
+        if setup == "two":
+            market, _, _, surface = request.getfixturevalue("sim_setup")
+            # one factor leaves a residual, so the correction samples are nonzero
+            fm = build_factor_model(market.covariance, 1)
+            start = None
+        else:
+            market, fm, surface, start = request.getfixturevalue("thirty_setup")
+        policy = SurfacePolicy(surface, market) if policy_kind == "surface" else MyopicPolicy(market)
+        n = 20
+        runs = []
+        for chunk in (1, 7, n):
+            monkeypatch.setattr(simulator, "PATH_CHUNK", chunk)
+            result = simulate(
+                market, policy, n, seed=19, engine=engine, keep_event_logs=True,
+                start_inventory=start,
+            )
+            runs.append(_bits(result, fm, start))
+        assert any(log["t"] for log in runs[0][1])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_memory_is_bounded_by_one_chunk(self):
+        market = make_market_2asset(horizon=1.0)
+        policy = MyopicPolicy(market)
+
+        def traced_peak(n_paths):
+            tracemalloc.start()
+            try:
+                simulate(market, policy, n_paths, seed=3, engine="price_paths")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = traced_peak(simulator.PATH_CHUNK)
+        assert traced_peak(4 * simulator.PATH_CHUNK) < 1.5 * one_chunk
 
 
 class TestEngines:
