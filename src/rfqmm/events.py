@@ -6,8 +6,9 @@ front in a fixed order so that the stream a policy consumes does not depend
 on the policy itself:
 
     1. one Poisson count per bucket (single vectorised call),
-    2. per bucket, in table order: arrival times (uniform on [0, T]), then
-       one thinning uniform per arrival,
+    2. one block of ``2 * n_events`` uniforms (single vectorised call),
+       laid out per bucket in table order: that bucket's arrival times
+       (uniform on [0, T]), then one thinning uniform per arrival,
     3. the market shocks, one draw per inter-arrival interval (``d`` draws
        per interval when full price paths are requested).
 
@@ -115,17 +116,27 @@ def draw_path_events(
     rng: np.random.Generator,
     price_dims: int = 0,
 ) -> PathEvents:
+    """Draw one path's arrivals and market shocks from ``rng``.
+
+    The stream is consumed in three calls: one Poisson count per bucket,
+    one ``rng.random(2 * n_events)`` block and the standard normals.  The
+    block is laid out per bucket in table order, each bucket's arrival
+    times (scaled by ``horizon``) followed by its thinning uniforms, which
+    is bit for bit what per-bucket ``rng.uniform(0.0, horizon, n)`` and
+    ``rng.uniform(0.0, 1.0, n)`` calls would give.  ``price_dims`` is the
+    number of shocks per interval (``d`` for full price paths, 0 for one
+    scalar shock).
+    """
     counts = rng.poisson(buckets.arrival_rate * horizon)
-    times, bucket_ix, thin = [], [], []
-    for b, n in enumerate(counts):
-        times.append(rng.uniform(0.0, horizon, size=n))
-        thin.append(rng.uniform(0.0, 1.0, size=n))
-        bucket_ix.append(np.full(n, b, dtype=np.int64))
-    times = np.concatenate(times) if times else np.empty(0)
-    thin = np.concatenate(thin) if thin else np.empty(0)
-    bucket_ix = np.concatenate(bucket_ix) if bucket_ix else np.empty(0, dtype=np.int64)
+    n_events = int(counts.sum())
+    u = rng.random(2 * n_events)
+    bucket_ix = np.repeat(np.arange(len(buckets)), counts)
+    # Event j of bucket b (j counted over all buckets) sits at offset[b] + j
+    # in the block, its thinning uniform counts[b] further on.
+    pos = (np.cumsum(counts) - counts)[bucket_ix] + np.arange(n_events)
+    times = horizon * u[pos]
+    thin = u[pos + counts[bucket_ix]]
     order = np.argsort(times, kind="stable")
-    n_events = times.size
     if price_dims:
         normals = rng.standard_normal((n_events + 1) * price_dims).reshape(
             n_events + 1, price_dims

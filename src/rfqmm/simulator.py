@@ -219,13 +219,20 @@ def simulate(
     Paths start from ``start_inventory`` (zero by default).  ``quote_times``
     is "stationary" (every quote read at t = 0, the default and the right
     choice for final-slice surfaces) or "event" (quotes read at the arrival
-    time, for surfaces storing all slices).  Paths run in contiguous chunks
+    time, for surfaces storing all slices; not with the ``collapsed``
+    engine, whose clocks run at t = 0 rates).  Paths run in contiguous chunks
     of :data:`PATH_CHUNK`; results are appended in path order.
     """
     if engine not in ENGINES:
         raise ValidationError(f"engine must be one of {ENGINES}, got {engine!r}")
     if quote_times not in ("stationary", "event"):
         raise ValidationError(f"quote_times must be 'stationary' or 'event', got {quote_times!r}")
+    if engine == "collapsed" and quote_times == "event":
+        # constant-rate competing clocks cannot follow quotes that move in time
+        raise ValidationError(
+            "engine 'collapsed' reads every quote at t = 0; "
+            "it cannot run quote_times='event' (use engine 'thinning' or 'price_paths')"
+        )
     if n_paths <= 0:
         raise ValidationError(f"n_paths must be positive, got {n_paths}")
     q0 = clean_inventory(market, start_inventory)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from rfqmm.events import PathEvents
 from rfqmm.hamiltonian import batch_quote_kernel
 from rfqmm.model import (
     AssetSpec,
@@ -114,6 +115,36 @@ def make_market_30asset(
 def quote_kernel(intensity: LogisticIntensity, p, floor: float = 1.0):
     """``(delta, value, slope)`` of the quote kernel for one intensity curve."""
     return batch_quote_kernel(p, intensity.lambda_rfq, intensity.alpha, intensity.beta, floor)
+
+
+def reference_draw_path_events(buckets, horizon, rng, price_dims=0) -> PathEvents:
+    """Per-bucket loop drawing the stream ``events.draw_path_events`` draws.
+
+    One Poisson count per bucket; then, bucket by bucket in table order,
+    ``rng.uniform(0.0, horizon)`` arrival times and ``rng.uniform(0.0, 1.0)``
+    thinning uniforms; then the normals.  The production draw must match it
+    byte for byte.
+    """
+    counts = rng.poisson(buckets.arrival_rate * horizon)
+    times, bucket_ix, thin = [], [], []
+    for b, n in enumerate(counts):
+        times.append(rng.uniform(0.0, horizon, size=n))
+        thin.append(rng.uniform(0.0, 1.0, size=n))
+        bucket_ix.append(np.full(n, b, dtype=np.int64))
+    times = np.concatenate(times) if times else np.empty(0)
+    thin = np.concatenate(thin) if thin else np.empty(0)
+    bucket_ix = np.concatenate(bucket_ix) if bucket_ix else np.empty(0, dtype=np.int64)
+    order = np.argsort(times, kind="stable")
+    n_events = times.size
+    if price_dims:
+        normals = rng.standard_normal((n_events + 1) * price_dims).reshape(
+            n_events + 1, price_dims
+        )
+    else:
+        normals = rng.standard_normal(n_events + 1)
+    return PathEvents(
+        times=times[order], bucket=bucket_ix[order], thin=thin[order], normals=normals
+    )
 
 
 def rk4_lattice_reference(market, grid, n_steps: int) -> np.ndarray:

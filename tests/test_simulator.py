@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import make_market_1asset, make_market_2asset, make_market_30asset, make_sizes
+from helpers import (
+    make_market_1asset,
+    make_market_2asset,
+    make_market_30asset,
+    make_sizes,
+    reference_draw_path_events,
+)
 from rfqmm import simulator
 from rfqmm.errors import ValidationError
 from rfqmm.events import BucketTable, draw_path_events, path_generator
@@ -142,6 +148,36 @@ class TestDeterminismAndLayout:
             result = simulate(market, policy, 8, seed=seed, keep_event_logs=True)
             for path, log in enumerate(result.event_logs):
                 assert set(log["t"]).issubset(arrivals[path])
+
+    @pytest.mark.parametrize("price_paths", [False, True], ids=["scalar", "price_paths"])
+    @pytest.mark.parametrize(
+        "make_market",
+        [
+            make_market_2asset,
+            make_market_30asset,
+            # ~0.6 arrivals a path: most buckets and many paths draw none
+            lambda: make_market_30asset(horizon=1e-3),
+        ],
+        ids=["2asset", "30asset", "30asset_short"],
+    )
+    def test_draw_matches_the_per_bucket_reference(self, make_market, price_paths):
+        market = make_market()
+        buckets = BucketTable.from_market(market)
+        dims = market.n_assets if price_paths else 0
+        n_events = []
+        for path in range(20):
+            got = draw_path_events(buckets, market.horizon, path_generator(31, path), dims)
+            want = reference_draw_path_events(
+                buckets, market.horizon, path_generator(31, path), dims
+            )
+            assert got.n_events == want.n_events
+            for f in dataclasses.fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            n_events.append(got.n_events)
+        if market.horizon < 0.01:
+            assert min(n_events) == 0 and max(n_events) > 0
 
     def test_ndjson_is_byte_stable(self, sim_setup):
         market, _, _, surface = sim_setup
@@ -274,6 +310,8 @@ class TestEngines:
             simulate(market, policy, 5, seed=1, engine="exact")
         with pytest.raises(ValidationError, match="quote_times"):
             simulate(market, policy, 5, seed=1, quote_times="midpoint")
+        with pytest.raises(ValidationError, match="collapsed.*quote_times='event'"):
+            simulate(market, policy, 5, seed=1, engine="collapsed", quote_times="event")
         with pytest.raises(ValidationError, match="n_paths"):
             simulate(market, policy, 0, seed=1)
         with pytest.raises(ValidationError, match=r"inventory \[nan, 0.0\] must be finite"):
