@@ -43,10 +43,10 @@ from . import __version__
 from .config_io import load_config
 from .errors import OutOfDomainError, SolverError, StabilityError, ValidationError
 from .factors import build_factor_model
-from .model import SIDES, MarketSpec, validate_hypotheses
+from .model import SIDES, MarketSpec, clean_inventory, validate_hypotheses
 from .quotes import REASON_OK, MyopicPolicy, SurfacePolicy, quote_table, write_quote_table
 from .residual import adjusted_quote, residual_correction
-from .simulator import ENGINES, DegenerateRunWarning, SimulationSummary, clean_inventory, simulate
+from .simulator import ENGINES, DegenerateRunWarning, SimulationSummary, simulate
 from .solver import FactorGrid, SolverConfig, ValueSurface, solve, solver_fingerprint
 
 REPRODUCTION_SEED = 23
@@ -176,6 +176,10 @@ def _solve_surface(runner: Runner, market, k, grid_nodes, dt) -> ValueSurface:
     return surface
 
 
+def _setting(fingerprint: dict, key: str) -> str:
+    return f"{key}={fingerprint[key]!r}" if key in fingerprint else f"no {key}"
+
+
 def _cached_surface(runner: Runner, market, k, grid_nodes, dt, solve_on_miss: bool) -> ValueSurface:
     path = _cache_path(runner, k, grid_nodes, dt)
     if path.exists():
@@ -183,12 +187,13 @@ def _cached_surface(runner: Runner, market, k, grid_nodes, dt, solve_on_miss: bo
             surface = ValueSurface.load(path)
         except ValidationError as exc:
             raise CliError(f"{exc}; delete it or change --out-dir", code=2)
-        for key, want in _cache_fingerprint(runner.hash, dt).items():
-            got = surface.fingerprint.get(key)
-            if got != want:
+        want, got, missing = _cache_fingerprint(runner.hash, dt), surface.fingerprint, object()
+        # every key of either side, so a key only the cache carries is refused too
+        for key in {**want, **got}:
+            if got.get(key, missing) != want.get(key, missing):
                 raise CliError(
-                    f"cached surface {path} was solved with {key}={got!r}, this run "
-                    f"needs {key}={want!r}; delete it or change --out-dir",
+                    f"cached surface {path} was solved with {_setting(got, key)}, this run "
+                    f"needs {_setting(want, key)}; delete it or change --out-dir",
                     code=2,
                 )
         return surface
@@ -206,13 +211,6 @@ def _parse_numbers(text: str, what: str) -> list[float]:
         return [float(x) for x in text.split(",")]
     except ValueError:
         raise CliError(f"could not parse {what} {text!r}; expected comma-separated numbers")
-
-
-def _parse_inventory(text: str, d: int) -> np.ndarray:
-    values = np.array(_parse_numbers(text, "inventory"))
-    if values.shape != (d,):
-        raise CliError(f"inventory {text!r} has {values.size} entries, the market has {d} assets")
-    return values
 
 
 def _parse_rfq(text: str, market: MarketSpec) -> tuple[int, str, float]:
@@ -371,7 +369,7 @@ def cmd_quotes(args) -> int:
     k = _default_factors(market, args.factors)
     runner = Runner(Path(args.out_dir), config_hash, "quotes", seed=None)
     surface = _cached_surface(runner, market, k, args.grid, args.dt, solve_on_miss=False)
-    inventories = [_parse_inventory(text, market.n_assets) for text in args.inventory or []]
+    inventories = [_parse_numbers(text, "inventory") for text in args.inventory or []]
     sizes = _parse_numbers(args.sizes, "sizes") if args.sizes else None
     _quotes_stage(
         runner, market, surface, k, args.grid, inventories or [np.zeros(market.n_assets)], sizes
@@ -401,7 +399,7 @@ def cmd_adjust(args) -> int:
     k = _default_factors(market, args.factors)
     runner = Runner(Path(args.out_dir), config_hash, "adjust", seed=args.seed)
     surface = _cached_surface(runner, market, k, args.grid, args.dt, solve_on_miss=False)
-    inventory = _parse_inventory(args.inventory, market.n_assets) if args.inventory else None
+    inventory = _parse_numbers(args.inventory, "inventory") if args.inventory else None
     rfqs = [_parse_rfq(text, market) for text in (args.rfq or [])]
     _adjust_stage(
         runner, market, surface, inventory, rfqs, args.t, args.paths, args.seed,

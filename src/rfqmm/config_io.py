@@ -3,7 +3,8 @@
 The file format is YAML with keys mirroring the model types.  Loading is
 strict: any key the schema does not know is rejected with the path to the
 offending mapping, because a typo that silently falls back to a default is
-the most expensive failure mode a configuration system has.
+the most expensive failure mode a configuration system has.  Booleans and
+quoted strings are never numbers here, and counts must be integers.
 
 Top-level schema (units in the bundled examples)::
 
@@ -105,10 +106,24 @@ def _number(node: Mapping, key: str, path: str, default=None) -> float:
         if default is not None:
             return float(default)
         raise ValidationError(f"missing required key {key!r} at {path}")
-    value = node[key]
+    return _as_number(node[key], f"{path}.{key}")
+
+
+def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}.{key} must be a number, got {value!r}")
+        raise ValidationError(f"{path} must be a number, got {value!r}")
     return float(value)
+
+
+def _integer(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _list_of(check, node: Any, path: str) -> list:
+    """``node`` as a list, each entry passed through ``check(entry, its path)``."""
+    return [check(v, f"{path}[{i}]") for i, v in enumerate(_expect_list(node, path))]
 
 
 def _parse_penalty(node: Any, path: str) -> RiskPenalty:
@@ -129,17 +144,19 @@ def _parse_correlation(node: Any, path: str, n_assets: int):
         raise ValidationError(f"{path} needs exactly one of 'matrix' or 'block'")
     if "matrix" in node:
         rows = _expect_list(node["matrix"], f"{path}.matrix")
-        rho = np.array(rows, dtype=float)
-        if rho.shape != (n_assets, n_assets):
+        rows = [_list_of(_as_number, row, f"{path}.matrix[{i}]") for i, row in enumerate(rows)]
+        if len(rows) != n_assets or any(len(row) != n_assets for row in rows):
             raise ValidationError(
                 f"{path}.matrix must be {n_assets}x{n_assets} for {n_assets} assets, "
-                f"got shape {rho.shape}"
+                f"got rows of lengths {[len(row) for row in rows]}"
             )
-        return rho
+        return np.array(rows)
     block = _expect_mapping(node["block"], f"{path}.block")
     _check_keys(block, _BLOCK_KEYS, f"{path}.block")
-    sizes = [int(s) for s in _expect_list(block.get("sizes"), f"{path}.block.sizes")]
-    within = [float(w) for w in _expect_list(block.get("within"), f"{path}.block.within")]
+    sizes = _list_of(_integer, block.get("sizes"), f"{path}.block.sizes")
+    if any(n < 1 for n in sizes):
+        raise ValidationError(f"{path}.block.sizes must be positive, got {sizes}")
+    within = _list_of(_as_number, block.get("within"), f"{path}.block.within")
     if len(sizes) != len(within):
         raise ValidationError(
             f"{path}.block: {len(sizes)} block sizes but {len(within)} within-block levels"
@@ -193,11 +210,10 @@ def _parse_sizes(node: Any, path: str) -> SizeDistribution:
     if has_atoms:
         if "atoms" not in node or "probabilities" not in node:
             raise ValidationError(f"{path} needs both 'atoms' and 'probabilities'")
-        atoms = tuple(float(z) for z in _expect_list(node["atoms"], f"{path}.atoms"))
-        probs = tuple(
-            float(p) for p in _expect_list(node["probabilities"], f"{path}.probabilities")
+        return SizeDistribution(
+            sizes=tuple(_list_of(_as_number, node["atoms"], f"{path}.atoms")),
+            probabilities=tuple(_list_of(_as_number, node["probabilities"], f"{path}.probabilities")),
         )
-        return SizeDistribution(sizes=atoms, probabilities=probs)
     g = _expect_mapping(node["gamma"], f"{path}.gamma")
     _check_keys(g, _GAMMA_KEYS, f"{path}.gamma")
     spec = GammaSpec(shape=_number(g, "shape", f"{path}.gamma"), rate=_number(g, "rate", f"{path}.gamma"))
@@ -208,10 +224,7 @@ def _parse_sizes(node: Any, path: str) -> SizeDistribution:
         kwargs["z_max_sigmas"] = _number(g, "z_max_sigmas", f"{path}.gamma")
     if "z_max" in g:
         kwargs["z_max"] = _number(g, "z_max", f"{path}.gamma")
-    n_atoms = node["gamma"].get("n_atoms")
-    if not isinstance(n_atoms, int):
-        raise ValidationError(f"{path}.gamma.n_atoms must be an integer, got {n_atoms!r}")
-    return discretize_gamma(spec, n_atoms, **kwargs)
+    return discretize_gamma(spec, _integer(g.get("n_atoms"), f"{path}.gamma.n_atoms"), **kwargs)
 
 
 def _parse_asset(node: Any, path: str, asset_id: str) -> AssetSpec:
@@ -247,9 +260,9 @@ def _parse_assets(raw: Mapping) -> tuple[AssetSpec, ...]:
         path = f"asset_groups[{gi}]"
         node = _expect_mapping(node, path)
         _check_keys(node, _GROUP_KEYS, path)
-        count = node.get("count")
-        if not isinstance(count, int) or count < 1:
-            raise ValidationError(f"{path}.count must be a positive integer, got {count!r}")
+        count = _integer(node.get("count"), f"{path}.count")
+        if count < 1:
+            raise ValidationError(f"{path}.count must be positive, got {count!r}")
         prefix = str(node.get("prefix", "A"))
         for _ in range(count):
             out.append(_parse_asset(node, path, f"{prefix}{counter}"))

@@ -11,7 +11,7 @@ the factors miss is the residual covariance R = Sigma - loadings V loadings'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,10 +92,6 @@ class FactorModel:
     @property
     def explained_ratio(self) -> float:
         return float(np.trace(self.factor_cov)) / float(np.trace(self.covariance))
-
-    @property
-    def residual_norm(self) -> float:
-        return float(np.linalg.norm(self.residual_cov))
 
     def factor_coordinates(self, inventory) -> np.ndarray:
         """Project inventories (last axis = assets) into factor space.

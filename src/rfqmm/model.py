@@ -13,7 +13,7 @@ This module defines the immutable inputs everything else consumes:
   functions of the aggregate risk level y = q' Sigma q.
 * :class:`AssetSpec` / :class:`MarketSpec` - per-asset quote dynamics and the
   joint market description (correlation, covariance, horizon, risk limit).
-* :func:`build_covariance`, :func:`discretize_gamma`,
+* :func:`build_covariance`, :func:`discretize_gamma`, :func:`clean_inventory`,
   :func:`validate_hypotheses` - assembly and validation helpers.
 
 All container types are frozen dataclasses; arrays they carry are marked
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 from scipy import special
@@ -90,33 +90,9 @@ class LogisticIntensity:
                 "fill probability must decrease in the quoted spread"
             )
 
-    def _exponent(self, delta):
-        return self.alpha + self.beta * np.asarray(delta, dtype=float)
-
-    def fill_probability(self, delta):
-        """Probability that a request quoted at ``delta`` is filled."""
-        return fill_intensity(1.0, self._exponent(delta))
-
     def __call__(self, delta):
         """Fill intensity Lambda(delta), per day."""
-        return fill_intensity(self.lambda_rfq, self._exponent(delta))
-
-    def derivative(self, delta):
-        """d Lambda / d delta, always negative."""
-        s = self.fill_probability(delta)
-        return -self.lambda_rfq * self.beta * s * (1.0 - s)
-
-    def second_derivative(self, delta):
-        s = self.fill_probability(delta)
-        return self.lambda_rfq * self.beta**2 * s * (1.0 - s) * (1.0 - 2.0 * s)
-
-    def curvature_ratio(self, delta):
-        """Lambda * Lambda'' / Lambda'^2, analytically 1 - exp(-(alpha + beta delta)).
-
-        Strictly below 1 everywhere, hence below the bound of 2 required for
-        the quote optimization to be well posed.
-        """
-        return 1.0 - np.exp(np.minimum(-self._exponent(delta), 700.0))
+        return fill_intensity(self.lambda_rfq, self.alpha + self.beta * np.asarray(delta, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -174,18 +150,6 @@ class SizeDistribution:
             raise ValidationError(
                 f"size probabilities sum to {total!r}, expected 1 within {PROB_TOL}"
             )
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def mean(self) -> float:
-        return math.fsum(z * p for z, p in zip(self.sizes, self.probabilities))
-
-    @property
-    def mean_square(self) -> float:
-        return math.fsum(z * z * p for z, p in zip(self.sizes, self.probabilities))
 
 
 DiscretizationRule = Literal["midpoint_cdf", "pdf_weights"]
@@ -445,6 +409,21 @@ class MarketSpec:
         return float(
             sum(a.intensity(side)(-self.quote_floor) for a in self.assets for side in SIDES)
         )
+
+
+def clean_inventory(market: MarketSpec, q) -> np.ndarray:
+    """A fresh ``(assets,)`` inventory array: zeros for None, else finite ``q``."""
+    d = market.n_assets
+    if q is None:
+        return np.zeros(d)
+    arr = np.array(q, dtype=float)
+    if arr.shape != (d,):
+        raise ValidationError(
+            f"inventory has shape {arr.shape}; a market of {d} assets needs {d} components"
+        )
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"inventory {arr.tolist()} must be finite")
+    return arr
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import OutOfDomainError, ValidationError
 from .events import SIDE_SIGNS
 from .hamiltonian import batch_quote_kernel
-from .model import SIDES, LogisticIntensity, MarketSpec
+from .model import SIDES, LogisticIntensity, MarketSpec, clean_inventory
 from .solver import ValueSurface
 
 REASON_OK = "ok"
@@ -67,18 +67,6 @@ class QuoteResult:
         return self.reason != REASON_OK
 
 
-def _check_inventories(market: MarketSpec, inventories) -> np.ndarray:
-    q = np.atleast_2d(np.asarray(inventories, dtype=float))
-    if q.shape[1] != market.n_assets:
-        raise ValidationError(
-            f"inventory has {q.shape[1]} components, market has {market.n_assets} assets"
-        )
-    finite = np.isfinite(q).all(axis=1)
-    if not finite.all():
-        raise ValidationError(f"inventory {q[~finite][0].tolist()} must be finite")
-    return q
-
-
 def _check_size(size: float) -> None:
     if not size > 0.0:
         raise ValidationError(f"trade size must be positive, got {size}")
@@ -104,9 +92,8 @@ def optimal_quote(
     if side not in SIDES:
         raise ValidationError(f"side must be one of {SIDES}, got {side!r}")
     _check_size(size)
-    q = _check_inventories(market, np.reshape(q, (1, -1)))
     delta, reason, reservation = surface_quotes(
-        surface, market, t, q,
+        surface, market, t, clean_inventory(market, q)[None],
         np.array([asset]), np.array([SIDES.index(side)]), np.array([float(size)]), None, None,
     )
     return QuoteResult(float(delta[0]), REASONS[reason[0]], float(reservation[0]))
@@ -219,7 +206,7 @@ def quote_table(
     (bid before ask), then increasing size, so the output is deterministic.
     Each row is ``(q tuple, asset id, side, size, delta or None, reason)``.
     """
-    inventories = _check_inventories(market, inventories)
+    qs = np.reshape([clean_inventory(market, q) for q in inventories], (-1, market.n_assets))
     keys = [
         (i, s, float(z))
         for i, spec in enumerate(market.assets)
@@ -230,14 +217,14 @@ def quote_table(
         _check_size(z)
     if not keys:
         return []
-    asset_ix, side_ix, row_sizes = (np.tile(col, len(inventories)) for col in zip(*keys))
-    q_rows = np.repeat(inventories, len(keys), axis=0)
+    asset_ix, side_ix, row_sizes = (np.tile(col, len(qs)) for col in zip(*keys))
+    q_rows = np.repeat(qs, len(keys), axis=0)
     delta, reason, _ = surface_quotes(
         surface, market, t, q_rows, asset_ix, side_ix, row_sizes, None, None
     )
     return [
         (tuple(q), market.assets[i].asset_id, SIDES[s], z, None if r else float(d), REASONS[r])
-        for q, (i, s, z), d, r in zip(q_rows, keys * len(inventories), delta, reason)
+        for q, (i, s, z), d, r in zip(q_rows, keys * len(qs), delta, reason)
     ]
 
 

@@ -40,15 +40,10 @@ from .errors import ValidationError
 from .events import SIDE_SIGNS
 from .factors import FactorModel
 from .hamiltonian import batch_quote_kernel
-from .model import SIDES, MarketSpec
+from .model import SIDES, MarketSpec, clean_inventory
 from .quotes import SurfacePolicy, optimal_quote
-from .simulator import SimulationResult, clean_inventory, inventory_paths, simulate
+from .simulator import SimulationResult, inventory_paths, simulate
 from .solver import ValueSurface
-
-# Seed offset for the deliberately de-paired control arm of variance
-# studies.  Far enough from any plausible user seed range to never collide
-# with a shared-randomness run.
-_INDEPENDENT_STREAM_OFFSET = 2**48
 
 
 @dataclass(frozen=True)
@@ -209,26 +204,23 @@ def adjusted_quote(
     t: float = 0.0,
     n_paths: int = 500,
     seed: int = 0,
-    shared_randomness: bool = True,
     here: ResidualCorrection | None = None,
 ) -> AdjustedQuote:
     """Quote with the reservation level corrected for residual risk.
 
     The correction to the reservation is the per-unit difference of two
     cost estimates, one from the current inventory and one from the
-    post-trade inventory.  With ``shared_randomness`` (the default and the
-    recommended setting) both estimates run on the same per-path streams,
-    so the difference is a paired estimator; disabling it exists for
-    variance studies and uses a far-offset seed for the second arm.
+    post-trade inventory.  Both run on the per-path streams of ``seed``, so
+    the difference is a paired estimator.
 
     ``here`` is the correction at ``q`` already estimated with ``seed``,
     for callers pricing several RFQs from one state; when None it is
-    estimated here, and only if the base quote is priced.
+    estimated here, and only if the base quote is priced; one estimated
+    with another seed unpairs the two arms, for variance studies.
 
     A refused base quote is returned as-is (NaN delta, the refusal reason,
     no simulation).
     """
-    seed_post = seed if shared_randomness else seed + _INDEPENDENT_STREAM_OFFSET
     q0 = clean_inventory(market, q)
     base = optimal_quote(surface, market, q0, asset, side, size, t=t)
     if base.refused:
@@ -251,7 +243,7 @@ def adjusted_quote(
         here = residual_correction(surface, market, q0, t=t, n_paths=n_paths, seed=seed)
     q_post = q0.copy()
     q_post[asset] += SIDE_SIGNS[SIDES.index(side)] * size
-    there = residual_correction(surface, market, q_post, t=t, n_paths=n_paths, seed=seed_post)
+    there = residual_correction(surface, market, q_post, t=t, n_paths=n_paths, seed=seed)
     diffs = (here.samples - there.samples) / size
     shift = float(diffs.mean())
     shift_stderr = float(diffs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0

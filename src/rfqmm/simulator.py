@@ -40,8 +40,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .events import SIDE_SIGNS, BucketTable, draw_path_events, path_generator
-from .model import MarketSpec, fill_intensity
-from .solver import FactorGrid
+from .model import MarketSpec, clean_inventory, fill_intensity
 
 ENGINES = ("thinning", "collapsed", "price_paths")
 
@@ -177,19 +176,6 @@ def total_variance_gap(result: SimulationResult):
     influence = (pnl - pnl.mean()) ** 2 - risk - (spread - spread.mean()) ** 2
     se = float(influence.std(ddof=1) / np.sqrt(n))
     return float(gap), se
-
-
-def clean_inventory(market: MarketSpec, q) -> np.ndarray:
-    """A fresh ``(assets,)`` inventory array: zeros for None, else finite ``q``."""
-    d = market.n_assets
-    if q is None:
-        return np.zeros(d)
-    arr = np.array(q, dtype=float)
-    if arr.shape != (d,):
-        raise ValidationError(f"inventory must have shape ({d},), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"inventory {arr.tolist()} must be finite")
-    return arr
 
 
 def _check_degenerate(policy, buckets: BucketTable, q0: np.ndarray) -> None:
@@ -437,11 +423,12 @@ def _split_fills(fill_steps, n_paths):
 def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
     """Competing state-dependent exponential clocks; audit engine.
 
-    Per event the draw order is: one exponential (time step), one Gaussian
-    (market increment over the elapsed interval), one uniform (bucket
-    choice).  Buckets whose fill would breach the risk limit carry zero
-    rate, so rejected fills never materialise here.  Paths run one by one;
-    returns their ``TrajectoryStats`` and event logs like the thinning engine.
+    Per event the draw order is: one exponential (time step; none once every
+    rate is zero), one Gaussian (market increment over the elapsed
+    interval), one uniform (bucket choice).  Buckets whose fill would breach
+    the risk limit carry zero rate, so rejected fills never materialise
+    here.  Paths run one by one; returns their ``TrajectoryStats`` and event
+    logs like the thinning engine.
     """
     horizon = market.horizon
     sigma = market.covariance
@@ -472,13 +459,7 @@ def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
             )
             rates = buckets.arrival_rate * prob * admissible
             total = rates.sum()
-            if total <= 0.0:
-                dt = horizon - t
-                risk_int += y * dt
-                pen_int += float(running(y)) * dt
-                market_pnl += np.sqrt(y * dt) * rng.standard_normal()
-                break
-            step = rng.exponential(1.0 / total)
+            step = rng.exponential(1.0 / total) if total > 0.0 else np.inf
             dt = min(step, horizon - t)
             risk_int += y * dt
             pen_int += float(running(y)) * dt
@@ -542,37 +523,3 @@ def inventory_paths(result: SimulationResult):
             steps[np.arange(m), np.asarray(log["asset"], dtype=int)] = log["dq"]
             inventory[1:] += np.cumsum(steps, axis=0)
         yield inventory, np.diff(np.concatenate(([0.0], times, [result.market.horizon])))
-
-
-def inventory_histogram(result: SimulationResult, grid: FactorGrid, loadings) -> np.ndarray:
-    """Time-weighted occupancy of factor-space grid cells.
-
-    Each piecewise-constant inventory segment contributes its duration to
-    the cell of the nearest node of the factor image ``loadings' q``;
-    counts are hours of occupancy, ready for log-scale plotting.  Requires
-    event logs (``keep_event_logs=True``).
-    """
-    loadings = np.asarray(loadings, dtype=float)
-    counts = np.zeros(grid.shape)
-    shape = np.array(grid.shape)
-    for inventory, durations in inventory_paths(result):
-        factors = inventory @ loadings
-        cells = np.rint((factors + grid.half_widths) / grid.spacing).astype(np.int64)
-        cells = np.clip(cells, 0, shape - 1)
-        np.add.at(counts, tuple(cells.T), durations)
-    return counts
-
-
-def occupancy_second_moment(result: SimulationResult, loadings) -> np.ndarray:
-    """Time-weighted second moment of the factor image of inventory.
-
-    Returns the k-by-k matrix E[f f'] with time as the weight, averaged
-    over paths; the diagonal gives per-axis occupancy spread.
-    """
-    loadings = np.asarray(loadings, dtype=float)
-    k = loadings.shape[1]
-    acc = np.zeros((k, k))
-    for inventory, durations in inventory_paths(result):
-        factors = inventory @ loadings
-        acc += np.einsum("n,nj,nk->jk", durations, factors, factors)
-    return acc / (result.market.horizon * len(result.event_logs))

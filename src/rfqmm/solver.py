@@ -21,8 +21,8 @@ lerps whole grids at once (``_read_shifted``); the quotes lerp each point's
 2^k cell (``ValueSurface.value_many``).
 
 The scheme is monotone, hence stable, when dt times the sum over assets and
-sides of the intensity at the quote floor stays below 1; the default budget
-is 0.9 and violating it is a hard error rather than a warning.
+sides of the intensity at the quote floor stays below 1; the solver keeps it
+within :data:`STABILITY_BUDGET`, and a dt beyond that is a hard error.
 
 All nodes of the rectangle are evolved, including those outside the
 admissible risk ellipsoid; the ellipsoid only matters to consumers (quote
@@ -74,6 +74,9 @@ _FORMAT_VERSION = 2
 
 #: row-node elements per block of a sweep step: 512 KiB per float64 temporary
 _BLOCK_ELEMS = 2**16
+
+#: largest admissible dt times the sum of the intensities at the quote floor
+STABILITY_BUDGET = 0.9
 
 
 def _axis_positions(u, n: int):
@@ -214,22 +217,18 @@ class FactorGrid:
 class SolverConfig:
     """Knobs of the backward sweep.
 
-    ``dt`` requests a step in days; None takes the largest stable step.
+    ``dt`` requests a step in days; None takes the largest step within
+    :data:`STABILITY_BUDGET`.
     ``snapshot_times`` asks for extra stored slices at the given times (the
     nearest computed slice is kept), useful for inspecting stationarity
     without paying for ``all_slices`` storage.
     """
 
     dt: float | None = None
-    stability_budget: float = 0.9
     store_policy: Literal["final_slice_only", "all_slices"] = "final_slice_only"
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not 0.0 < self.stability_budget <= 1.0:
-            raise ValidationError(
-                f"stability budget must be in (0, 1], got {self.stability_budget}"
-            )
         if self.store_policy not in ("final_slice_only", "all_slices"):
             raise ValidationError(f"unknown store policy {self.store_policy!r}")
         if self.dt is not None and self.dt <= 0.0:
@@ -259,7 +258,6 @@ class ValueSurface:
     horizon: float
     dt: float
     n_steps: int
-    intensity_budget: float  # sum of intensities at the quote floor
     # solver_fingerprint of the solve, plus any keys a cache writer adds
     fingerprint: dict = field(default_factory=dict)
 
@@ -349,7 +347,6 @@ class ValueSurface:
                     horizon=self.horizon,
                     dt=self.dt,
                     n_steps=self.n_steps,
-                    intensity_budget=self.intensity_budget,
                     grid_factor_cov=self.grid.factor_cov,
                     grid_half_widths=self.grid.half_widths,
                     grid_nodes=np.array(self.grid.nodes_per_axis),
@@ -397,7 +394,6 @@ class ValueSurface:
                     horizon=float(data["horizon"]),
                     dt=float(data["dt"]),
                     n_steps=int(data["n_steps"]),
-                    intensity_budget=float(data["intensity_budget"]),
                     fingerprint=meta.get("fingerprint", {}),
                 )
         except ValidationError:
@@ -530,13 +526,13 @@ def solve(
         raise ValidationError(
             "all arrival rates are zero, so no stability bound exists; give an explicit dt"
         )
-    dt_max = cfg.stability_budget / budget if budget > 0.0 else math.inf
+    dt_max = STABILITY_BUDGET / budget if budget > 0.0 else math.inf
     requested = cfg.dt if cfg.dt is not None else dt_max
     if requested > dt_max * (1.0 + 1e-12):
         raise StabilityError(
             f"dt={requested:.6g} violates the stability budget: "
             f"dt * sum_of_floor_intensities = {requested * budget:.4f} > "
-            f"{cfg.stability_budget}; required dt <= {dt_max:.6g} days"
+            f"{STABILITY_BUDGET}; required dt <= {dt_max:.6g} days"
         )
     n_steps = max(1, int(math.ceil(market.horizon / requested - 1e-12)))
     dt = market.horizon / n_steps
@@ -602,6 +598,5 @@ def solve(
         horizon=market.horizon,
         dt=dt,
         n_steps=n_steps,
-        intensity_budget=budget,
         fingerprint=solver_fingerprint(cfg),
     )

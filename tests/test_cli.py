@@ -5,6 +5,7 @@ full-size reproduction runs live in the acceptance suite.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,9 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="exactly one"):
             parse_config(raw, source="inline")
 
-    def test_group_expansion_and_block_correlation(self):
+    @staticmethod
+    def grouped():
+        """BASE with two asset groups (3 and 2 assets) and block correlation."""
         raw = deep(BASE)
         del raw["assets"]
         raw["asset_groups"] = [
@@ -126,7 +129,10 @@ class TestParseConfig:
         raw["correlation"] = {
             "block": {"sizes": [3, 2], "within": [0.9, 0.9], "across": 0.2}
         }
-        market = parse_config(raw, source="inline")
+        return raw
+
+    def test_group_expansion_and_block_correlation(self):
+        market = parse_config(self.grouped(), source="inline")
         # ids carry the global asset index, matching the CLI's ASSET arguments
         assert [a.asset_id for a in market.assets] == ["X0", "X1", "X2", "Y3", "Y4"]
         cov = market.covariance
@@ -175,6 +181,35 @@ class TestParseConfig:
         raw = deep(BASE)
         raw["horizon"] = True
         with pytest.raises(ValidationError, match="horizon"):
+            parse_config(raw, source="inline")
+
+    # each case loaded at an earlier build: booleans passed as integers, a
+    # fractional block size was truncated, quoted numbers were converted and
+    # a negative block size went unnoticed (a ragged matrix raised numpy's
+    # ValueError)
+    @pytest.mark.parametrize("grouped, where, value, path", [
+        (True, ("asset_groups", 0, "count"), True, "asset_groups[0].count"),
+        (True, ("correlation", "block", "sizes", 0), 3.9, "correlation.block.sizes[0]"),
+        (True, ("correlation", "block", "sizes", 0), "3", "correlation.block.sizes[0]"),
+        # sums to the asset count, yet puts every asset in one block
+        (True, ("correlation", "block", "sizes"), [6, -1], "correlation.block.sizes must be positive"),
+        (True, ("correlation", "block", "within", 1), "0.9", "correlation.block.within[1]"),
+        (False, ("correlation", "matrix", 0, 1), "0.9", "correlation.matrix[0][1]"),
+        (False, ("correlation", "matrix", 1), [0.9], "correlation.matrix must be 2x2"),
+        (False, ("assets", 1, "sizes", "atoms", 0), "6250", "assets[1].sizes.atoms[0]"),
+        (False, ("assets", 0, "sizes", "probabilities", 2), True, "assets[0].sizes.probabilities[2]"),
+        (False, ("assets", 0, "sizes"), {"gamma": {"shape": 4.0, "rate": 4.0e-4, "n_atoms": True}},
+         "assets[0].sizes.gamma.n_atoms"),
+    ], ids=["count-bool", "block-size-fraction", "block-size-string", "block-size-negative",
+            "within-string", "matrix-string", "matrix-ragged", "atom-string", "probability-bool",
+            "n-atoms-bool"])
+    def test_malformed_numbers_named_by_path(self, grouped, where, value, path):
+        raw = self.grouped() if grouped else deep(BASE)
+        node = raw
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        with pytest.raises(ValidationError, match=re.escape(path)):
             parse_config(raw, source="inline")
 
 
@@ -309,12 +344,45 @@ class TestCommands:
         )
         return code, capsys.readouterr().err
 
+    @staticmethod
+    def quote_off_edited_cache(cfg, out, dest, edit, capsys):
+        """Run `quotes` in ``dest`` over a copy of ``out``'s 21-node k=2
+        cache whose meta mapping went through ``edit``; returns the exit
+        code and stderr."""
+        _, h = load_config(cfg)
+        name = _surface_cache_name(h[:12], 2, 21, None)
+        with np.load(out / "cache" / name) as data:
+            arrays = dict(data)
+        arrays["meta"] = json.dumps(edit(json.loads(str(arrays["meta"]))))
+        (dest / "cache").mkdir()
+        np.savez_compressed(dest / "cache" / name, **arrays)
+        code = main(
+            ["quotes", "--config", str(cfg), "--out-dir", str(dest),
+             "--grid", "21", "--factors", "2"]
+        )
+        return code, capsys.readouterr().err
+
     def test_cache_from_another_solver_config_refused(self, work, tmp_path, capsys):
         cfg, _ = work
         _, h = load_config(cfg)
-        code, err = self.quote_off_cache(cfg, tmp_path, SolverConfig(stability_budget=0.5), h, capsys)
+        config = SolverConfig(store_policy="all_slices")
+        code, err = self.quote_off_cache(cfg, tmp_path, config, h, capsys)
         assert code == 2
-        assert "stability_budget=0.5" in err and "stability_budget=0.9" in err
+        assert "store_policy='all_slices'" in err and "store_policy='final_slice_only'" in err
+
+    @pytest.mark.parametrize("edit, named", [
+        # a cache solved while SolverConfig still had a stability budget field
+        (lambda fp: {**fp, "stability_budget": 0.9}, "solved with stability_budget=0.9"),
+        (lambda fp: {k: v for k, v in fp.items() if k != "config_hash"}, "solved with no config_hash"),
+    ], ids=["extra-key", "missing-key"])
+    def test_cache_fingerprint_keys_must_match(self, work, tmp_path, capsys, edit, named):
+        cfg, out = work
+        code, err = self.quote_off_edited_cache(
+            cfg, out, tmp_path, lambda meta: {**meta, "fingerprint": edit(meta["fingerprint"])},
+            capsys,
+        )
+        assert code == 2
+        assert named in err and err.rstrip().endswith("delete it or change --out-dir")
 
     def test_cache_from_another_config_refused(self, work, tmp_path, capsys):
         cfg, _ = work
@@ -326,20 +394,10 @@ class TestCommands:
 
     def test_cache_of_another_format_refused(self, work, tmp_path, capsys):
         cfg, out = work
-        _, h = load_config(cfg)
-        name = _surface_cache_name(h[:12], 2, 21, None)
-        with np.load(out / "cache" / name) as data:
-            arrays = dict(data)
-        meta = json.loads(str(arrays["meta"]))
-        arrays["meta"] = json.dumps({**meta, "format_version": 1})
-        (tmp_path / "cache").mkdir()
-        np.savez_compressed(tmp_path / "cache" / name, **arrays)
-        code = main(
-            ["quotes", "--config", str(cfg), "--out-dir", str(tmp_path),
-             "--grid", "21", "--factors", "2"]
+        code, err = self.quote_off_edited_cache(
+            cfg, out, tmp_path, lambda meta: {**meta, "format_version": 1}, capsys
         )
         assert code == 2
-        err = capsys.readouterr().err
         assert "format 1" in err
         assert err.rstrip().endswith("delete it or change --out-dir")
 

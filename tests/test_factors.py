@@ -128,7 +128,7 @@ class TestFactorModel:
     def test_full_rank_residual_vanishes(self, market_2asset):
         fm = build_factor_model(market_2asset.covariance, 2)
         scale = np.linalg.norm(market_2asset.covariance)
-        assert fm.residual_norm <= 1e-9 * scale
+        assert np.linalg.norm(fm.residual_cov) <= 1e-9 * scale
         rebuilt = fm.loadings @ fm.factor_cov @ fm.loadings.T + fm.residual_cov
         np.testing.assert_allclose(rebuilt, market_2asset.covariance, atol=1e-9 * scale)
 
@@ -170,7 +170,7 @@ class TestFactorModel:
         fm = inventory_factor_model(market_2asset.covariance)
         np.testing.assert_array_equal(fm.loadings, np.eye(2))
         np.testing.assert_array_equal(fm.factor_cov, market_2asset.covariance)
-        assert fm.residual_norm == 0.0
+        assert not fm.residual_cov.any()
 
     def test_explained_ratio_thirty(self, market_30asset):
         fm = build_factor_model(market_30asset.covariance, 2)

@@ -126,7 +126,9 @@ class TestEnvelopeProperties:
         lam = make_intensity()
         p = np.linspace(-0.5, 2.0, 101)
         d, _, _ = quote_kernel(lam, p)
-        residual = np.asarray(lam.derivative(d)) * (d - p) + np.asarray(lam(d))
+        s = lam(d) / lam.lambda_rfq
+        slope = -lam.lambda_rfq * lam.beta * s * (1.0 - s)
+        residual = slope * (d - p) + lam(d)
         assert np.max(np.abs(residual)) <= 1e-9 * float(lam.lambda_rfq)
 
     def test_affine_branch_below_the_clamp(self):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REFERENCE_GAMMA, make_intensity, make_market_2asset, make_sizes
+from helpers import REFERENCE_GAMMA, make_intensity, make_market_2asset
 from rfqmm.errors import ValidationError
 from rfqmm.model import (
     GammaSpec,
@@ -24,6 +24,7 @@ from rfqmm.model import (
     SizeDistribution,
     build_covariance,
     discretize_gamma,
+    fill_intensity,
     validate_hypotheses,
 )
 
@@ -97,33 +98,19 @@ class TestLogisticIntensity:
     def test_reference_fill_probabilities(self):
         lam = make_intensity()
         # 1 / (1 + e^0.7) and 1 / (1 + e^-0.2)
-        assert lam.fill_probability(0.0) == pytest.approx(0.3318122278318339, abs=1e-15)
-        assert lam.fill_probability(-0.03) == pytest.approx(0.54983399731247795, abs=1e-15)
-        assert lam(0.0) == pytest.approx(30.0 * 0.3318122278318339, rel=1e-14)
+        for d, p in ((0.0, 0.3318122278318339), (-0.03, 0.54983399731247795)):
+            assert fill_intensity(1.0, lam.alpha + lam.beta * d) == pytest.approx(p, abs=1e-15)
+            assert lam(d) == pytest.approx(30.0 * p, rel=1e-14)
 
     def test_derivative_matches_finite_differences(self):
+        # the closed-form slope -lambda beta s (1 - s), s the fill probability,
+        # that the quote optimizer's first-order condition rests on
         lam = make_intensity()
         h = 1e-6
         for d in (-0.3, -0.03, 0.0, 0.1, 0.5):
             fd1 = (lam(d + h) - lam(d - h)) / (2 * h)
-            assert lam.derivative(d) == pytest.approx(fd1, rel=1e-5)
-
-    def test_second_derivative_matches_finite_differences(self):
-        lam = make_intensity()
-        h = 1e-4
-        for d in (-0.05, 0.0, 0.05, 0.1):
-            fd2 = (lam(d + h) - 2 * lam(d) + lam(d - h)) / h**2
-            assert lam.second_derivative(d) == pytest.approx(fd2, rel=1e-3)
-
-    def test_curvature_ratio_below_one(self):
-        lam = make_intensity()
-        deltas = np.linspace(-1.0, 0.5, 50)
-        ratios = lam.curvature_ratio(deltas)
-        assert np.all(ratios < 1.0)
-        # cross-check the analytic ratio against derivative quotients
-        d = 0.05
-        quotient = lam(d) * lam.second_derivative(d) / lam.derivative(d) ** 2
-        assert lam.curvature_ratio(d) == pytest.approx(quotient, rel=1e-12)
+            s = lam(d) / lam.lambda_rfq
+            assert -lam.lambda_rfq * lam.beta * s * (1.0 - s) == pytest.approx(fd1, rel=1e-5)
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValidationError):
@@ -144,22 +131,12 @@ class TestLogisticIntensity:
     @settings(max_examples=200, deadline=None)
     def test_shape_conditions_hold_for_any_logistic(self, lam, alpha, beta, delta):
         curve = LogisticIntensity(lambda_rfq=lam, alpha=alpha, beta=beta)
-        p = curve.fill_probability(delta)
-        assert 0.0 <= p <= 1.0
-        assert curve.derivative(delta) <= 0.0
-        # the analytic ratio rounds to 1.0 once exp(-(alpha+beta*delta))
-        # underflows, so the bound is non-strict at float precision
-        assert curve.curvature_ratio(delta) <= 1.0
+        assert 0.0 <= curve(delta) <= lam
+        # non-strict: the curve saturates to its bounds at float precision
+        assert curve(delta + 1e-3) <= curve(delta)
 
 
 class TestSizeDistribution:
-    def test_moments(self):
-        dist = make_sizes()
-        mean = 0.53 * 6250 + 0.35 * 12500 + 0.10 * 18750 + 0.02 * 25000
-        msq = 0.53 * 6250**2 + 0.35 * 12500**2 + 0.10 * 18750**2 + 0.02 * 25000**2
-        assert dist.mean == pytest.approx(mean, rel=1e-14)
-        assert dist.mean_square == pytest.approx(msq, rel=1e-14)
-
     def test_rejects_bad_atoms(self):
         with pytest.raises(ValidationError):
             SizeDistribution(sizes=(2.0, 1.0), probabilities=(0.5, 0.5))

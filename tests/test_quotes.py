@@ -59,7 +59,7 @@ class TestMyopic:
     def test_matches_grid_search(self):
         intensity = make_intensity(12.0, -0.4, 55.0)
         grid = np.arange(-1.0, 1.0, 1e-6)
-        revenue = grid * intensity.fill_probability(grid)
+        revenue = grid * intensity(grid)
         best = grid[np.argmax(revenue)]
         assert myopic_quote(intensity) == pytest.approx(best, abs=2e-6)
 
@@ -163,6 +163,9 @@ class TestOptimalQuote:
             optimal_quote(surface, market, [np.nan, 0.0], 0, "bid", 100.0)
         with pytest.raises(ValidationError, match=r"inventory \[0.0, inf\] must be finite"):
             quote_table(surface, market, [[0.0, 0.0], [0.0, np.inf]])
+        # a table takes a list of inventories, not one bare inventory
+        with pytest.raises(ValidationError, match="shape"):
+            quote_table(surface, market, [0.0, 0.0])
 
 
 class TestRefusals:
@@ -312,6 +315,7 @@ class TestQuoteTable:
     def test_empty_size_list_gives_empty_table(self, short_setup):
         market, _, _, surface = short_setup
         assert quote_table(surface, market, [[0.0, 0.0]], sizes=[]) == []
+        assert quote_table(surface, market, []) == []
 
     def test_csv_round_trip(self, short_setup):
         market, fm, _, surface = short_setup

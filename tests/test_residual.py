@@ -20,10 +20,11 @@ MYOPIC_REFERENCE = 0.038541882843364745  # frozen root of x - exp(-x) = 1.7, map
 # Closed-form expectation for the flat-surface configuration below.  With a
 # constant-in-space surface the policy quotes the inventory-blind offset
 # everywhere, so fills are two independent Poisson streams (one per side)
-# with rate lambda * fill_probability(myopic offset), and the inventory is a
-# difference of compound Poisson processes with E[q_t^2] = q0^2 + K E[z^2] t
-# where K is the summed effective rate.  Integrating the quadratic penalty
-# derivatives against that growth gives, from inventory q0 at time t:
+# with rate lambda times the fill probability at the myopic offset, and the
+# inventory is a difference of compound Poisson processes with
+# E[q_t^2] = q0^2 + K E[z^2] t where K is the summed effective rate.
+# Integrating the quadratic penalty derivatives against that growth gives,
+# from inventory q0 at time t:
 #
 #   value = -(gamma/2) r [ q0^2 (T-t) + K E[z^2] (T-t)^2 / 2 ]
 #           -(zeta/2)  r [ q0^2 + K E[z^2] (T-t) ]
@@ -247,16 +248,11 @@ class TestAdjustedQuote:
             paired.append(
                 adjusted_quote(surface, priced, [40000.0], 0, "bid", 12500.0, **kwargs).shift
             )
+            # the estimate at the state from another seed unpairs the two arms
+            here = residual_correction(surface, priced, [40000.0], n_paths=30, seed=5000 + rep)
             independent.append(
                 adjusted_quote(
-                    surface,
-                    priced,
-                    [40000.0],
-                    0,
-                    "bid",
-                    12500.0,
-                    shared_randomness=False,
-                    **kwargs,
+                    surface, priced, [40000.0], 0, "bid", 12500.0, here=here, **kwargs
                 ).shift
             )
         assert np.var(paired) < np.var(independent)

@@ -27,8 +27,7 @@ from rfqmm.residual import correction_samples
 from rfqmm.simulator import (
     ENGINES,
     DegenerateRunWarning,
-    inventory_histogram,
-    occupancy_second_moment,
+    inventory_paths,
     simulate,
     total_variance_gap,
 )
@@ -359,43 +358,51 @@ class TestTrivialCases:
             assert p.n_fills.sum() == 0
             assert p.risk_integral == 0.0
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_no_arrivals_hold_the_start_inventory(self, engine):
+        market = make_market_2asset(horizon=3.0, lam=0.0)
+        q0 = np.array([20000.0, -5000.0])
+        result = simulate(market, MyopicPolicy(market), 4, seed=4, engine=engine, start_inventory=q0)
+        for p in result.paths:
+            assert p.n_fills.sum() == 0
+            np.testing.assert_array_equal(p.terminal_inventory, q0)
+            assert p.risk_integral == float(q0 @ market.covariance @ q0) * market.horizon
+
+    # Occupancy: inventory_paths gives each path's inventories and how long
+    # each is held, the time weights of an inventory histogram.
     def test_single_path_no_fills_histogram_is_a_point_mass(self):
         market = make_market_2asset(horizon=3.0, lam=0.0)
-        fm = build_factor_model(market.covariance, 2)
-        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 5)
         result = simulate(market, MyopicPolicy(market), 1, seed=4, keep_event_logs=True)
-        counts = inventory_histogram(result, grid, fm.loadings)
-        assert counts.sum() == pytest.approx(market.horizon, rel=1e-12)
-        assert counts[2, 2] == pytest.approx(market.horizon, rel=1e-12)
+        [(inventory, durations)] = list(inventory_paths(result))
+        np.testing.assert_array_equal(inventory, np.zeros((1, 2)))
+        np.testing.assert_array_equal(durations, [market.horizon])
 
-    def test_histogram_starts_from_the_start_inventory(self):
-        market = make_market_2asset(horizon=3.0, lam=0.0)
-        fm = build_factor_model(market.covariance, 2)
-        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 5)
-        f0 = grid.spacing * np.array([1.0, -1.0])
-        q0 = fm.loadings @ f0
+    def test_histogram_starts_from_the_start_inventory(self, sim_setup):
+        market, fm, _, surface = sim_setup
+        q0 = fm.loadings @ np.array([20000.0, -5000.0])
         result = simulate(
-            market, MyopicPolicy(market), 2, seed=4, keep_event_logs=True, start_inventory=q0
+            market, SurfacePolicy(surface, market), 3, seed=4, keep_event_logs=True,
+            start_inventory=q0,
         )
         np.testing.assert_array_equal(result.start_inventory, q0)
-        counts = inventory_histogram(result, grid, fm.loadings)
-        assert counts[3, 1] == pytest.approx(2 * market.horizon, rel=1e-12)
-        assert counts.sum() == pytest.approx(2 * market.horizon, rel=1e-12)
-        np.testing.assert_allclose(
-            occupancy_second_moment(result, fm.loadings), np.outer(f0, f0), rtol=1e-12
-        )
+        for (inventory, _), p, log in zip(inventory_paths(result), result.paths, result.event_logs):
+            np.testing.assert_array_equal(inventory[0], q0)
+            assert len(inventory) == len(log["t"]) + 1
+            # a cumulative sum of the fills, so equal up to rounding
+            np.testing.assert_allclose(inventory[-1], p.terminal_inventory, rtol=1e-12, atol=1e-6)
 
     def test_histogram_conserves_time(self, sim_setup):
-        market, fm, grid, surface = sim_setup
+        market, _, _, surface = sim_setup
         result = simulate(market, SurfacePolicy(surface, market), 25, seed=10, keep_event_logs=True)
-        counts = inventory_histogram(result, grid, fm.loadings)
-        assert counts.sum() == pytest.approx(25 * market.horizon, rel=1e-9)
+        for _, durations in inventory_paths(result):
+            assert np.all(durations >= 0.0)
+            assert durations.sum() == pytest.approx(market.horizon, rel=1e-12)
 
     def test_histogram_requires_logs(self, sim_setup):
-        market, fm, grid, surface = sim_setup
+        market, _, _, surface = sim_setup
         result = simulate(market, SurfacePolicy(surface, market), 5, seed=10)
         with pytest.raises(ValidationError, match="keep_event_logs"):
-            inventory_histogram(result, grid, fm.loadings)
+            next(inventory_paths(result))
 
 
 class TestStatisticalInvariants:
@@ -415,7 +422,8 @@ class TestStatisticalInvariants:
             side = "bid" if buckets.side[b] == 0 else "ask"
             intensity = market.assets[a].intensity(side)
             delta = myopic_quote(intensity, market.quote_floor)
-            mu = buckets.arrival_rate[b] * intensity.fill_probability(delta) * market.horizon
+            fill_probability = intensity(delta) / intensity.lambda_rfq
+            mu = buckets.arrival_rate[b] * fill_probability * market.horizon
             assert abs(totals[b] - n * mu) <= 3.0 * math.sqrt(n * mu)
 
     def test_law_of_total_variance(self, sim_setup):
@@ -438,11 +446,17 @@ class TestStatisticalInvariants:
         seed = 37
         two = simulate(market, SurfacePolicy(surface2, market), 250, seed=seed, keep_event_logs=True)
         one = simulate(market, SurfacePolicy(surface1, market), 250, seed=seed, keep_event_logs=True)
-        m_two = occupancy_second_moment(two, fm2.loadings)
-        m_one = occupancy_second_moment(one, fm2.loadings)
+
+        def minor_axis_occupancy(result):
+            # time-weighted sum of squares of the second factor coordinate
+            return sum(
+                durations @ fm2.factor_coordinates(inventory)[:, 1] ** 2
+                for inventory, durations in inventory_paths(result)
+            )
+
         # second factor carries the small eigenvalue: the k=1 policy treats
         # exposure there as free and accumulates it
-        assert m_one[1, 1] > m_two[1, 1]
+        assert minor_axis_occupancy(one) > minor_axis_occupancy(two)
 
     def test_summary_matches_path_arithmetic(self, sim_setup):
         market, _, _, surface = sim_setup

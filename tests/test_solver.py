@@ -126,8 +126,6 @@ class TestSafetyRails:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            SolverConfig(stability_budget=0.0)
-        with pytest.raises(ValidationError):
             SolverConfig(store_policy="everything")
         with pytest.raises(ValidationError):
             SolverConfig(dt=-0.1)
@@ -261,7 +259,7 @@ class TestAgainstScipy:
         values = rng.uniform(1.0, 2.0, size=(len(times),) + grid.shape)
         surface = ValueSurface(
             grid=grid, factor_model=fm, times=times, values=values,
-            horizon=1.0, dt=0.5, n_steps=2, intensity_budget=1.0,
+            horizon=1.0, dt=0.5, n_steps=2,
         )
         pts = rng.uniform(-1.0, 1.0, size=(300, k)) * grid.half_widths
         reference = [RegularGridInterpolator(grid.axes, v, method="linear") for v in values]
@@ -293,7 +291,7 @@ class TestShiftedReads:
         theta = rng.uniform(1.0, 2.0, size=grid.shape)
         surface = ValueSurface(
             grid=grid, factor_model=fm, times=np.array([0.0]), values=theta[None],
-            horizon=market.horizon, dt=market.horizon, n_steps=1, intensity_budget=1.0,
+            horizon=market.horizon, dt=market.horizon, n_steps=1,
         )
         lo, frac, dropped, *_ = _shift_rows(market, fm, grid)
         reads = _read_shifted(theta, lo, frac).reshape(dropped.shape)
@@ -453,6 +451,16 @@ class TestPersistence:
         assert loaded.fingerprint == {**solver_fingerprint(SolverConfig()), "config_hash": "abc123"}
         assert loaded.n_steps == surface.n_steps
         assert loaded.horizon == surface.horizon
+
+    def test_loads_archives_that_carry_intensity_budget(self, tmp_path):
+        # earlier builds of format 2 also stored the floor-intensity sum
+        _, _, _, surface = small_surface(horizon=0.5, nodes=21)
+        surface.save(tmp_path / "surface.npz")
+        with np.load(tmp_path / "surface.npz") as data:
+            arrays = dict(data)
+        np.savez_compressed(tmp_path / "older.npz", intensity_budget=1.0, **arrays)
+        loaded = ValueSurface.load(tmp_path / "older.npz")
+        np.testing.assert_array_equal(loaded.values, surface.values)
 
     def test_interrupted_save_leaves_nothing(self, tmp_path, monkeypatch):
         _, _, _, surface = small_surface(horizon=0.5, nodes=21)
