@@ -121,6 +121,12 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
+def _text(value: Any, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{path} must be a non-empty string, got {value!r}")
+    return value
+
+
 def _list_of(check, node: Any, path: str) -> list:
     """``node`` as a list, each entry passed through ``check(entry, its path)``."""
     return [check(v, f"{path}[{i}]") for i, v in enumerate(_expect_list(node, path))]
@@ -253,7 +259,8 @@ def _parse_assets(raw: Mapping) -> tuple[AssetSpec, ...]:
             path = f"assets[{i}]"
             node = _expect_mapping(node, path)
             _check_keys(node, _ASSET_KEYS, path)
-            out.append(_parse_asset(node, path, str(node.get("asset_id", f"A{i}"))))
+            asset_id = _text(node.get("asset_id", f"A{i}"), f"{path}.asset_id")
+            out.append(_parse_asset(node, path, asset_id))
         return tuple(out)
     counter = 0
     for gi, node in enumerate(_expect_list(raw["asset_groups"], "asset_groups")):
@@ -263,7 +270,7 @@ def _parse_assets(raw: Mapping) -> tuple[AssetSpec, ...]:
         count = _integer(node.get("count"), f"{path}.count")
         if count < 1:
             raise ValidationError(f"{path}.count must be positive, got {count!r}")
-        prefix = str(node.get("prefix", "A"))
+        prefix = _text(node.get("prefix", "A"), f"{path}.prefix")
         for _ in range(count):
             out.append(_parse_asset(node, path, f"{prefix}{counter}"))
             counter += 1

@@ -12,6 +12,7 @@ the factors miss is the residual covariance R = Sigma - loadings V loadings'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,13 @@ class FactorModel:
     def explained_ratio(self) -> float:
         return float(np.trace(self.factor_cov)) / float(np.trace(self.covariance))
 
+    @cached_property
+    def _loadings_t(self) -> np.ndarray:
+        """k x d contiguous transpose of the loadings, made once per model."""
+        out = np.ascontiguousarray(self.loadings.T)
+        out.setflags(write=False)
+        return out
+
     def factor_coordinates(self, inventory) -> np.ndarray:
         """Project inventories (last axis = assets) into factor space.
 
@@ -101,7 +109,7 @@ class FactorModel:
         guarantee.
         """
         q = np.asarray(inventory, dtype=float)
-        return np.einsum("...d,kd->...k", q, np.ascontiguousarray(self.loadings.T))
+        return np.einsum("...d,kd->...k", q, self._loadings_t)
 
 
 def build_factor_model(covariance: np.ndarray, n_factors: int) -> FactorModel:

@@ -40,12 +40,20 @@ from scipy.special import wrightomega
 from .model import fill_intensity
 
 
+#: smallest normal float; floors the discarded argument of the log branch
+_TINY = np.finfo(float).tiny
+
+
 def solve_offset_equation(c):
-    """Solve x - exp(-x) = c elementwise; scalars in, float out."""
+    """Solve x - exp(-x) = c elementwise; scalars in, float out.
+
+    Both branches are evaluated everywhere.  The log branch is kept only for
+    c < 0, where y > omega(0) ~ 0.567, so flooring y at the smallest normal
+    float changes no kept element; it spares log(0) where y underflows.
+    """
     c = np.asarray(c, dtype=float)
     y = wrightomega(-c)
-    with np.errstate(divide="ignore"):
-        x = np.where(c >= 0.0, c + y, -np.log(y))
+    x = np.where(c >= 0.0, c + y, -np.log(np.maximum(y, _TINY)))
     return float(x) if x.ndim == 0 else x
 
 

@@ -12,6 +12,17 @@ the grid box, or the post-trade inventory would breach the quadratic risk
 limit.  Both are reported as refusals rather than as very wide quotes so
 that downstream consumers can treat them as zero fill probability.
 
+:func:`surface_quotes` is the one implementation of the rule; single RFQs
+(:func:`optimal_quote`), tables (:func:`quote_table`), the simulator
+(:meth:`SurfacePolicy.quote_rows`) and the residual-adjusted quote all call
+it, so a row gets the same bits whichever way it is asked.  It is row-wise
+over arrays and reads the surface once per call for the current and the
+shifted points together.  That read is also the one box test of each point:
+:meth:`~rfqmm.solver.ValueSurface.value_many` returns NaN exactly off the
+box, which raises for a current point and refuses a shifted one.  Most of a
+call's cost is fixed (numpy dispatch on small arrays), so many rows in one
+call cost little more than one.
+
 Admissible inventories always map inside the box: ``f = B'q`` satisfies
 ``f'Vf = q'(Sigma - R)q <= q'Sigma q`` for a positive semidefinite residual,
 so a risk-admissible ``q`` cannot trigger the out-of-domain error below.
@@ -109,14 +120,23 @@ def surface_quotes(surface, market, t, inventories, asset_ix, side_ix, sizes, sq
     ``delta`` and ``reservation`` are NaN on refused rows.
     """
     fm = surface.factor_model
-    grid = surface.grid
     n = inventories.shape[0]
     points = fm.factor_coordinates(inventories)
-    if not np.all(grid.contains(points)):
-        raise OutOfDomainError("factor point outside the grid box; state is out of domain")
     signs = _SIGNS[side_ix]
     shifted = points + (signs * sizes)[:, None] * fm.shift_directions[asset_ix]
-    inside = grid.contains(shifted)
+
+    # one interpolation pass over both point sets, which is also the one box
+    # test of each point: value_many returns NaN exactly off the box.  Reads
+    # do not depend on what else shares the batch.
+    values = surface.value_many(
+        t if np.ndim(t) == 0 else np.concatenate([t, t]),
+        np.concatenate([points, shifted]),
+        out_of_box="nan",
+    )
+    off_box = np.isnan(values)
+    if off_box[:n].any():
+        raise OutOfDomainError("factor point outside the grid box; state is out of domain")
+    value_now, value_shifted, inside = values[:n], values[n:], ~off_box[n:]
 
     if sq is None:
         # row-wise contractions, so a row's risk does not depend on the batch
@@ -126,14 +146,7 @@ def surface_quotes(surface, market, t, inventories, asset_ix, side_ix, sizes, sq
     _, admissible = market.post_trade_risk(risk, own, signs, sizes, asset_ix)
     ok = inside & admissible
 
-    # one interpolation pass over both point sets; reads do not depend on
-    # what else shares the batch
-    values = surface.value_many(
-        t if np.ndim(t) == 0 else np.concatenate([t, t]),
-        np.concatenate([points, shifted]),
-        out_of_box="nan",
-    )
-    value_now, value_shifted = values[:n], np.where(inside, values[n:], 0.0)
+    # refused rows price a zero level; NaN arithmetic raises no warning
     reservation = np.where(ok, (value_now - value_shifted) / sizes, 0.0)
     lam, alpha, beta = market.intensity_table[asset_ix, side_ix].T
     delta, _, _ = batch_quote_kernel(reservation, lam, alpha, beta, market.quote_floor)

@@ -517,9 +517,10 @@ def inventory_paths(result: SimulationResult):
     for log in result.event_logs:
         times = np.asarray(log["t"], dtype=float)
         m = times.size
-        inventory = np.tile(result.start_inventory, (m + 1, 1))
-        if m:
-            steps = np.zeros((m, d))
-            steps[np.arange(m), np.asarray(log["asset"], dtype=int)] = log["dq"]
-            inventory[1:] += np.cumsum(steps, axis=0)
+        # row 0 the start, row j the j-th fill's change: a running sum adds
+        # each fill in turn, ((q0 + dq1) + dq2) ..., as the engines do
+        steps = np.zeros((m + 1, d))
+        steps[0] = result.start_inventory
+        steps[np.arange(1, m + 1), np.asarray(log["asset"], dtype=int)] = log["dq"]
+        inventory = np.cumsum(steps, axis=0)
         yield inventory, np.diff(np.concatenate(([0.0], times, [result.market.horizon])))

@@ -20,6 +20,15 @@ first.  A shift is the same at every node of the uniform grid, so the sweep
 lerps whole grids at once (``_read_shifted``); the quotes lerp each point's
 2^k cell (``ValueSurface.value_many``).
 
+A quote's cost is mostly fixed per call, so a :class:`FactorGrid` computes
+on first use, and keeps, what every ``value_many`` call reads: the node
+count and spacing, the box bound with its :data:`BOX_TOL` slack, each
+axis's last node and last lower node, the C-order node strides and the flat
+offsets of a cell's 2^k corners.  ``value_many`` box-tests each point once
+against that bound and places every point on every axis in one vectorised
+pass; the operations on each element are those of a loop over the axes, so
+the bits are too.
+
 The scheme is monotone, hence stable, when dt times the sum over assets and
 sides of the intensity at the quote floor stays below 1; the solver keeps it
 within :data:`STABILITY_BUDGET`, and a dt beyond that is a hard error.
@@ -79,13 +88,21 @@ _BLOCK_ELEMS = 2**16
 STABILITY_BUDGET = 0.9
 
 
-def _axis_positions(u, n: int):
-    """Lower node and fraction of fractional indices ``u`` on an n-node axis.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    ``u`` is clipped into the axis first; the box test is the caller's.
+
+def _axis_positions(u, top, last):
+    """Lower node and fraction of fractional indices ``u``.
+
+    ``top`` is an axis's last node index n - 1 and ``last`` its last lower
+    node n - 2, both as floats; they broadcast against ``u``, so one call can
+    place every axis at once.  ``u`` is clipped into the axis first; the box
+    test is the caller's.
     """
-    u = np.clip(u, 0.0, n - 1.0)
-    lo = np.minimum(np.floor(u), n - 2).astype(np.int64)
+    u = np.minimum(np.maximum(u, 0.0), top)
+    lo = np.minimum(np.floor(u), last).astype(np.int64)
     return lo, u - lo
 
 
@@ -177,13 +194,30 @@ class FactorGrid:
     def shape(self) -> tuple[int, ...]:
         return self.nodes_per_axis
 
-    @property
+    # Per-grid constants, computed on first use: ``value_many`` and
+    # ``contains`` read them on every call.
+
+    @functools.cached_property
     def n_nodes(self) -> int:
         return int(np.prod(self.nodes_per_axis))
 
-    @property
+    @functools.cached_property
     def spacing(self) -> np.ndarray:
-        return 2.0 * self.half_widths / (np.array(self.nodes_per_axis) - 1)
+        return _frozen(2.0 * self.half_widths / (np.array(self.nodes_per_axis) - 1))
+
+    @functools.cached_property
+    def _box(self) -> np.ndarray:
+        """Largest |f_j| inside the box, with the BOX_TOL slack."""
+        return _frozen(self.half_widths + BOX_TOL * self.half_widths)
+
+    @functools.cached_property
+    def _cell_constants(self):
+        """Per axis the last node and last lower node (floats), the C-order
+        strides of a node, and the flat offsets of a cell's 2^k corners."""
+        k, n = self.ndim, np.array(self.nodes_per_axis)
+        strides = np.ravel_multi_index(np.eye(k, dtype=np.int64), self.shape)
+        corners = np.ravel_multi_index(np.indices((2,) * k).reshape(k, -1), self.shape)
+        return tuple(map(_frozen, (n - 1.0, n - 2.0, strides, corners)))
 
     @property
     def axes(self) -> tuple[np.ndarray, ...]:
@@ -209,8 +243,7 @@ class FactorGrid:
     def contains(self, points) -> np.ndarray:
         """Which query points lie inside the bounding box (with slack)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        slack = BOX_TOL * self.half_widths
-        return np.all(np.abs(pts) <= self.half_widths + slack, axis=1)
+        return (np.abs(pts) <= self._box).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -263,7 +296,7 @@ class ValueSurface:
 
     def slice_index(self, t):
         """Nearest stored slice per time; earlier one on ties."""
-        return np.argmin(np.abs(self.times - np.expand_dims(t, -1)), axis=-1)
+        return np.abs(self.times - np.asarray(t)[..., None]).argmin(axis=-1)
 
     def slice_values(self, t: float) -> np.ndarray:
         return self.values[self.slice_index(t)]
@@ -277,6 +310,12 @@ class ValueSurface:
         first, with one lerp per axis, so a point reads the same bits alone
         as in any batch.  ``out_of_box`` is either "raise" or "nan"; the NaN
         marker is what the quote engine turns into refusals.
+
+        Each point is box-tested once, by :meth:`FactorGrid.contains`, and
+        all points are placed on all axes in one vectorised pass from the
+        grid's cached constants (see the module docstring).  A solved
+        surface's values are finite (``solve`` checks every step), so in
+        "nan" mode a NaN marks exactly the points off the box.
         """
         grid = self.grid
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -284,7 +323,8 @@ class ValueSurface:
         if k != grid.ndim:
             raise ValidationError(f"query dimension {k} does not match grid dimension {grid.ndim}")
         inside = grid.contains(pts)
-        if not inside.all():
+        all_inside = inside.all()
+        if not all_inside:
             if out_of_box == "raise":
                 bad = pts[~inside][0]
                 raise OutOfDomainError(
@@ -293,17 +333,14 @@ class ValueSurface:
                 )
             if out_of_box != "nan":
                 raise ValueError(f"unknown out_of_box mode {out_of_box!r}")
-        lo, frac = zip(*(
-            _axis_positions((pts[:, j] + a) / h, n)
-            for j, (a, h, n) in enumerate(zip(grid.half_widths, grid.spacing, grid.shape))
-        ))
-        base = np.ravel_multi_index((self.slice_index(t), *lo), self.values.shape)
-        corners = np.ravel_multi_index(np.indices((2,) * k).reshape(k, -1), grid.shape)
+        top, last, strides, corners = grid._cell_constants
+        lo, frac = _axis_positions((pts + grid.half_widths) / grid.spacing, top, last)
+        base = self.slice_index(t) * grid.n_nodes + lo @ strides
         cell = self.values.take(base[:, None] + corners).reshape((m,) + (2,) * k)
         for j in reversed(range(k)):
-            w = frac[j].reshape((m,) + (1,) * j)
+            w = frac[:, j].reshape((m,) + (1,) * j)
             cell = cell[..., 0] * (1.0 - w) + cell[..., 1] * w
-        return cell if inside.all() else np.where(inside, cell, np.nan)
+        return cell if all_inside else np.where(inside, cell, np.nan)
 
     def value(self, t: float, point) -> float:
         return float(self.value_many(t, np.atleast_2d(np.asarray(point, dtype=float)))[0])
@@ -426,7 +463,7 @@ def _shift_rows(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid)
     inside = np.ones((g,) + ns, dtype=bool)
     for j, n in enumerate(ns):
         pos = np.arange(n, dtype=float) + offsets[:, j : j + 1]
-        lo_j, w_j = _axis_positions(pos, n)
+        lo_j, w_j = _axis_positions(pos, n - 1.0, n - 2.0)
         lo.append(lo_j)
         frac.append(w_j)
         ok = (pos >= -BOX_TOL) & (pos <= n - 1 + BOX_TOL)

@@ -212,6 +212,22 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match=re.escape(path)):
             parse_config(raw, source="inline")
 
+    # labels loaded through str() at an earlier build: ids "True0"..., "None0"...
+    @pytest.mark.parametrize("grouped, where, value, path", [
+        (True, ("asset_groups", 0, "prefix"), True, "asset_groups[0].prefix"),
+        (True, ("asset_groups", 1, "prefix"), None, "asset_groups[1].prefix"),
+        (True, ("asset_groups", 0, "prefix"), "", "asset_groups[0].prefix"),
+        (False, ("assets", 1, "asset_id"), 5, "assets[1].asset_id"),
+    ], ids=["prefix-bool", "prefix-null", "prefix-empty", "asset-id-int"])
+    def test_malformed_labels_named_by_path(self, grouped, where, value, path):
+        raw = self.grouped() if grouped else deep(BASE)
+        node = raw
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        with pytest.raises(ValidationError, match=re.escape(path) + " must be a non-empty string"):
+            parse_config(raw, source="inline")
+
 
 class TestConfigHash:
     def test_stable_across_formatting(self, config_file):

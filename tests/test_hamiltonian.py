@@ -43,6 +43,14 @@ class TestScalarSolve:
         x = solve_offset_equation(c)
         np.testing.assert_allclose(x - np.exp(-x), c, rtol=1e-12, atol=1e-12)
 
+    def test_same_bits_as_the_unfloored_log(self):
+        # flooring y before the log changes no element the root keeps
+        c = np.concatenate([np.linspace(-60.0, 60.0, 201), [-1e6, -745.0, 745.0, 1e6]])
+        y = wrightomega(-c)
+        with np.errstate(divide="ignore"):
+            expected = np.where(c >= 0.0, c + y, -np.log(y))
+        np.testing.assert_array_equal(solve_offset_equation(c), expected)
+
     def test_scalar_input_returns_scalar(self):
         x = solve_offset_equation(1.7)
         assert isinstance(x, float)

@@ -16,7 +16,7 @@ from helpers import (
     rk4_lattice_reference,
 )
 from rfqmm.errors import OutOfDomainError, ValidationError
-from rfqmm.factors import build_factor_model
+from rfqmm.factors import FactorModel, build_factor_model
 from rfqmm.quotes import (
     REASON_BOX,
     REASON_OK,
@@ -27,9 +27,10 @@ from rfqmm.quotes import (
     myopic_quote,
     optimal_quote,
     quote_table,
+    surface_quotes,
     write_quote_table,
 )
-from rfqmm.solver import FactorGrid, SolverConfig, solve
+from rfqmm.solver import BOX_TOL, FactorGrid, SolverConfig, ValueSurface, solve
 
 MYOPIC_REFERENCE = 0.038541882843364745  # frozen root of x - exp(-x) = 1.7, mapped back
 
@@ -342,3 +343,135 @@ class TestQuoteTable:
         bad = QuoteResult(delta=float("nan"), reason=REASON_RISK, reservation=float("nan"))
         assert not ok.refused
         assert bad.refused
+
+
+# The quoting rule's output bits on a surface built from literals and
+# elementwise arithmetic only (no BLAS, LAPACK or solve), so no BLAS or
+# LAPACK build can move the recorded values.  Slices at t = 0, 0.025 and
+# 0.05 days.
+GOLDEN_LOADINGS = ((0.9, 0.436), (0.436, -0.9))
+GOLDEN_HALF_WIDTHS = (105000.0, 585000.0)
+GOLDEN_TIMES = (0.0, 0.025, 0.05)
+
+# (inventory, asset, side, size)
+GOLDEN_ROWS = (
+    ((0.0, 0.0), 0, 0, 6250.0),
+    ((0.0, 0.0), 1, 1, 25000.0),
+    ((20000.0, -35000.0), 0, 1, 12500.0),
+    ((20000.0, -35000.0), 1, 0, 18750.0),
+    ((-60000.0, 15000.0), 0, 0, 25000.0),
+    ((-60000.0, 15000.0), 1, 1, 6250.0),
+    # f1 near the edge: a buy leaves the box
+    ((93500.0, 45300.0), 0, 0, 25000.0),
+    # near the corner, admissible: a buy breaches the limit, a sell is priced
+    ((262000.0, -360500.0), 0, 0, 25000.0),
+    ((262000.0, -360500.0), 0, 1, 25000.0),
+    # the trade lands half a BOX_TOL past the edge at +f1 and -f1 (inside
+    # the slack, so priced), then two BOX_TOL past it (refused)
+    ((88240.92891807387, 45775.60556475579), 0, 0, 6250.0),
+    ((-88240.92891807387, -45775.60556475579), 0, 1, 6250.0),
+    ((88240.92905981027, 45775.60563341919), 0, 0, 6250.0),
+)
+
+# (delta, reason code, reservation) per row at t = 0, then with one time per
+# row from linspace(0, 0.05, 12); None on refused rows
+GOLDEN_AT_ZERO = (
+    (0.03854088037751111, 0, -1.1591099999998068e-06),
+    (0.038717036568579916, 0, 0.00020245085),
+    (0.03875812620948054, 0, 0.0002499234299999999),
+    (0.03851662803608329, 0, -2.9202530000000304e-05),
+    (0.03739463307765635, 0, -0.0013296356099999993),
+    (0.03921250795412102, 0, 0.0007743675500000029),
+    (None, 1, None),
+    (None, 2, None),
+    (0.03669116118987865, 0, -0.002148087654),
+    (0.04108853242639784, 0, 0.0029297590825210908),
+    (0.041403195163986536, 0, 0.003289759079161081),
+    (None, 1, None),
+)
+GOLDEN_PER_ROW_T = (
+    (0.03854088037751111, 0, -1.1591099999998068e-06),
+    (0.038717036568579916, 0, 0.00020245085),
+    (0.03875812620948054, 0, 0.0002499234299999999),
+    (0.038496567030359446, 0, -5.2401518000000175e-05),
+    (0.03779079590772032, 0, -0.0008697813659999995),
+    (0.03897425820863887, 0, 0.0004995005300000014),
+    (None, 1, None),
+    (None, 2, None),
+    (0.037491734863045446, 0, -0.0012168525924),
+    (0.03892440477874109, 0, 0.00044195181784821813),
+    (0.03923643000868207, 0, 0.0008019518144882147),
+    (None, 1, None),
+)
+
+
+def golden_surface():
+    market = make_market_2asset(horizon=GOLDEN_TIMES[-1])
+    loadings = np.array(GOLDEN_LOADINGS)
+    eigs = np.array([1.74, 0.0565])
+    fm = FactorModel(
+        covariance=market.covariance, loadings=loadings, factor_cov=np.diag(eigs),
+        residual_cov=np.zeros((2, 2)), eigenvalues=eigs,
+    )
+    grid = FactorGrid(np.diag(eigs), np.array(GOLDEN_HALF_WIDTHS), (21, 21), market.risk_limit)
+    f = grid.node_coordinates()
+    level = 1.74 * f[:, 0] * f[:, 0] + 0.0565 * f[:, 1] * f[:, 1]
+    values = np.stack([
+        (-1e-8 * scale * level + 2e-4 * f[:, 0]).reshape(grid.shape) for scale in (1.0, 0.6, 0.2)
+    ])
+    surface = ValueSurface(grid, fm, np.array(GOLDEN_TIMES), values, GOLDEN_TIMES[-1], 0.025, 2)
+    return market, surface
+
+
+def golden_quotes(market, surface, t):
+    q, asset, side, size = (np.array(col) for col in zip(*GOLDEN_ROWS))
+    delta, reason, reservation = surface_quotes(
+        surface, market, t, q, asset, side, size, None, None
+    )
+    return tuple(
+        (None, int(r), None) if r else (float(d), 0, float(p))
+        for d, r, p in zip(delta, reason, reservation)
+    )
+
+
+class TestGoldenBits:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return golden_surface()
+
+    def test_rows_at_time_zero(self, golden):
+        assert golden_quotes(*golden, 0.0) == GOLDEN_AT_ZERO
+
+    def test_rows_with_one_time_per_row(self, golden):
+        times = np.linspace(0.0, GOLDEN_TIMES[-1], len(GOLDEN_ROWS))
+        assert golden_quotes(*golden, times) == GOLDEN_PER_ROW_T
+
+    def test_slack_rows_cross_the_edge(self, golden):
+        # by half a BOX_TOL, half a BOX_TOL, then two
+        _, surface = golden
+        a = GOLDEN_HALF_WIDTHS[0]
+        for (q, asset, side, size), past in zip(GOLDEN_ROWS[-3:], (0.5, 0.5, 2.0)):
+            sign = 1.0 - 2.0 * side
+            f1 = surface.factor_model.factor_coordinates(np.array(q))[0]
+            f1 += sign * size * GOLDEN_LOADINGS[asset][0]
+            assert abs(f1) - a == pytest.approx(past * BOX_TOL * a, rel=1e-3)
+
+    def test_value_many_and_contains_agree_at_the_edges(self, golden):
+        _, surface = golden
+        grid = surface.grid
+        pts = np.array([
+            sign * scale * grid.half_widths * np.eye(2)[j]
+            for j in range(2)
+            for sign in (1.0, -1.0)
+            for scale in (1.0 - BOX_TOL / 2, 1.0 + BOX_TOL / 2, 1.0 + 2 * BOX_TOL)
+        ])
+        inside = grid.contains(pts)
+        assert inside.tolist() == [True, True, False] * 4
+        values = surface.value_many(0.0, pts, out_of_box="nan")
+        np.testing.assert_array_equal(np.isnan(values), ~inside)
+        # a point in the slack reads the edge node, bit for bit
+        nodes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]) * grid.half_widths
+        edges = surface.value_many(0.0, nodes)
+        np.testing.assert_array_equal(values[1::3], edges)
+        with pytest.raises(OutOfDomainError):
+            surface.value_many(0.0, pts)

@@ -388,8 +388,8 @@ class TestTrivialCases:
         for (inventory, _), p, log in zip(inventory_paths(result), result.paths, result.event_logs):
             np.testing.assert_array_equal(inventory[0], q0)
             assert len(inventory) == len(log["t"]) + 1
-            # a cumulative sum of the fills, so equal up to rounding
-            np.testing.assert_allclose(inventory[-1], p.terminal_inventory, rtol=1e-12, atol=1e-6)
+            # the fills added in turn to the start, as the engine adds them
+            np.testing.assert_array_equal(inventory[-1], p.terminal_inventory)
 
     def test_histogram_conserves_time(self, sim_setup):
         market, _, _, surface = sim_setup

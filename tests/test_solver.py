@@ -246,6 +246,27 @@ class TestEvaluate:
         assert surface.times[-1] == market.horizon
 
 
+def value_many_by_axis(surface, t, pts):
+    """Reference for ``value_many``: one clip, floor and ravel per axis, the
+    slice by ``argmin``; the library's single vectorised pass must give the
+    same bits."""
+    grid = surface.grid
+    m, k = pts.shape
+    lo, frac = [], []
+    for j, (a, h, n) in enumerate(zip(grid.half_widths, grid.spacing, grid.shape)):
+        u = np.clip((pts[:, j] + a) / h, 0.0, n - 1.0)
+        lo.append(np.minimum(np.floor(u), n - 2).astype(np.int64))
+        frac.append(u - lo[-1])
+    slices = np.argmin(np.abs(surface.times - np.expand_dims(t, -1)), axis=-1)
+    base = np.ravel_multi_index((slices, *lo), surface.values.shape)
+    corners = np.ravel_multi_index(np.indices((2,) * k).reshape(k, -1), grid.shape)
+    cell = surface.values.take(base[:, None] + corners).reshape((m,) + (2,) * k)
+    for j in reversed(range(k)):
+        w = frac[j].reshape((m,) + (1,) * j)
+        cell = cell[..., 0] * (1.0 - w) + cell[..., 1] * w
+    return cell
+
+
 class TestAgainstScipy:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_value_many_matches_regular_grid_interpolator(self, k):
@@ -276,6 +297,16 @@ class TestAgainstScipy:
 
         for t, p, batched in zip(row_times, pts, per_row):
             assert surface.value_many(t, p[None])[0] == batched
+
+        # bit for bit the per-axis loop, in and just off the box
+        np.testing.assert_array_equal(at_once, value_many_by_axis(surface, 0.3, pts))
+        np.testing.assert_array_equal(per_row, value_many_by_axis(surface, row_times, pts))
+        edge = pts * 1.2
+        got = surface.value_many(row_times, edge, out_of_box="nan")
+        inside = grid.contains(edge)
+        assert 0 < inside.sum() < len(edge)
+        np.testing.assert_array_equal(np.isnan(got), ~inside)
+        np.testing.assert_array_equal(got[inside], value_many_by_axis(surface, row_times, edge)[inside])
 
 
 class TestShiftedReads:
