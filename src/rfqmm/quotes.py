@@ -5,7 +5,7 @@ per-unit value change the fill would cause: ``p = (theta(f) - theta(f'))/z``
 with ``f' = f + z*e_i`` for a bid and ``f - z*e_i`` for an ask, where ``e_i``
 is the factor image of one unit of the asset.  The offset that maximises
 expected spread revenue against that reservation level is then the
-optimizer of :func:`rfqmm.hamiltonian.batch_quote_kernel`.
+optimizer of :func:`rfqmm.hamiltonian.quote_offset`.
 
 Two situations yield no quote at all: the shifted factor point would leave
 the grid box, or the post-trade inventory would breach the quadratic risk
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import OutOfDomainError, ValidationError
 from .events import SIDE_SIGNS
-from .hamiltonian import batch_quote_kernel
+from .hamiltonian import quote_offset
 from .model import SIDES, LogisticIntensity, MarketSpec, clean_inventory
 from .solver import ValueSurface
 
@@ -55,14 +55,11 @@ _SIGNS = np.array(SIDE_SIGNS)
 def myopic_quote(intensity: LogisticIntensity, quote_floor: float = 1.0) -> float:
     """Inventory-blind offset maximising instantaneous expected revenue.
 
-    This is the quote kernel at zero reservation level; the arrival rate
+    This is the optimal offset at zero reservation level; the arrival rate
     cancels out of the first-order condition, so only the shape parameters
     matter.
     """
-    delta, _, _ = batch_quote_kernel(
-        0.0, intensity.lambda_rfq, intensity.alpha, intensity.beta, quote_floor
-    )
-    return float(delta)
+    return float(quote_offset(0.0, intensity.alpha, intensity.beta, quote_floor))
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,8 @@ def surface_quotes(surface, market, t, inventories, asset_ix, side_ix, sizes, sq
 
     # refused rows price a zero level; NaN arithmetic raises no warning
     reservation = np.where(ok, (value_now - value_shifted) / sizes, 0.0)
-    lam, alpha, beta = market.intensity_table[asset_ix, side_ix].T
-    delta, _, _ = batch_quote_kernel(reservation, lam, alpha, beta, market.quote_floor)
+    _, alpha, beta = market.intensity_table[asset_ix, side_ix].T
+    delta = quote_offset(reservation, alpha, beta, market.quote_floor)
     reason = np.where(ok, 0, np.where(inside, 2, 1))
     return np.where(ok, delta, np.nan), reason, np.where(ok, reservation, np.nan)
 
@@ -158,7 +155,7 @@ def surface_quotes(surface, market, t, inventories, asset_ix, side_ix, sizes, sq
 class MyopicPolicy:
     """Always answers the same offset per (asset, side); ignores inventory.
 
-    The offsets are the envelope kernel at zero reservation level, computed
+    The offsets are the optimal offsets at zero reservation level, computed
     once at construction, so quoting is a table lookup.  The policy itself
     never refuses; risk limits are enforced by whoever executes the fills.
     """
@@ -168,10 +165,8 @@ class MyopicPolicy:
     _array: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        lam, alpha, beta = np.moveaxis(self.market.intensity_table, -1, 0)
-        delta, _, _ = batch_quote_kernel(
-            np.zeros(alpha.shape), lam, alpha, beta, self.market.quote_floor
-        )
+        _, alpha, beta = np.moveaxis(self.market.intensity_table, -1, 0)
+        delta = quote_offset(np.zeros(alpha.shape), alpha, beta, self.market.quote_floor)
         object.__setattr__(self, "_array", delta)
 
     def quote_rows(self, t, inventories, asset_ix, side_ix, sizes, sq=None, risk=None):

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ValidationError
 from .events import SIDE_SIGNS
 from .factors import FactorModel
-from .hamiltonian import batch_quote_kernel
+from .hamiltonian import quote_offset
 from .model import SIDES, MarketSpec, clean_inventory
 from .quotes import SurfacePolicy, optimal_quote
 from .simulator import SimulationResult, inventory_paths, simulate
@@ -249,10 +249,8 @@ def adjusted_quote(
     shift_stderr = float(diffs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
 
     adjusted_reservation = base.reservation + shift
-    lam, alpha, beta = market.intensity_table[asset, SIDES.index(side)]
-    delta_arr, _, _ = batch_quote_kernel(
-        np.array([adjusted_reservation]), lam, alpha, beta, market.quote_floor
-    )
+    _, alpha, beta = market.intensity_table[asset, SIDES.index(side)]
+    delta_arr = quote_offset(np.array([adjusted_reservation]), alpha, beta, market.quote_floor)
     return AdjustedQuote(
         asset=asset,
         side=side,

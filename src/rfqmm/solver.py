@@ -14,6 +14,14 @@ optimization kernel of the matching intensity curve.  Where a shifted point
 leaves the bounding box the whole term is dropped (the drop-term rule), which
 preserves monotonicity of the scheme; no other out-of-grid rule is offered.
 
+The envelope is :func:`rfqmm.hamiltonian.batch_quote_kernel`, the closed
+form lam * omega(-c) / beta with c = beta*p + alpha + 1, through the numpy
+Wright omega :func:`rfqmm.hamiltonian.wright_omega`; it computes no quote
+and no intensity per element.  The quotes find their offsets through scipy's
+omega instead.  The two omegas agree within a few ulp, so a surface swept
+through either differs by rounding only: within 1e-13 relative on the
+bundled markets (``tests/test_solver.py``).
+
 Both the sweep and the quotes read theta between nodes by multilinear
 interpolation done axis by axis: one two-point lerp per axis, last axis
 first.  A shift is the same at every node of the uniform grid, so the sweep
@@ -252,9 +260,9 @@ class SolverConfig:
 
     ``dt`` requests a step in days; None takes the largest step within
     :data:`STABILITY_BUDGET`.
-    ``snapshot_times`` asks for extra stored slices at the given times (the
-    nearest computed slice is kept), useful for inspecting stationarity
-    without paying for ``all_slices`` storage.
+    ``snapshot_times`` asks for extra stored slices at the given times, each
+    within [0, horizon] (the nearest computed slice is kept), useful for
+    inspecting stationarity without paying for ``all_slices`` storage.
     """
 
     dt: float | None = None
@@ -264,11 +272,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.store_policy not in ("final_slice_only", "all_slices"):
             raise ValidationError(f"unknown store policy {self.store_policy!r}")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
         for s in self.snapshot_times:
-            if s < 0.0:
-                raise ValidationError(f"snapshot times must be nonnegative, got {s}")
+            if not (math.isfinite(s) and s >= 0.0):
+                raise ValidationError(f"snapshot times must be finite and nonnegative, got {s}")
 
 
 def solver_fingerprint(config: SolverConfig) -> dict:
@@ -521,7 +529,7 @@ def _envelope_rows(theta, floor, lo, frac, dropped, lam, alpha, beta, inv_z, out
     shifted = _read_shifted(theta, lo, frac)
     p = (theta - shifted).reshape(out.shape) * inv_z
     p[dropped] = 0.0
-    out[...] = batch_quote_kernel(p, lam, alpha, beta, floor)[1]
+    out[...] = batch_quote_kernel(p, lam, alpha, beta, floor)[0]
     out[dropped] = 0.0
 
 
@@ -590,9 +598,12 @@ def solve(
     store_all = cfg.store_policy == "all_slices"
     snapshot_steps = {}
     for s in cfg.snapshot_times:
+        if s > market.horizon:
+            raise ValidationError(
+                f"snapshot time {s} lies beyond the horizon of {market.horizon} days"
+            )
         m = int(round((market.horizon - s) / dt))
-        if 0 <= m <= n_steps:
-            snapshot_steps.setdefault(m, market.horizon - m * dt)
+        snapshot_steps.setdefault(m, market.horizon - m * dt)
 
     stored: list[tuple[float, np.ndarray]] = []
     if store_all or 0 in snapshot_steps:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from rfqmm.events import PathEvents
-from rfqmm.hamiltonian import batch_quote_kernel
+from rfqmm.hamiltonian import quote_offset
 from rfqmm.model import (
     AssetSpec,
     GammaSpec,
@@ -19,6 +19,7 @@ from rfqmm.model import (
     MarketSpec,
     RiskPenalty,
     SizeDistribution,
+    fill_intensity,
 )
 
 # size atoms and weights used by the reference scenarios
@@ -112,9 +113,26 @@ def make_market_30asset(
     )
 
 
+def reference_quote_kernel(p, lam, alpha, beta, floor):
+    """``(value, slope)`` of the envelope through scipy's Wright omega.
+
+    The sweep's kernel before it took the closed form: the optimal offset
+    from the quoting rule's :func:`rfqmm.hamiltonian.quote_offset`, then
+    ``Lambda(d*) * (d* - p)`` and ``-Lambda(d*)``.  It shares no omega with
+    ``batch_quote_kernel`` and takes the same arguments, so it can stand in
+    for it in the solver.
+    """
+    p = np.asarray(p, dtype=float)
+    delta = quote_offset(p, alpha, beta, floor)
+    lam_d = fill_intensity(lam, alpha + beta * delta)
+    return lam_d * (delta - p), -lam_d
+
+
 def quote_kernel(intensity: LogisticIntensity, p, floor: float = 1.0):
-    """``(delta, value, slope)`` of the quote kernel for one intensity curve."""
-    return batch_quote_kernel(p, intensity.lambda_rfq, intensity.alpha, intensity.beta, floor)
+    """``(value, slope)`` of :func:`reference_quote_kernel` for one curve."""
+    return reference_quote_kernel(
+        p, intensity.lambda_rfq, intensity.alpha, intensity.beta, floor
+    )
 
 
 def reference_draw_path_events(buckets, horizon, rng, price_dims=0) -> PathEvents:
@@ -173,7 +191,7 @@ def rk4_lattice_reference(market, grid, n_steps: int) -> np.ndarray:
                 ok = (shifted >= 0) & (shifted < n)
                 values = theta[np.clip(shifted, 0, n - 1)]
                 p_res = (theta - values) / z
-                _, h, _ = quote_kernel(asset.intensity(side), p_res, market.quote_floor)
+                h, _ = quote_kernel(asset.intensity(side), p_res, market.quote_floor)
                 out = out + np.where(ok, p * z * h, 0.0)
         return out
 

@@ -30,9 +30,9 @@ from helpers import (
     make_market_1asset,
     make_market_2asset,
     make_sizes,
-    quote_kernel,
     rk4_lattice_reference,
 )
+from rfqmm.hamiltonian import batch_quote_kernel
 from rfqmm.model import MarketSpec, RiskPenalty
 
 
@@ -128,15 +128,16 @@ def test_criterion_03_hamiltonian_against_grid_search():
     # enough to contain the unconstrained maximiser for every sampled p
     grid = np.arange(-1.0, 6.0 + 1e-6, 1e-6)
     lam_grid = np.asarray(curve(grid))
-    _, values, _ = quote_kernel(curve, ps)
+    args = curve.lambda_rfq, curve.alpha, curve.beta, 1.0
+    values, slopes = batch_quote_kernel(ps, *args)
     worst = 0.0
     for p, val in zip(ps, values):
         brute = float(np.max(lam_grid * (grid - p)))
         worst = max(worst, abs(val - brute) / abs(brute))
         assert val == pytest.approx(brute, rel=1e-8)
     h = 1e-6
-    fd = (quote_kernel(curve, ps + h)[1] - quote_kernel(curve, ps - h)[1]) / (2 * h)
-    np.testing.assert_allclose(quote_kernel(curve, ps)[2], fd, rtol=1e-6)
+    fd = (batch_quote_kernel(ps + h, *args)[0] - batch_quote_kernel(ps - h, *args)[0]) / (2 * h)
+    np.testing.assert_allclose(slopes, fd, rtol=1e-6)
     print(f"criterion 3: 100 points, worst envelope deviation {worst:.2e} (band 1e-8)")
 
 
@@ -311,7 +312,9 @@ def test_criterion_10_property_sweep():
         curve = market.assets[0].intensity("bid")
         lipschitz_bound = float(curve(-market.quote_floor))
         ps = np.sort(rng.uniform(-3.0, 3.0, size=200))
-        _, hs, _ = quote_kernel(curve, ps, market.quote_floor)
+        hs, _ = batch_quote_kernel(
+            ps, curve.lambda_rfq, curve.alpha, curve.beta, market.quote_floor
+        )
         assert np.all(np.diff(hs) < 0.0)
         assert np.all(
             np.abs(np.diff(hs)) <= lipschitz_bound * np.diff(ps) * (1.0 + 1e-9)

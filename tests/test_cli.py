@@ -333,6 +333,16 @@ class TestCommands:
         assert code == 0
         assert "quoted 16 rows" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-1"])
+    def test_bad_dt_is_named(self, work, tmp_path, capsys, dt):
+        cfg, _ = work
+        code = main(
+            ["solve", "--config", str(cfg), "--out-dir", str(tmp_path),
+             "--grid", "5", "--dt", dt]
+        )
+        assert code == 1
+        assert f"error: dt must be positive and finite, got {float(dt)}" in capsys.readouterr().err
+
     def test_quotes_missing_cache_is_actionable(self, work, capsys):
         cfg, out = work
         code = main(

@@ -12,11 +12,11 @@ from helpers import (
     make_market_2asset,
     make_market_30asset,
     make_sizes,
-    quote_kernel,
     rk4_lattice_reference,
 )
 from rfqmm.errors import OutOfDomainError, ValidationError
 from rfqmm.factors import FactorModel, build_factor_model
+from rfqmm.hamiltonian import quote_offset
 from rfqmm.quotes import (
     REASON_BOX,
     REASON_OK,
@@ -143,9 +143,10 @@ class TestOptimalQuote:
         reference = rk4_lattice_reference(market, grid, n_steps=4000)
         nodes = grid.axes[0]
         z = 10000.0
+        bid = market.assets[0].intensity("bid")
         for j in range(5, 16):  # interior nodes, step of one base atom
             p_ref = (reference[j] - reference[j + 1]) / z
-            want, _, _ = quote_kernel(market.assets[0].intensity("bid"), p_ref, market.quote_floor)
+            want = quote_offset(p_ref, bid.alpha, bid.beta, market.quote_floor)
             got = optimal_quote(surface, market, [nodes[j]], 0, "bid", z)
             assert not got.refused
             assert got.delta == pytest.approx(want, abs=1e-3)

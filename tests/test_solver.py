@@ -2,6 +2,7 @@
 safety rails and interpolation access."""
 
 import json
+import math
 import threading
 import warnings
 
@@ -14,6 +15,7 @@ from helpers import (
     make_market_2asset,
     make_market_30asset,
     make_sizes,
+    reference_quote_kernel,
     rk4_lattice_reference,
 )
 from rfqmm.cli import _bundled_config
@@ -97,6 +99,21 @@ class TestAgainstRK4:
         assert err < 2e-3
 
 
+class TestAgainstScipyKernel:
+    @pytest.mark.parametrize("target, nodes", [("paper-2asset", 21), ("paper-30asset", 9)])
+    def test_surfaces_match_the_scipy_route(self, monkeypatch, target, nodes):
+        # the sweep's numpy omega against the old kernel through scipy's
+        # omega and the quote offset: the same scheme, so the surfaces
+        # differ by rounding only
+        market, _ = load_config(_bundled_config(target))
+        fm = build_factor_model(market.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, nodes)
+        surface = solve(market, fm, grid)
+        monkeypatch.setattr(solver, "batch_quote_kernel", reference_quote_kernel)
+        reference = solve(market, fm, grid)
+        np.testing.assert_allclose(surface.values, reference.values, rtol=1e-13, atol=0.0)
+
+
 class TestSafetyRails:
     def test_stability_refusal_names_required_step(self):
         market = make_market_2asset(horizon=1.0)
@@ -129,6 +146,22 @@ class TestSafetyRails:
             SolverConfig(store_policy="everything")
         with pytest.raises(ValidationError):
             SolverConfig(dt=-0.1)
+        for dt in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValidationError, match=f"dt must be positive and finite, got {dt}"):
+                SolverConfig(dt=dt)
+        for s in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValidationError, match=f"snapshot times .* got {s}"):
+                SolverConfig(snapshot_times=(0.01, s))
+
+    def test_snapshot_beyond_the_horizon_is_refused(self):
+        market = make_market_2asset(horizon=0.05)
+        fm = build_factor_model(market.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 5)
+        with pytest.raises(ValidationError, match="snapshot time 0.5 lies beyond the horizon"):
+            solve(market, fm, grid, SolverConfig(snapshot_times=(0.5,)))
+        # the horizon itself is a slice
+        surface = solve(market, fm, grid, SolverConfig(snapshot_times=(0.05,)))
+        assert surface.times.tolist() == [0.0, 0.05]
 
 
 class TestGrid:
@@ -363,7 +396,7 @@ class TestBlockedStep:
         shifted = _read_shifted(theta, lo, frac).reshape(dropped.shape)
         p = (theta.reshape(1, -1) - shifted) * inv_z
         p[dropped] = 0.0
-        expected = batch_quote_kernel(p, lam, alpha, beta, floor)[1]
+        expected = batch_quote_kernel(p, lam, alpha, beta, floor)[0]
         expected[dropped] = 0.0
 
         rows = dropped.shape[0]
