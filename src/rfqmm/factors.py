@@ -32,13 +32,9 @@ class EigenDecomposition:
 
 def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
     """Flip columns so the first component above SIGN_EPS is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        big = np.abs(col) > SIGN_EPS
-        if big.any() and col[np.argmax(big)] < 0.0:
-            out[:, j] = -col
-    return out
+    big = np.abs(vectors) > SIGN_EPS
+    first = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
+    return np.where(big.any(axis=0) & (first < 0.0), -vectors, vectors)
 
 
 def jacobi_eigendecomposition(matrix: np.ndarray) -> EigenDecomposition:
@@ -140,11 +136,9 @@ def build_factor_model(covariance: np.ndarray, n_factors: int) -> FactorModel:
         # arithmetic, so the residual is zero by definition; snap the
         # round-off dust so that residual-free code paths can rely on it.
         residual = np.zeros_like(residual)
-    res_eigs = jacobi_eigendecomposition(residual).eigenvalues
-    if res_eigs[-1] < -1e-8 * float(np.trace(cov)):
-        raise ValidationError(
-            f"residual covariance has a negative eigenvalue {res_eigs[-1]:.3e}"
-        )
+    smallest = np.linalg.eigvalsh(residual)[0]
+    if smallest < -1e-8 * float(np.trace(cov)):
+        raise ValidationError(f"residual covariance has a negative eigenvalue {smallest:.3e}")
 
     for arr in (loadings, factor_cov, residual):
         arr.setflags(write=False)

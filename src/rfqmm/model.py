@@ -42,6 +42,9 @@ PROB_TOL = 1e-12
 #: limit up to round-off is still admissible
 RISK_SLACK = 1.0 + 1e-12
 
+#: quotes at which :func:`validate_hypotheses` probes each intensity curve
+N_PROBES = 100
+
 Side = Literal["bid", "ask"]
 SIDES: tuple[Side, Side] = ("bid", "ask")
 
@@ -459,10 +462,10 @@ class HypothesisReport:
         return out
 
 
-def validate_hypotheses(market: MarketSpec, n_probes: int = 100) -> HypothesisReport:
+def validate_hypotheses(market: MarketSpec) -> HypothesisReport:
     """Check each intensity curve supports a well-posed quote optimization.
 
-    For each (asset, side) the curve is probed at ``n_probes`` quotes:
+    For each (asset, side) the curve is probed at :data:`N_PROBES` quotes:
 
     * the finite-difference slope must be strictly negative,
     * the curvature ratio Lambda * Lambda'' / Lambda'^2 (finite differences)
@@ -493,7 +496,7 @@ def validate_hypotheses(market: MarketSpec, n_probes: int = 100) -> HypothesisRe
                 lo = max(-market.quote_floor, (-width - lam.alpha) / lam.beta)
                 if hi <= lo:
                     hi = lo + 1.0
-                return np.linspace(lo, hi, n_probes)
+                return np.linspace(lo, hi, N_PROBES)
 
             deltas = window(18.0)
             slope = (lam(deltas + h) - lam(deltas - h)) / (2.0 * h)

@@ -312,8 +312,6 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
 
     for j in range(max_ev):
         alive = np.nonzero(j < n_ev)[0]
-        if alive.size == 0:
-            break
         tj = times[alive, j]
         dt = tj - t_prev[alive]
         y_a = y[alive]
@@ -378,12 +376,10 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
         # at its initial price, so this is the wealth change over the run
         pnl = cash + np.einsum("nd,nd->n", q, prices)
     else:
-        pnl = None
         market_pnl += np.sqrt(y * dt) * last
+        pnl = spread + market_pnl
 
     terminal_pen = market.penalty.terminal(y)
-    if pnl is None:
-        pnl = spread + market_pnl
     objective = pnl - pen_int - terminal_pen
     stats = [
         TrajectoryStats(

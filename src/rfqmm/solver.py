@@ -13,6 +13,8 @@ factor displacement of one unit of asset i) and ``envelope`` is the quote
 optimization kernel of the matching intensity curve.  Where a shifted point
 leaves the bounding box the whole term is dropped (the drop-term rule), which
 preserves monotonicity of the scheme; no other out-of-grid rule is offered.
+The box test is :meth:`FactorGrid.contains`, slack included, so the sweep
+keeps exactly the trades the quotes price.
 
 The envelope is :func:`rfqmm.hamiltonian.batch_quote_kernel`, the closed
 form lam * omega(-c) / beta with c = beta*p + alpha + 1, through the numpy
@@ -46,7 +48,7 @@ admissible risk ellipsoid; the ellipsoid only matters to consumers (quote
 refusal, CSV flags).  Updates read exclusively the previous time slice, so
 the sweep is deterministic regardless of evaluation order.
 
-Each step splits the (asset, side, size) rows into contiguous blocks of
+Each step splits the (asset, side, size) rows into contiguous row slices of
 about 2^16 row-node elements, so every temporary of a block stays near
 512 KiB, and runs the blocks on worker threads, one per CPU the process may
 use (inline when there is one block or one CPU).  A block gathers, lerps
@@ -456,7 +458,8 @@ def _shift_rows(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid)
     uniform grid the read separates by axis: node b of axis j reads at
     fractional index b + s_j / h_j.  Returns per-axis lower nodes and
     fractions of shape (rows, n_j); the (rows, n_nodes) mask of dropped
-    terms, those outside the box on some axis; intensity parameters and z as
+    terms, exactly where :meth:`FactorGrid.contains` rejects node + s (the
+    quotes' box rule, applied axis by axis); intensity parameters and z as
     (rows, 1) columns; and z times the atom probability as (rows,).
     """
     ns = grid.nodes_per_axis
@@ -469,12 +472,12 @@ def _shift_rows(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid)
 
     lo, frac = [], []
     inside = np.ones((g,) + ns, dtype=bool)
-    for j, n in enumerate(ns):
+    for j, (n, axis) in enumerate(zip(ns, grid.axes)):
         pos = np.arange(n, dtype=float) + offsets[:, j : j + 1]
         lo_j, w_j = _axis_positions(pos, n - 1.0, n - 2.0)
         lo.append(lo_j)
         frac.append(w_j)
-        ok = (pos >= -BOX_TOL) & (pos <= n - 1 + BOX_TOL)
+        ok = np.abs(axis + shifts[:, j : j + 1]) <= grid._box[j]
         inside &= ok.reshape((g,) + (1,) * j + (n,) + (1,) * (len(ns) - 1 - j))
     columns = (c[:, None] for c in (rows.lam, rows.alpha, rows.beta, rows.size))
     return lo, frac, ~inside.reshape(g, -1), *columns, rows.size * rows.probability
@@ -506,30 +509,18 @@ def _read_shifted(theta: np.ndarray, lo, frac) -> np.ndarray:
     return out
 
 
-def _row_blocks(size: int, lo, frac, *columns):
-    """Contiguous blocks of ``size`` rows.
+def _envelope_rows(theta, floor, lo, frac, dropped, lam, alpha, beta, inv_z, out, rows):
+    """Envelope of the terms of ``rows`` (a slice) at every node, into ``out``.
 
-    Each block holds views of the per-axis ``lo`` and ``frac`` lists and of
-    each of ``columns`` (arrays with rows first), in that order: the
-    arguments of :func:`_envelope_rows` after theta and the floor.
+    ``theta`` has the grid's shape; the other arrays are the step's, rows
+    first, of which the block reads and writes its ``rows`` only.  Dropped
+    terms are zero.
     """
-    return [
-        ([a[r] for a in lo], [a[r] for a in frac], *(c[r] for c in columns))
-        for r in (slice(s, s + size) for s in range(0, lo[0].shape[0], size))
-    ]
-
-
-def _envelope_rows(theta, floor, lo, frac, dropped, lam, alpha, beta, inv_z, out):
-    """Envelope of each row's term at every node, written into ``out``.
-
-    ``theta`` has the grid's shape; the other arguments are one row block
-    (see :func:`_row_blocks`), with ``out`` its (rows, nodes) slice of the
-    step's buffer.  Dropped terms are zero.
-    """
-    shifted = _read_shifted(theta, lo, frac)
-    p = (theta - shifted).reshape(out.shape) * inv_z
+    shifted = _read_shifted(theta, [a[rows] for a in lo], [a[rows] for a in frac])
+    out, dropped = out[rows], dropped[rows]
+    p = (theta - shifted).reshape(out.shape) * inv_z[rows]
     p[dropped] = 0.0
-    out[...] = batch_quote_kernel(p, lam, alpha, beta, floor)[0]
+    out[...] = batch_quote_kernel(p, lam[rows], alpha[rows], beta[rows], floor)[0]
     out[dropped] = 0.0
 
 
@@ -588,56 +579,51 @@ def solve(
 
     lo, frac, dropped, lam, alpha, beta, z, zp = _shift_rows(market, factor_model, grid)
     envelope = np.empty(dropped.shape)
-    blocks = _row_blocks(
-        max(1, _BLOCK_ELEMS // grid.n_nodes), lo, frac, dropped, lam, alpha, beta, 1.0 / z, envelope
-    )
+    sweep = (lo, frac, dropped, lam, alpha, beta, 1.0 / z, envelope)
+    size = max(1, _BLOCK_ELEMS // grid.n_nodes)
+    blocks = [slice(r, r + size) for r in range(0, len(zp), size)]
     workers = min(_worker_count(), len(blocks))
 
-    # slice bookkeeping: after step m (1-based) theta is the slice at
-    # t = horizon - m * dt
-    store_all = cfg.store_policy == "all_slices"
-    snapshot_steps = {}
+    # after step m theta is the slice at t_of[m]; ``kept`` holds the steps
+    # whose slices are stored
+    t_of = np.append(market.horizon - np.arange(n_steps) * dt, 0.0)
+    kept = set(range(n_steps + 1)) if cfg.store_policy == "all_slices" else {n_steps}
     for s in cfg.snapshot_times:
         if s > market.horizon:
             raise ValidationError(
                 f"snapshot time {s} lies beyond the horizon of {market.horizon} days"
             )
-        m = int(round((market.horizon - s) / dt))
-        snapshot_steps.setdefault(m, market.horizon - m * dt)
-
-    stored: list[tuple[float, np.ndarray]] = []
-    if store_all or 0 in snapshot_steps:
-        stored.append((market.horizon, theta.copy()))
+        kept.add(int(round((market.horizon - s) / dt)))
+    # every step rebinds theta to a new array, so a stored slice is never written
+    stored = [theta] if 0 in kept else []
 
     pool = ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
     with pool:
         for m in range(1, n_steps + 1):
-            t_m = 0.0 if m == n_steps else market.horizon - m * dt
-            rows = functools.partial(_envelope_rows, theta.reshape(grid.shape), market.quote_floor)
+            step = functools.partial(
+                _envelope_rows, theta.reshape(grid.shape), market.quote_floor, *sweep
+            )
             if workers > 1:
                 # each block runs in a copy of the caller's context, so an
                 # np.errstate set around solve holds in the workers too
-                futures = [pool.submit(contextvars.copy_context().run, rows, *b) for b in blocks]
+                futures = [pool.submit(contextvars.copy_context().run, step, b) for b in blocks]
                 for f in futures:
                     f.result()
             else:
                 for b in blocks:
-                    rows(*b)
+                    step(b)
             theta = theta + dt * (-drain + zp @ envelope)
             if not np.isfinite(theta).all():
                 raise SolverError(
-                    f"non-finite values after step {m} of {n_steps} (slice t={t_m:.6g} days); "
+                    f"non-finite values after step {m} of {n_steps} "
+                    f"(slice t={t_of[m]:.6g} days); "
                     "check penalty scales and grid extents"
                 )
-            if store_all or m in snapshot_steps:
-                stored.append((t_m, theta.copy()))
+            if m in kept:
+                stored.append(theta)
 
-    if not stored or stored[-1][0] > 0.0:
-        stored.append((0.0, theta.copy()))
-
-    stored.sort(key=lambda pair: pair[0])
-    times = np.array([t for t, _ in stored])
-    values = np.stack([v.reshape(grid.shape) for _, v in stored])
+    times = t_of[sorted(kept, reverse=True)]
+    values = np.stack(stored[::-1]).reshape(times.shape + grid.shape)
     return ValueSurface(
         grid=grid,
         factor_model=factor_model,

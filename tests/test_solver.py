@@ -31,7 +31,6 @@ from rfqmm.solver import (
     ValueSurface,
     _envelope_rows,
     _read_shifted,
-    _row_blocks,
     _shift_rows,
     solve,
     solver_fingerprint,
@@ -278,6 +277,28 @@ class TestEvaluate:
         assert surface.times[0] == 0.0
         assert surface.times[-1] == market.horizon
 
+    def test_kept_slices(self):
+        market = make_market_2asset(horizon=0.05)
+        fm = build_factor_model(market.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 11)
+        every = solve(market, fm, grid, SolverConfig(store_policy="all_slices"))
+        n, dt = every.n_steps, every.dt
+        assert n >= 4
+        # 0, the horizon, and two times that round to the same step
+        snaps = (0.0, market.horizon, market.horizon - 2 * dt, market.horizon - 2.2 * dt)
+        for policy in ("final_slice_only", "all_slices"):
+            surface = solve(market, fm, grid, SolverConfig(store_policy=policy, snapshot_times=snaps))
+            times = surface.times
+            assert (np.diff(times) > 0.0).all()
+            assert times[0] == 0.0 and times[-1] == market.horizon
+            if policy == "all_slices":
+                assert len(times) == n + 1
+            else:
+                assert len(times) == 3
+            for t, values in zip(times, surface.values):
+                m = int(np.flatnonzero(every.times == t)[0])
+                np.testing.assert_array_equal(bits(values), bits(every.values[m]))
+
 
 def value_many_by_axis(surface, t, pts):
     """Reference for ``value_many``: one clip, floor and ravel per axis, the
@@ -372,6 +393,41 @@ class TestShiftedReads:
         assert row == dropped.shape[0]
         assert (~dropped).any(axis=1).all()
 
+    @staticmethod
+    def assert_drops_follow_contains(market, fm, grid):
+        dropped = _shift_rows(market, fm, grid)[2]
+        nodes = grid.node_coordinates()
+        row = 0
+        for i, asset in enumerate(market.assets):
+            for side, sign in (("bid", 1.0), ("ask", -1.0)):
+                for z in asset.sizes(side).sizes:
+                    shifted = nodes + sign * z * fm.shift_directions[i]
+                    np.testing.assert_array_equal(dropped[row], ~grid.contains(shifted))
+                    row += 1
+        assert row == dropped.shape[0]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("target", ["paper-2asset", "paper-30asset"])
+    def test_dropped_terms_are_the_grids_box_test(self, target, k):
+        market, _ = load_config(_bundled_config(target))
+        fm = build_factor_model(market.covariance, k)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
+        self.assert_drops_follow_contains(market, fm, grid)
+
+    def test_a_trade_in_the_box_slack_is_kept(self):
+        # the one size atom moves node 19 of 21 half a BOX_TOL past the edge:
+        # inside the slack, so the bid there and the ask at node 1 are kept
+        risk_limit = 1e5**2 * 1.44
+        fm = build_factor_model(make_market_1asset(risk_limit=risk_limit).covariance, 1)
+        grid = FactorGrid.from_factor_model(fm, risk_limit, 21)
+        half, node = grid.half_widths[0], grid.axes[0][19]
+        z = half * (1.0 + solver.BOX_TOL / 2) - node
+        market = make_market_1asset(risk_limit=risk_limit, sizes=make_sizes((z,), (1.0,)))
+        self.assert_drops_follow_contains(market, fm, grid)
+        dropped = _shift_rows(market, fm, grid)[2]
+        assert not dropped[0, 19] and dropped[0, 20]
+        assert not dropped[1, 1] and dropped[1, 0]
+
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
@@ -402,10 +458,11 @@ class TestBlockedStep:
         rows = dropped.shape[0]
         for size in (1, 7, rows):
             out = np.full(dropped.shape, np.nan)
-            blocks = _row_blocks(size, lo, frac, dropped, lam, alpha, beta, inv_z, out)
-            assert len(blocks) == -(-rows // size)
-            for block in blocks:
-                _envelope_rows(theta, floor, *block)
+            for r in range(0, rows, size):
+                _envelope_rows(
+                    theta, floor, lo, frac, dropped, lam, alpha, beta, inv_z, out,
+                    slice(r, r + size),
+                )
             np.testing.assert_array_equal(bits(out), bits(expected))
 
     def test_values_do_not_depend_on_workers_or_blocks(self, monkeypatch):
