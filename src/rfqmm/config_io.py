@@ -4,7 +4,8 @@ The file format is YAML with keys mirroring the model types.  Loading is
 strict: any key the schema does not know is rejected with the path to the
 offending mapping, because a typo that silently falls back to a default is
 the most expensive failure mode a configuration system has.  Booleans and
-quoted strings are never numbers here, and counts must be integers.
+quoted strings are never numbers here, numbers must be finite (``.nan`` and
+``.inf`` are refused), and counts must be integers.
 
 Top-level schema (units in the bundled examples)::
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any, Mapping
 
 import numpy as np
@@ -112,7 +114,13 @@ def _number(node: Mapping, key: str, path: str, default=None) -> float:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{path} must be a finite number, got {value!r}")
+    return number
 
 
 def _integer(value: Any, path: str) -> int:

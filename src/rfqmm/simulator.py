@@ -166,12 +166,14 @@ def total_variance_gap(result: SimulationResult):
 
     Returns ``(gap, se)`` where gap = Var(pnl) - mean(risk_integral)
     - Var(spread_pnl); the standard error comes from the per-path influence
-    values of that statistic.
+    values of that statistic.  Both variances need at least 2 paths.
     """
+    n = len(result.paths)
+    if n < 2:
+        raise ValidationError(f"total_variance_gap needs at least 2 paths, got {n}")
     pnl = np.array([p.pnl for p in result.paths])
     spread = np.array([p.spread_pnl for p in result.paths])
     risk = np.array([p.risk_integral for p in result.paths])
-    n = pnl.size
     gap = pnl.var(ddof=1) - risk.mean() - spread.var(ddof=1)
     influence = (pnl - pnl.mean()) ** 2 - risk - (spread - spread.mean()) ** 2
     se = float(influence.std(ddof=1) / np.sqrt(n))

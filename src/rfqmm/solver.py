@@ -585,7 +585,8 @@ def solve(
     workers = min(_worker_count(), len(blocks))
 
     # after step m theta is the slice at t_of[m]; ``kept`` holds the steps
-    # whose slices are stored
+    # whose slices are stored, and ``slot`` their rows of ``values`` in
+    # increasing time
     t_of = np.append(market.horizon - np.arange(n_steps) * dt, 0.0)
     kept = set(range(n_steps + 1)) if cfg.store_policy == "all_slices" else {n_steps}
     for s in cfg.snapshot_times:
@@ -594,8 +595,11 @@ def solve(
                 f"snapshot time {s} lies beyond the horizon of {market.horizon} days"
             )
         kept.add(int(round((market.horizon - s) / dt)))
-    # every step rebinds theta to a new array, so a stored slice is never written
-    stored = [theta] if 0 in kept else []
+    steps = sorted(kept, reverse=True)
+    slot = {m: i for i, m in enumerate(steps)}
+    values = np.empty((len(steps), grid.n_nodes))
+    if 0 in kept:
+        values[slot[0]] = theta
 
     pool = ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
     with pool:
@@ -620,15 +624,13 @@ def solve(
                     "check penalty scales and grid extents"
                 )
             if m in kept:
-                stored.append(theta)
+                values[slot[m]] = theta
 
-    times = t_of[sorted(kept, reverse=True)]
-    values = np.stack(stored[::-1]).reshape(times.shape + grid.shape)
     return ValueSurface(
         grid=grid,
         factor_model=factor_model,
-        times=times,
-        values=values,
+        times=t_of[steps],
+        values=values.reshape((len(steps),) + grid.shape),
         horizon=market.horizon,
         dt=dt,
         n_steps=n_steps,

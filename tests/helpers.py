@@ -68,9 +68,10 @@ def make_market_2asset(
     sigmas=(1.2, 0.6),
     quote_floor: float = 1.0,
     penalty: RiskPenalty | None = None,
+    alpha: float = 0.7,
 ) -> MarketSpec:
     assets = tuple(
-        make_asset(asset_id=f"A{i}", sigma=s, lam=lam) for i, s in enumerate(sigmas)
+        make_asset(asset_id=f"A{i}", sigma=s, lam=lam, alpha=alpha) for i, s in enumerate(sigmas)
     )
     correlation = np.array([[1.0, rho], [rho, 1.0]])
     pen = penalty if penalty is not None else RiskPenalty(running_form="quadratic", gamma=gamma)

@@ -5,6 +5,7 @@ full-size reproduction runs live in the acceptance suite.
 """
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -186,7 +187,9 @@ class TestParseConfig:
     # each case loaded at an earlier build: booleans passed as integers, a
     # fractional block size was truncated, quoted numbers were converted and
     # a negative block size went unnoticed (a ragged matrix raised numpy's
-    # ValueError)
+    # ValueError); non-finite numbers loaded, then the config hash's JSON
+    # rendering raised ValueError (an integer past the float range,
+    # OverflowError)
     @pytest.mark.parametrize("grouped, where, value, path", [
         (True, ("asset_groups", 0, "count"), True, "asset_groups[0].count"),
         (True, ("correlation", "block", "sizes", 0), 3.9, "correlation.block.sizes[0]"),
@@ -200,9 +203,16 @@ class TestParseConfig:
         (False, ("assets", 0, "sizes", "probabilities", 2), True, "assets[0].sizes.probabilities[2]"),
         (False, ("assets", 0, "sizes"), {"gamma": {"shape": 4.0, "rate": 4.0e-4, "n_atoms": True}},
          "assets[0].sizes.gamma.n_atoms"),
+        (False, ("horizon",), math.nan, "inline.horizon must be a finite number, got nan"),
+        (False, ("penalty", "gamma"), math.nan, "penalty.gamma must be a finite number"),
+        (False, ("assets", 0, "sigma"), math.inf, "assets[0].sigma must be a finite number"),
+        (False, ("correlation", "matrix", 0, 1), math.nan,
+         "correlation.matrix[0][1] must be a finite number"),
+        (True, ("asset_groups", 1, "s0"), 10**400, "asset_groups[1].s0 must be a finite number"),
     ], ids=["count-bool", "block-size-fraction", "block-size-string", "block-size-negative",
             "within-string", "matrix-string", "matrix-ragged", "atom-string", "probability-bool",
-            "n-atoms-bool"])
+            "n-atoms-bool", "horizon-nan", "gamma-nan", "sigma-inf", "correlation-nan",
+            "s0-huge-int"])
     def test_malformed_numbers_named_by_path(self, grouped, where, value, path):
         raw = self.grouped() if grouped else deep(BASE)
         node = raw
@@ -304,6 +314,14 @@ class TestCommands:
         p = config_file(raw)
         assert main(["validate", "--config", str(p)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_validate_non_finite_number_exits_nonzero(self, config_file, capsys):
+        raw = deep(BASE)
+        raw["horizon"] = math.nan
+        p = config_file(raw)
+        assert main(["validate", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "horizon must be a finite number, got nan" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) == 1

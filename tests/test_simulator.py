@@ -368,6 +368,13 @@ class TestTrivialCases:
             np.testing.assert_array_equal(p.terminal_inventory, q0)
             assert p.risk_integral == float(q0 @ market.covariance @ q0) * market.horizon
 
+    # one path has no sample variance: numpy warned and returned NaN
+    def test_variance_gap_needs_two_paths(self):
+        market = make_market_2asset(horizon=3.0, lam=0.0)
+        result = simulate(market, MyopicPolicy(market), 1, seed=4)
+        with pytest.raises(ValidationError, match="at least 2 paths, got 1"):
+            total_variance_gap(result)
+
     # Occupancy: inventory_paths gives each path's inventories and how long
     # each is held, the time weights of an inventory histogram.
     def test_single_path_no_fills_histogram_is_a_point_mass(self):

@@ -4,6 +4,7 @@ safety rails and interpolation access."""
 import json
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -276,6 +277,20 @@ class TestEvaluate:
         assert len(surface.times) == surface.n_steps + 1
         assert surface.times[0] == 0.0
         assert surface.times[-1] == market.horizon
+
+    def test_all_slices_are_stored_once(self):
+        # each kept slice is written once into the stored array; stacking a
+        # list of slices at the end would peak at about twice the stored bytes
+        market = make_market_2asset(horizon=4.0)
+        fm = build_factor_model(market.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 61)
+        tracemalloc.start()
+        try:
+            surface = solve(market, fm, grid, SolverConfig(store_policy="all_slices"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * surface.values.nbytes
 
     def test_kept_slices(self):
         market = make_market_2asset(horizon=0.05)
