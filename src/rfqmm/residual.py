@@ -42,7 +42,7 @@ from .factors import FactorModel
 from .hamiltonian import quote_offset
 from .model import SIDES, MarketSpec, clean_inventory
 from .quotes import SurfacePolicy, optimal_quote
-from .simulator import SimulationResult, inventory_paths, simulate
+from .simulator import SimulationResult, inventory_paths, simulate, standard_error
 from .solver import ValueSurface
 
 
@@ -52,7 +52,8 @@ class ResidualCorrection:
 
     ``value`` is the estimated correction (a cost, hence <= 0 for
     nondecreasing penalties and positive semidefinite residual covariance),
-    ``stderr`` the sample standard error, and ``samples`` the per-path
+    ``stderr`` its sample standard error (NaN for one path, by
+    :func:`rfqmm.simulator.standard_error`), and ``samples`` the per-path
     contributions the two are computed from.  A given ``(seed, inputs)``
     pair reproduces all three bit-exactly.
     """
@@ -75,7 +76,8 @@ class AdjustedQuote:
     why); in that case no simulation is run and the correction fields are
     None.  ``shift`` is the per-unit reservation change
     ``(correction(q) - correction(q'))/size`` with ``q'`` the post-trade
-    inventory, and ``shift_stderr`` its paired standard error.
+    inventory, and ``shift_stderr`` its paired standard error (NaN for one
+    path).
     """
 
     asset: int
@@ -150,8 +152,7 @@ def correction_samples(
 
 def _summarise_samples(samples: np.ndarray, n_paths: int, seed: int) -> ResidualCorrection:
     value = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return ResidualCorrection(value, stderr, n_paths, seed, samples)
+    return ResidualCorrection(value, standard_error(samples), n_paths, seed, samples)
 
 
 def residual_correction(
@@ -168,7 +169,8 @@ def residual_correction(
     remaining horizon and averages the exact pathwise penalty-derivative
     integral of the leftover quadratic risk.  A full-rank factor model has a
     zero residual, making the integrand identically zero; that case returns
-    an exact zero with zero standard error and runs no simulation.
+    an exact zero, with zero standard error from two paths on, and runs no
+    simulation.
     """
     _check_estimation_inputs(market, t, n_paths)
     fm = surface.factor_model
@@ -246,7 +248,7 @@ def adjusted_quote(
     there = residual_correction(surface, market, q_post, t=t, n_paths=n_paths, seed=seed)
     diffs = (here.samples - there.samples) / size
     shift = float(diffs.mean())
-    shift_stderr = float(diffs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    shift_stderr = standard_error(diffs)
 
     adjusted_reservation = base.reservation + shift
     _, alpha, beta = market.intensity_table[asset, SIDES.index(side)]

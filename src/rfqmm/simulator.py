@@ -130,6 +130,12 @@ class SimulationResult:
             fp.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def standard_error(samples: np.ndarray) -> float:
+    """Standard error of the mean of ``samples``; NaN below two samples."""
+    n = len(samples)
+    return float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+
+
 def _summarise(paths: List[TrajectoryStats]) -> SimulationSummary:
     n = len(paths)
     pnl = np.array([p.pnl for p in paths])
@@ -154,10 +160,10 @@ def _summarise(paths: List[TrajectoryStats]) -> SimulationSummary:
         stdev_from_rfq=float(spread.std(ddof=1)) if n > 1 else 0.0,
         objective=float(objective.mean()),
         mean_risk_integral=float(risk.mean()),
-        se_mean_pnl=float(pnl.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan"),
+        se_mean_pnl=standard_error(pnl),
         se_stdev_pnl=se_of_stdev(pnl),
         se_stdev_from_rfq=se_of_stdev(spread),
-        se_objective=float(objective.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan"),
+        se_objective=standard_error(objective),
     )
 
 

@@ -49,17 +49,24 @@ refusal, CSV flags).  Updates read exclusively the previous time slice, so
 the sweep is deterministic regardless of evaluation order.
 
 Each step splits the (asset, side, size) rows into contiguous row slices of
-about 2^16 row-node elements, so every temporary of a block stays near
-512 KiB, and runs the blocks on worker threads, one per CPU the process may
-use (inline when there is one block or one CPU).  A block gathers, lerps
-and evaluates the quote kernel for its rows only and writes their envelope
-into its slice of one (rows, nodes) buffer; numpy and the kernel release
-the GIL while they do.  Every one of those operations is elementwise per
-row, so a row's envelope has the same bits in any block; the update
-``theta + dt * (-drain + zp @ envelope)`` then runs on the calling thread
-over the whole buffer once all blocks are done, in the same summation order
-as an unblocked step.  Surfaces therefore do not depend on the worker count
-or the block size.  The threads live for one ``solve`` call.
+about 2^16 row-node elements and runs them on worker threads, one per CPU
+the process may use (inline when there is one block or one CPU).  A step
+gives each worker one task: every workers-th block, computed in that
+worker's scratch array, sized to the largest block and reused at every
+step.  A block gathers with ``np.take`` into the scratch, lerps, and
+evaluates the quote kernel through its work array, all in place, so a step
+allocates no float array of a block's size; the gather indices and lerp
+weights are built once per solve.  A block writes its rows' envelope into
+its slice of one (rows, nodes) buffer; numpy and the kernel release the GIL
+while they do.  Every one of those operations is elementwise per row, so a
+row's envelope has the same bits in any block.  Once all blocks are done,
+the calling thread runs the update
+``theta + dt * (-drain + sum_r zp_r * envelope_r)``, summing the rows in
+order with ``np.einsum("r,rn->n", ...)`` as a loop over them would
+(``tests/test_solver.py``).  No BLAS runs: its summation order depends on
+the build and its thread count, and its idle threads spin on the cores the
+workers need.  Surfaces therefore do not depend on the worker count, the
+block size or the BLAS build.  The threads live for one ``solve`` call.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ from . import __version__
 from .errors import OutOfDomainError, SolverError, StabilityError, ValidationError
 from .events import SIDE_SIGNS, BucketTable
 from .factors import FactorModel
-from .hamiltonian import batch_quote_kernel
+from .hamiltonian import KERNEL_BUFFERS, batch_quote_kernel, work_rows
 from .model import RISK_SLACK, MarketSpec
 
 #: relative slack when testing grid-box membership
@@ -91,7 +98,11 @@ BOX_TOL = 1e-9
 
 _FORMAT_VERSION = 2
 
-#: row-node elements per block of a sweep step: 512 KiB per float64 temporary
+#: the sweep's arithmetic, in every fingerprint; a change that moves a
+#: surface's bits renames it, so caches solved before are refused
+SWEEP_SCHEME = "explicit-euler/omega-envelope/row-order-sum"
+
+#: row-node elements per block of a sweep step: 512 KiB per float64 buffer
 _BLOCK_ELEMS = 2**16
 
 #: largest admissible dt times the sum of the intensities at the quote floor
@@ -282,12 +293,14 @@ class SolverConfig:
 
 
 def solver_fingerprint(config: SolverConfig) -> dict:
-    """The package version and every ``config`` field, as a cache stores them.
+    """The package version, the sweep scheme and every ``config`` field, as a
+    cache stores them.
 
     A cached surface stands in for a new solve only when the two
     fingerprints are equal.
     """
-    return json.loads(json.dumps({"version": __version__, **dataclasses.asdict(config)}))
+    fingerprint = {"version": __version__, "scheme": SWEEP_SCHEME, **dataclasses.asdict(config)}
+    return json.loads(json.dumps(fingerprint))
 
 
 @dataclass(eq=False)
@@ -483,45 +496,75 @@ def _shift_rows(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid)
     return lo, frac, ~inside.reshape(g, -1), *columns, rows.size * rows.probability
 
 
-def _read_shifted(theta: np.ndarray, lo, frac) -> np.ndarray:
+def _axis_reads(lo, frac, rows=slice(None)):
+    """What :func:`_read_shifted` gathers for the rows ``rows`` of ``lo, frac``.
+
+    Per axis, last axis first: the flat gather indices of the lower and the
+    upper read and their two lerp weights.  They depend on the rows alone,
+    so a solve builds them once per block.
+    """
+    k, g = len(lo), len(lo[0][rows])
+    reads, m = [], 1
+    for j in reversed(range(k)):
+        lower = lo[j][rows] * m + np.arange(g)[:, None] % m
+        w = frac[j][rows].reshape((g, -1) + (1,) * (k - 1 - j))
+        reads.append((lower, lower + m, 1.0 - w, w))
+        m = g
+    return reads
+
+
+def _read_shifted(theta: np.ndarray, reads, work=None) -> np.ndarray:
     """theta read at every node shifted by each row's displacement.
 
     Interpolates one axis at a time, last axis first, with two reads and one
     lerp per axis.  Before axis j is read the array is laid out as
     (n_0, ..., n_j, m, n_j+1, ...), where the row axis m has length 1 until
     the first read.  Merging axis j with the row axis turns the read of row
-    r at node b into a plain gather at index lo[j][r, b] * m + r.
-    Returns shape (rows,) + theta.shape.
+    r at node b into a plain gather at index lo[j][r, b] * m + r, which
+    ``reads`` (:func:`_axis_reads`) holds.  The reads take turns in three
+    buffers carved from the flat array ``work`` (allocated without one), as
+    in :func:`rfqmm.hamiltonian.work_rows`.  Returns shape (rows,) +
+    theta.shape, a view of ``work``.
     """
-    rows = lo[0].shape[0]
+    bufs = work_rows(work, 3, reads[0][0].shape[0] * theta.size)
     out = theta[..., None]
-    for j in reversed(range(theta.ndim)):
-        m = out.shape[j + 1]
+    for i, (lower, upper, w_lower, w_upper) in enumerate(reads):
+        j = theta.ndim - 1 - i
         merged = out.reshape(out.shape[:j] + (-1,) + out.shape[j + 2 :])
-        at = (slice(None),) * j + (lo[j] * m + np.arange(rows)[:, None] % m,)
-        below = merged[at]
-        above = merged[at[:j] + (at[j] + m,)]
-        w = frac[j].reshape(frac[j].shape + (1,) * (theta.ndim - 1 - j))
-        below *= 1.0 - w
-        above *= w
+        shape = merged.shape[:j] + lower.shape + merged.shape[j + 1 :]
+        below = np.take(merged, lower, axis=j, out=bufs[i % 3].reshape(shape), mode="clip")
+        above = np.take(merged, upper, axis=j, out=bufs[(i + 1) % 3].reshape(shape), mode="clip")
+        below *= w_lower
+        above *= w_upper
         below += above
         out = below
     return out
 
 
-def _envelope_rows(theta, floor, lo, frac, dropped, lam, alpha, beta, inv_z, out, rows):
+#: full-size buffers a block of a sweep step computes in: its reservation
+#: levels, then the kernel's (the shifted reads use three of those first)
+_BLOCK_BUFFERS = 1 + KERNEL_BUFFERS
+
+
+def _envelope_rows(theta, floor, rows, reads, dropped, lam, alpha, beta, inv_z, out, work):
     """Envelope of the terms of ``rows`` (a slice) at every node, into ``out``.
 
-    ``theta`` has the grid's shape; the other arrays are the step's, rows
-    first, of which the block reads and writes its ``rows`` only.  Dropped
-    terms are zero.
+    ``theta`` has the grid's shape and ``reads`` are the rows' gathers
+    (:func:`_axis_reads`); the other arrays are the step's, rows first, of
+    which the block reads and writes its ``rows`` only.  ``work`` is flat
+    scratch of at least :data:`_BLOCK_BUFFERS` times the block's elements,
+    which the block computes in.  Dropped terms are zero.
     """
-    shifted = _read_shifted(theta, [a[rows] for a in lo], [a[rows] for a in frac])
     out, dropped = out[rows], dropped[rows]
-    p = (theta - shifted).reshape(out.shape) * inv_z[rows]
-    p[dropped] = 0.0
-    out[...] = batch_quote_kernel(p, lam[rows], alpha[rows], beta[rows], floor)[0]
-    out[dropped] = 0.0
+    size = out.size
+    p = work[:size].reshape(out.shape)
+    shifted = _read_shifted(theta, reads, work[size:])
+    np.subtract(theta, shifted, out=p.reshape(shifted.shape))
+    p *= inv_z[rows]
+    np.copyto(p, 0.0, where=dropped)
+    value = batch_quote_kernel(p, lam[rows], alpha[rows], beta[rows], floor, work=work[size:])[0]
+    np.copyto(out, value)
+    np.copyto(out, 0.0, where=dropped)
 
 
 def _worker_count() -> int:
@@ -579,10 +622,17 @@ def solve(
 
     lo, frac, dropped, lam, alpha, beta, z, zp = _shift_rows(market, factor_model, grid)
     envelope = np.empty(dropped.shape)
-    sweep = (lo, frac, dropped, lam, alpha, beta, 1.0 / z, envelope)
-    size = max(1, _BLOCK_ELEMS // grid.n_nodes)
+    sweep = (dropped, lam, alpha, beta, 1.0 / z, envelope)
+    size = min(max(1, _BLOCK_ELEMS // grid.n_nodes), len(zp))
     blocks = [slice(r, r + size) for r in range(0, len(zp), size)]
+    reads = [_axis_reads(lo, frac, b) for b in blocks]
     workers = min(_worker_count(), len(blocks))
+    scratch = [np.empty(_BLOCK_BUFFERS * size * grid.n_nodes) for _ in range(workers)]
+
+    def run(theta, i):
+        # worker i computes every workers-th block, all in its own scratch
+        for b in range(i, len(blocks), workers):
+            _envelope_rows(theta, market.quote_floor, blocks[b], reads[b], *sweep, scratch[i])
 
     # after step m theta is the slice at t_of[m]; ``kept`` holds the steps
     # whose slices are stored, and ``slot`` their rows of ``values`` in
@@ -604,19 +654,18 @@ def solve(
     pool = ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
     with pool:
         for m in range(1, n_steps + 1):
-            step = functools.partial(
-                _envelope_rows, theta.reshape(grid.shape), market.quote_floor, *sweep
-            )
+            step = functools.partial(run, theta.reshape(grid.shape))
             if workers > 1:
-                # each block runs in a copy of the caller's context, so an
+                # each task runs in a copy of the caller's context, so an
                 # np.errstate set around solve holds in the workers too
-                futures = [pool.submit(contextvars.copy_context().run, step, b) for b in blocks]
+                futures = [
+                    pool.submit(contextvars.copy_context().run, step, i) for i in range(workers)
+                ]
                 for f in futures:
                     f.result()
             else:
-                for b in blocks:
-                    step(b)
-            theta = theta + dt * (-drain + zp @ envelope)
+                step(0)
+            theta = theta + dt * (-drain + np.einsum("r,rn->n", zp, envelope))
             if not np.isfinite(theta).all():
                 raise SolverError(
                     f"non-finite values after step {m} of {n_steps} "

@@ -7,6 +7,7 @@ full-size reproduction runs live in the acceptance suite.
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from rfqmm.cli import _surface_cache_name, main
 from rfqmm.config_io import config_hash, load_config, parse_config
 from rfqmm.errors import ValidationError
 from rfqmm.factors import build_factor_model
-from rfqmm.solver import FactorGrid, SolverConfig, solve
+from rfqmm.solver import SWEEP_SCHEME, FactorGrid, SolverConfig, solve
 
 BASE = {
     "horizon": 0.5,
@@ -428,6 +429,25 @@ class TestCommands:
         assert code == 2
         assert named in err and err.rstrip().endswith("delete it or change --out-dir")
 
+    @pytest.mark.parametrize("scheme, named", [
+        # a cache from before the update summed its rows in a fixed order
+        ("explicit-euler/omega-envelope", "solved with scheme='explicit-euler/omega-envelope'"),
+        (None, "solved with no scheme"),
+    ], ids=["old-scheme", "missing-scheme"])
+    def test_cache_of_another_sweep_scheme_refused(self, work, tmp_path, capsys, scheme, named):
+        cfg, out = work
+
+        def edit(meta):
+            fingerprint = {k: v for k, v in meta["fingerprint"].items() if k != "scheme"}
+            if scheme is not None:
+                fingerprint["scheme"] = scheme
+            return {**meta, "fingerprint": fingerprint}
+
+        code, err = self.quote_off_edited_cache(cfg, out, tmp_path, edit, capsys)
+        assert code == 2
+        assert named in err and f"needs scheme={SWEEP_SCHEME!r}" in err
+        assert err.rstrip().endswith("delete it or change --out-dir")
+
     def test_cache_from_another_config_refused(self, work, tmp_path, capsys):
         cfg, _ = work
         _, h = load_config(cfg)
@@ -503,6 +523,22 @@ class TestCommands:
         assert lines[0].startswith("asset,side,size,base_delta,adjusted_delta,shift")
         assert len(lines) == 3
         assert lines[1].split(",")[-1] == "ok"
+
+    def test_adjust_with_one_path_reports_nan_stderr(self, work, tmp_path, capsys):
+        cfg, out = work
+        shutil.copytree(out / "cache", tmp_path / "cache")
+        code = main(
+            ["adjust", "--config", str(cfg), "--out-dir", str(tmp_path),
+             "--grid", "21", "--factors", "1", "--paths", "1", "--seed", "9",
+             "--rfq", "0:bid:12500"]
+        )
+        assert code == 0
+        assert "(stderr nan, 1 paths)" in capsys.readouterr().out
+        _, h = load_config(cfg)
+        lines = (tmp_path / f"adjust_{h[:12]}_k1.csv").read_text(encoding="utf-8").splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["shift_stderr"] == row["correction_stderr"] == "nan"
+        assert row["reason"] == "ok"
 
     def test_adjust_rejects_malformed_rfq(self, work, capsys):
         cfg, out = work

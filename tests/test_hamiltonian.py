@@ -20,6 +20,8 @@ from scipy.special import wrightomega
 
 from helpers import make_intensity
 from rfqmm.hamiltonian import (
+    KERNEL_BUFFERS,
+    OMEGA_BUFFERS,
     batch_quote_kernel,
     quote_offset,
     solve_offset_equation,
@@ -224,6 +226,45 @@ class TestWrightOmega:
     def test_shape_and_scalar(self):
         assert wright_omega(np.zeros((2, 3))).shape == (2, 3)
         assert wright_omega(0.0) == pytest.approx(0.5671432904097838, rel=1e-15)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestWorkArray:
+    """A caller's work array changes where the steps run, not their bits."""
+
+    def test_wright_omega(self):
+        z = np.concatenate([
+            np.linspace(-60.0, 60.0, 241),  # below -50 and both starting guesses
+            [-1e6, 1e20, np.nextafter(1e20, np.inf), 1e300, np.inf, -np.inf, np.nan],
+        ]).reshape(31, 8)
+        # stale values, and longer than the call needs
+        work = np.full(OMEGA_BUFFERS * z.size + 3, np.nan)
+        got = wright_omega(z, work)
+        np.testing.assert_array_equal(bits(got), bits(wright_omega(z)))
+        assert got.shape == z.shape and np.shares_memory(got, work)
+
+    def test_batch_quote_kernel(self):
+        # one curve per row, as in the sweep, across the clamp at floor 0.05
+        rng = np.random.default_rng(3)
+        lam, alpha = rng.uniform(5.0, 50.0, (6, 1)), rng.uniform(-1.0, 1.0, (6, 1))
+        beta, floor = rng.uniform(10.0, 60.0, (6, 1)), 0.05
+        p = rng.uniform(-1.0, 1.0, (6, 40))
+        # -c below -50, -c above 1e20 (clamped), NaN
+        p[0, :3] = [1e6, -1e25, np.nan]
+        x_f = alpha - beta * floor
+        clamped = beta * p + alpha + 1.0 < x_f - np.exp(-x_f)
+        assert clamped.any() and (~clamped & ~np.isnan(p)).any()
+
+        work = np.full(KERNEL_BUFFERS * p.size + 5, np.nan)
+        got = batch_quote_kernel(p, lam, alpha, beta, floor, work=work)
+        want = batch_quote_kernel(p, lam, alpha, beta, floor)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(bits(g), bits(w))
+            assert np.shares_memory(g, work)
+        assert np.isnan(got[0][0, 2]) and np.isfinite(np.delete(got[0].ravel(), 2)).all()
 
 
 class TestEnvelopeTheorem:

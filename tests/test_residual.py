@@ -2,6 +2,7 @@
 fill simulator, error handling, and the adjusted quotes built on it."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -178,10 +179,12 @@ class TestStderr:
         assert errs[100] / errs[400] == pytest.approx(2.0, rel=0.2)
         assert errs[400] / errs[1600] == pytest.approx(2.0, rel=0.2)
 
-    def test_single_path_has_zero_stderr(self, flat_setup):
+    def test_single_path_has_nan_stderr(self, flat_setup):
+        # one path gives no spread to estimate from, as in the simulator
         surface, priced, _ = flat_setup
         est = residual_correction(surface, priced, n_paths=1, seed=3)
-        assert est.stderr == 0.0 and est.n_paths == 1
+        assert math.isnan(est.stderr) and est.n_paths == 1
+        assert math.isfinite(est.value)
 
 
 class TestDegenerateAndErrors:
@@ -239,6 +242,14 @@ class TestAdjustedQuote:
         # rises and the bid widens
         assert adj.shift > 0.0
         assert adj.delta > adj.base_delta
+
+    def test_single_path_shift_has_nan_stderr(self, flat_setup):
+        surface, priced, _ = flat_setup
+        adj = adjusted_quote(surface, priced, [40000.0], 0, "bid", 12500.0, n_paths=1, seed=21)
+        assert not adj.refused and math.isfinite(adj.shift) and math.isfinite(adj.delta)
+        assert math.isnan(adj.shift_stderr)
+        assert math.isnan(adj.correction_at_state.stderr)
+        assert math.isnan(adj.correction_after_trade.stderr)
 
     def test_pairing_beats_independent_streams(self, flat_setup):
         surface, priced, _ = flat_setup

@@ -1,8 +1,10 @@
 """Backward sweep checks: closed forms, an independent ODE oracle, scheme
 safety rails and interpolation access."""
 
+import dataclasses
 import json
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -30,6 +32,7 @@ from rfqmm.solver import (
     FactorGrid,
     SolverConfig,
     ValueSurface,
+    _axis_reads,
     _envelope_rows,
     _read_shifted,
     _shift_rows,
@@ -394,7 +397,7 @@ class TestShiftedReads:
             horizon=market.horizon, dt=market.horizon, n_steps=1,
         )
         lo, frac, dropped, *_ = _shift_rows(market, fm, grid)
-        reads = _read_shifted(theta, lo, frac).reshape(dropped.shape)
+        reads = _read_shifted(theta, _axis_reads(lo, frac)).reshape(dropped.shape)
         nodes = grid.node_coordinates()
         row = 0
         for i, asset in enumerate(market.assets):
@@ -464,7 +467,7 @@ class TestBlockedStep:
         floor = market.quote_floor
 
         # the whole-batch step
-        shifted = _read_shifted(theta, lo, frac).reshape(dropped.shape)
+        shifted = _read_shifted(theta, _axis_reads(lo, frac)).reshape(dropped.shape)
         p = (theta.reshape(1, -1) - shifted) * inv_z
         p[dropped] = 0.0
         expected = batch_quote_kernel(p, lam, alpha, beta, floor)[0]
@@ -473,12 +476,40 @@ class TestBlockedStep:
         rows = dropped.shape[0]
         for size in (1, 7, rows):
             out = np.full(dropped.shape, np.nan)
+            # scratch of stale values, reused by every block
+            work = np.full(solver._BLOCK_BUFFERS * size * grid.n_nodes, np.nan)
             for r in range(0, rows, size):
+                block = slice(r, r + size)
                 _envelope_rows(
-                    theta, floor, lo, frac, dropped, lam, alpha, beta, inv_z, out,
-                    slice(r, r + size),
+                    theta, floor, block, _axis_reads(lo, frac, block), dropped,
+                    lam, alpha, beta, inv_z, out, work,
                 )
             np.testing.assert_array_equal(bits(out), bits(expected))
+
+    def test_update_is_the_row_order_sum(self):
+        # one step of a 30-asset sweep against its update written out as a
+        # sum over the rows in order: the sweep calls no BLAS, whose
+        # summation order would depend on the build and its thread count
+        market, _ = load_config(_bundled_config("paper-30asset"))
+        fm = build_factor_model(market.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
+        surface = solve(dataclasses.replace(market, horizon=1e-4), fm, grid)
+        assert surface.n_steps == 1
+
+        lo, frac, dropped, lam, alpha, beta, z, zp = _shift_rows(market, fm, grid)
+        risk = grid.risk_levels()
+        theta = -market.penalty.terminal(risk)
+        envelope = np.empty(dropped.shape)
+        _envelope_rows(
+            theta.reshape(grid.shape), market.quote_floor, slice(None), _axis_reads(lo, frac),
+            dropped, lam, alpha, beta, 1.0 / z, envelope,
+            np.empty(solver._BLOCK_BUFFERS * envelope.size),
+        )
+        total = zp[0] * envelope[0]
+        for r in range(1, len(zp)):
+            total += zp[r] * envelope[r]
+        expected = theta + surface.dt * (-market.penalty.running(risk) + total)
+        np.testing.assert_array_equal(bits(surface.values[0].ravel()), bits(expected))
 
     def test_values_do_not_depend_on_workers_or_blocks(self, monkeypatch):
         market = make_market_2asset(horizon=0.1)
@@ -487,24 +518,35 @@ class TestBlockedStep:
         reference = solve(market, fm, grid)  # 16 rows on 441 nodes: one block
 
         caller = threading.current_thread()
-        runners = []
+        runners, sizes = [], set()
 
-        def spy(*args):
+        def spy(p, *args, **kwargs):
             runners.append(threading.current_thread())
-            return batch_quote_kernel(*args)
+            sizes.add(p.size)
+            return batch_quote_kernel(p, *args, **kwargs)
 
         monkeypatch.setattr(solver, "batch_quote_kernel", spy)
-        monkeypatch.setattr(solver, "_BLOCK_ELEMS", 1000)  # 2 rows a block: 8 blocks
-        for workers in (1, 2):
-            monkeypatch.setattr(solver, "_worker_count", lambda: workers)
-            runners.clear()
-            before = threading.active_count()
-            surface = solve(market, fm, grid)
-            assert threading.active_count() == before
-            np.testing.assert_array_equal(bits(surface.values), bits(reference.values))
-            assert len(runners) == 8 * surface.n_steps
-            on_caller = sum(t is caller for t in runners)
-            assert on_caller == (len(runners) if workers == 1 else 0)
+        # 2 rows a block, 8 blocks; 3 rows a block, 6 blocks, the last of 1 row;
+        # up to 3 workers on however many cores, switching threads often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for elems, blocks in ((1000, [2] * 8), (1400, [3] * 5 + [1])):
+                monkeypatch.setattr(solver, "_BLOCK_ELEMS", elems)
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(solver, "_worker_count", lambda: workers)
+                    runners.clear()
+                    sizes.clear()
+                    before = threading.active_count()
+                    surface = solve(market, fm, grid)
+                    assert threading.active_count() == before
+                    np.testing.assert_array_equal(bits(surface.values), bits(reference.values))
+                    assert len(runners) == len(blocks) * surface.n_steps
+                    assert sizes == {rows * grid.n_nodes for rows in blocks}
+                    on_caller = sum(t is caller for t in runners)
+                    assert on_caller == (len(runners) if workers == 1 else 0)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_caller_error_state_holds_in_workers(self, monkeypatch, workers):
