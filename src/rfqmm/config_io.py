@@ -47,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Mapping
+from typing import Any, Mapping, get_args
 
 import numpy as np
 import yaml
@@ -55,6 +55,7 @@ import yaml
 from .errors import ValidationError
 from .model import (
     AssetSpec,
+    DiscretizationRule,
     GammaSpec,
     LogisticIntensity,
     MarketSpec,
@@ -233,6 +234,11 @@ def _parse_sizes(node: Any, path: str) -> SizeDistribution:
     spec = GammaSpec(shape=_number(g, "shape", f"{path}.gamma"), rate=_number(g, "rate", f"{path}.gamma"))
     kwargs = {}
     if "rule" in g:
+        rules = get_args(DiscretizationRule)
+        if g["rule"] not in rules:
+            raise ValidationError(
+                f"{path}.gamma.rule must be {' or '.join(map(repr, rules))}, got {g['rule']!r}"
+            )
         kwargs["rule"] = g["rule"]
     if "z_max_sigmas" in g:
         kwargs["z_max_sigmas"] = _number(g, "z_max_sigmas", f"{path}.gamma")

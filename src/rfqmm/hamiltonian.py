@@ -27,11 +27,9 @@ The module has two entries, one per kind of caller:
   about 2^16 elements, through :func:`wright_omega`, a numpy evaluation of
   omega that costs about a third of scipy's ``wrightomega`` per element
   there (31 against 87 ns on a 2-core Xeon VM).  It computes no quote, no
-  log and no intensity per element.  It and :func:`wright_omega` run their
-  full-size steps in place, in a flat work array the caller may pass
-  (:func:`work_rows`); the sweep passes each worker's scratch, so a block
-  allocates no float temporary of its size.  Without one they allocate it;
-  the bits are the same.
+  log and no intensity per element, and it runs its full-size steps in
+  place: on a block a fresh temporary per operation costs more than the
+  arithmetic.
 * :func:`quote_offset` is the quoting rule's offset d*: the quotes, the
   myopic policy and the residual-adjusted quote call it on one to a few
   hundred rows, where scipy's ``wrightomega`` has the far smaller fixed
@@ -55,22 +53,7 @@ from .model import fill_intensity
 #: smallest normal float; floors the discarded argument of the log branch
 _TINY = np.finfo(float).tiny
 
-#: full-size float buffers :func:`wright_omega` computes in
-OMEGA_BUFFERS = 5
-#: full-size float buffers :func:`batch_quote_kernel` computes in, its
-#: omega's included
-KERNEL_BUFFERS = OMEGA_BUFFERS + 1
-
-
-def work_rows(work, count, size):
-    """``count`` contiguous float rows of ``size`` elements, carved from the
-    front of the flat array ``work``, or freshly allocated without one."""
-    if work is None:
-        work = np.empty(count * size)
-    return work[: count * size].reshape(count, size)
-
-
-def wright_omega(z, work=None):
+def wright_omega(z):
     """Real Wright omega, omega + log(omega) = z, elementwise over an array.
 
     The starting guess of Lawrence, Corless & Jeffrey (ACM TOMS 2012) --
@@ -82,15 +65,19 @@ def wright_omega(z, work=None):
     a finite or exact result with no floating-point warning.  NaN stays NaN.
     Returns an array of z's shape, 0-d for a scalar.
 
-    The steps work in place on :data:`OMEGA_BUFFERS` full-size buffers: on
-    a sweep block a fresh temporary per operation would cost more than the
-    arithmetic.  ``work``, a flat float array of at least that many times
-    z's size, holds them; the result is a view of it.  Without ``work`` they
-    are allocated.
+    The steps work in place on five full-size buffers: on a sweep block a
+    fresh temporary per operation would cost more than the arithmetic.
+    They are one allocation, not five.  glibc gives the free top of its
+    heap back to the system once it exceeds twice the largest allocation
+    freed so far through mmap.  With five separate buffers of a sweep
+    block's size, a fresh process gave memory back at every block and
+    faulted it in again: a 2-asset 81^2 solve took 1.3 million page faults
+    and about 1.4 times the wall time.  One buffer five times as large
+    raises that bound above what a block frees.
     """
     z = np.asarray(z, dtype=float)
     shape, z = z.shape, z.ravel()
-    x, w, r, q, e = work_rows(work, OMEGA_BUFFERS, z.size)
+    x, w, r, q, e = np.empty((5, z.size))
     np.maximum(z, -50.0, out=x)
     np.minimum(x, 1e20, out=x)
     np.minimum(x, 1.0, out=w)
@@ -130,7 +117,7 @@ def wright_omega(z, work=None):
     return w.reshape(shape)
 
 
-def batch_quote_kernel(p, lam, alpha, beta, floor, work=None):
+def batch_quote_kernel(p, lam, alpha, beta, floor):
     """The envelope H(p) and its slope H'(p), elementwise; the sweep's kernel.
 
     Returns ``(value, slope)``: the supremum of Lambda(d) * (d - p) over
@@ -140,22 +127,19 @@ def batch_quote_kernel(p, lam, alpha, beta, floor, work=None):
     x_f = alpha - beta*floor, H is the affine Lambda(-floor) * (-floor - p).
     Intensity and clamp point are computed at the broadcast shape of the
     curve parameters only, which in the sweep is one per row.  Full-size
-    steps run in place, in :data:`KERNEL_BUFFERS` buffers that ``work``
-    holds as in :func:`wright_omega`; value and slope are views of it.
+    steps run in place, as in :func:`wright_omega`.
     """
     p = np.asarray(p, dtype=float)
     x_f = alpha - beta * floor
     # the cap keeps exp finite; it moves c_f only where x_f < -700, below
     # any c a finite reservation level reaches
     c_f = x_f - np.exp(np.minimum(-x_f, 700.0))
-    full = np.broadcast(p, lam, alpha, beta)
-    buffers = work_rows(work, KERNEL_BUFFERS, full.size)
-    c = np.multiply(beta, p, out=buffers[0].reshape(full.shape))
+    c = np.multiply(beta, p, out=np.empty(np.broadcast(p, lam, alpha, beta).shape))
     c += alpha
     c += 1.0
     clamped = c < c_f
     np.negative(c, out=c)
-    value = wright_omega(c, buffers[1:].ravel())
+    value = wright_omega(c)
     slope = np.add(value, 1.0, out=c)
     value *= lam
     np.divide(value, slope, out=slope)

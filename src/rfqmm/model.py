@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 from scipy import special
@@ -48,6 +48,14 @@ RISK_SLACK = 1.0 + 1e-12
 
 Side = Literal["bid", "ask"]
 SIDES: tuple[Side, Side] = ("bid", "ask")
+
+
+def _check_scalar(name: str, value, positive: bool = True) -> None:
+    """Refuse ``value``, naming it ``name``, unless it is finite and positive
+    (nonnegative when ``positive`` is false)."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ValidationError(f"{name} must be {sign} and finite, got {value!r}")
 
 
 def fill_intensity(lam, u):
@@ -107,10 +115,8 @@ class GammaSpec:
     rate: float
 
     def __post_init__(self):
-        if self.shape <= 0.0 or self.rate <= 0.0:
-            raise ValidationError(
-                f"gamma size law needs positive shape and rate, got shape={self.shape}, rate={self.rate}"
-            )
+        _check_scalar("gamma size law shape", self.shape)
+        _check_scalar("gamma size law rate", self.rate)
 
     @property
     def mean(self) -> float:
@@ -183,8 +189,10 @@ def discretize_gamma(
         scenarios' published probabilities.
 
     A single atom (``n_atoms == 1``) is placed at the gamma mean with unit
-    mass regardless of the rule.
+    mass whichever the rule; an unknown rule is refused all the same.
     """
+    if rule not in get_args(DiscretizationRule):
+        raise ValidationError(f"unknown discretization rule {rule!r}")
     if n_atoms < 1:
         raise ValidationError(f"n_atoms must be >= 1, got {n_atoms}")
     if n_atoms == 1:
@@ -199,12 +207,10 @@ def discretize_gamma(
         inner_edges = 0.5 * (atoms[:-1] + atoms[1:])
         cdf = special.gammainc(spec.shape, spec.rate * inner_edges)
         masses = np.diff(np.concatenate(([0.0], cdf, [1.0])))
-    elif rule == "pdf_weights":
+    else:
         x = spec.rate * atoms
         log_pdf = (spec.shape - 1.0) * np.log(x) - x
         masses = np.exp(log_pdf - log_pdf.max())
-    else:
-        raise ValidationError(f"unknown discretization rule {rule!r}")
 
     weights = masses / masses.sum()
     return SizeDistribution(sizes=tuple(float(z) for z in atoms), probabilities=tuple(float(w) for w in weights))
@@ -238,10 +244,8 @@ class RiskPenalty:
             raise ValidationError(f"unknown running penalty form {self.running_form!r}")
         if self.terminal_form not in ("zero", "quadratic", "sqrt"):
             raise ValidationError(f"unknown terminal penalty form {self.terminal_form!r}")
-        if self.gamma < 0.0 or self.zeta < 0.0:
-            raise ValidationError(
-                f"penalty weights must be nonnegative, got gamma={self.gamma}, zeta={self.zeta}"
-            )
+        _check_scalar("penalty gamma", self.gamma, positive=False)
+        _check_scalar("penalty zeta", self.zeta, positive=False)
 
     def running(self, y):
         y = np.asarray(y, dtype=float)
@@ -295,10 +299,8 @@ class AssetSpec:
     ask_sizes: SizeDistribution
 
     def __post_init__(self):
-        if self.s0 <= 0.0:
-            raise ValidationError(f"asset {self.asset_id!r}: s0 must be positive, got {self.s0}")
-        if self.sigma <= 0.0:
-            raise ValidationError(f"asset {self.asset_id!r}: sigma must be positive, got {self.sigma}")
+        _check_scalar(f"asset {self.asset_id!r}: s0", self.s0)
+        _check_scalar(f"asset {self.asset_id!r}: sigma", self.sigma)
 
     def intensity(self, side: Side) -> LogisticIntensity:
         return self.bid_intensity if side == "bid" else self.ask_intensity
@@ -367,12 +369,9 @@ class MarketSpec:
         ids = [a.asset_id for a in self.assets]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate asset ids: {ids}")
-        if self.horizon <= 0.0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
-        if self.risk_limit <= 0.0:
-            raise ValidationError(f"risk_limit must be positive, got {self.risk_limit}")
-        if self.quote_floor <= 0.0:
-            raise ValidationError(f"quote_floor must be positive, got {self.quote_floor}")
+        _check_scalar("horizon", self.horizon)
+        _check_scalar("risk_limit", self.risk_limit)
+        _check_scalar("quote_floor", self.quote_floor)
         rho = np.array(self.correlation, dtype=float)
         rho.setflags(write=False)
         object.__setattr__(self, "correlation", rho)

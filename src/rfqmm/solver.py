@@ -51,15 +51,13 @@ the sweep is deterministic regardless of evaluation order.
 Each step splits the (asset, side, size) rows into contiguous row slices of
 about 2^16 row-node elements and runs them on worker threads, one per CPU
 the process may use (inline when there is one block or one CPU).  A step
-gives each worker one task: every workers-th block, computed in that
-worker's scratch array, sized to the largest block and reused at every
-step.  A block gathers with ``np.take`` into the scratch, lerps, and
-evaluates the quote kernel through its work array, all in place, so a step
-allocates no float array of a block's size; the gather indices and lerp
-weights are built once per solve.  A block writes its rows' envelope into
-its slice of one (rows, nodes) buffer; numpy and the kernel release the GIL
-while they do.  Every one of those operations is elementwise per row, so a
-row's envelope has the same bits in any block.  Once all blocks are done,
+gives each worker one task: every workers-th block.  A block gathers with
+``np.take``, lerps and evaluates the quote kernel in numpy temporaries of
+its own; the gather indices and lerp weights are built once per solve, not
+once per step.  It writes its rows' envelope into its slice of one
+(rows, nodes) buffer; numpy and the kernel release the GIL while they do.
+Every one of those operations is elementwise per row, so a row's envelope
+has the same bits in any block.  Once all blocks are done,
 the calling thread runs the update
 ``theta + dt * (-drain + sum_r zp_r * envelope_r)``, summing the rows in
 order with ``np.einsum("r,rn->n", ...)`` as a loop over them would
@@ -90,7 +88,7 @@ from . import __version__
 from .errors import OutOfDomainError, SolverError, StabilityError, ValidationError
 from .events import SIDE_SIGNS, BucketTable
 from .factors import FactorModel
-from .hamiltonian import KERNEL_BUFFERS, batch_quote_kernel, work_rows
+from .hamiltonian import batch_quote_kernel
 from .model import RISK_SLACK, MarketSpec
 
 #: relative slack when testing grid-box membership
@@ -345,17 +343,16 @@ class ValueSurface:
         m, k = pts.shape
         if k != grid.ndim:
             raise ValidationError(f"query dimension {k} does not match grid dimension {grid.ndim}")
+        if out_of_box not in ("raise", "nan"):
+            raise ValueError(f"unknown out_of_box mode {out_of_box!r}")
         inside = grid.contains(pts)
         all_inside = inside.all()
-        if not all_inside:
-            if out_of_box == "raise":
-                bad = pts[~inside][0]
-                raise OutOfDomainError(
-                    f"factor point {bad.tolist()} lies outside the grid box "
-                    f"(half widths {grid.half_widths.tolist()})"
-                )
-            if out_of_box != "nan":
-                raise ValueError(f"unknown out_of_box mode {out_of_box!r}")
+        if not all_inside and out_of_box == "raise":
+            bad = pts[~inside][0]
+            raise OutOfDomainError(
+                f"factor point {bad.tolist()} lies outside the grid box "
+                f"(half widths {grid.half_widths.tolist()})"
+            )
         top, last, strides, corners = grid._cell_constants
         lo, frac = _axis_positions((pts + grid.half_widths) / grid.spacing, top, last)
         base = self.slice_index(t) * grid.n_nodes + lo @ strides
@@ -513,7 +510,7 @@ def _axis_reads(lo, frac, rows=slice(None)):
     return reads
 
 
-def _read_shifted(theta: np.ndarray, reads, work=None) -> np.ndarray:
+def _read_shifted(theta: np.ndarray, reads) -> np.ndarray:
     """theta read at every node shifted by each row's displacement.
 
     Interpolates one axis at a time, last axis first, with two reads and one
@@ -521,19 +518,15 @@ def _read_shifted(theta: np.ndarray, reads, work=None) -> np.ndarray:
     (n_0, ..., n_j, m, n_j+1, ...), where the row axis m has length 1 until
     the first read.  Merging axis j with the row axis turns the read of row
     r at node b into a plain gather at index lo[j][r, b] * m + r, which
-    ``reads`` (:func:`_axis_reads`) holds.  The reads take turns in three
-    buffers carved from the flat array ``work`` (allocated without one), as
-    in :func:`rfqmm.hamiltonian.work_rows`.  Returns shape (rows,) +
-    theta.shape, a view of ``work``.
+    ``reads`` (:func:`_axis_reads`) holds.  Returns shape (rows,) +
+    theta.shape.
     """
-    bufs = work_rows(work, 3, reads[0][0].shape[0] * theta.size)
     out = theta[..., None]
     for i, (lower, upper, w_lower, w_upper) in enumerate(reads):
         j = theta.ndim - 1 - i
         merged = out.reshape(out.shape[:j] + (-1,) + out.shape[j + 2 :])
-        shape = merged.shape[:j] + lower.shape + merged.shape[j + 1 :]
-        below = np.take(merged, lower, axis=j, out=bufs[i % 3].reshape(shape), mode="clip")
-        above = np.take(merged, upper, axis=j, out=bufs[(i + 1) % 3].reshape(shape), mode="clip")
+        below = merged.take(lower, axis=j)
+        above = merged.take(upper, axis=j)
         below *= w_lower
         above *= w_upper
         below += above
@@ -541,30 +534,20 @@ def _read_shifted(theta: np.ndarray, reads, work=None) -> np.ndarray:
     return out
 
 
-#: full-size buffers a block of a sweep step computes in: its reservation
-#: levels, then the kernel's (the shifted reads use three of those first)
-_BLOCK_BUFFERS = 1 + KERNEL_BUFFERS
-
-
-def _envelope_rows(theta, floor, rows, reads, dropped, lam, alpha, beta, inv_z, out, work):
+def _envelope_rows(theta, floor, rows, reads, dropped, lam, alpha, beta, inv_z, out):
     """Envelope of the terms of ``rows`` (a slice) at every node, into ``out``.
 
     ``theta`` has the grid's shape and ``reads`` are the rows' gathers
     (:func:`_axis_reads`); the other arrays are the step's, rows first, of
-    which the block reads and writes its ``rows`` only.  ``work`` is flat
-    scratch of at least :data:`_BLOCK_BUFFERS` times the block's elements,
-    which the block computes in.  Dropped terms are zero.
+    which the block reads and writes its ``rows`` only.  Dropped terms are
+    zero.
     """
     out, dropped = out[rows], dropped[rows]
-    size = out.size
-    p = work[:size].reshape(out.shape)
-    shifted = _read_shifted(theta, reads, work[size:])
-    np.subtract(theta, shifted, out=p.reshape(shifted.shape))
+    p = (theta - _read_shifted(theta, reads)).reshape(out.shape)
     p *= inv_z[rows]
-    np.copyto(p, 0.0, where=dropped)
-    value = batch_quote_kernel(p, lam[rows], alpha[rows], beta[rows], floor, work=work[size:])[0]
-    np.copyto(out, value)
-    np.copyto(out, 0.0, where=dropped)
+    p[dropped] = 0.0
+    out[...] = batch_quote_kernel(p, lam[rows], alpha[rows], beta[rows], floor)[0]
+    out[dropped] = 0.0
 
 
 def _worker_count() -> int:
@@ -623,16 +606,15 @@ def solve(
     lo, frac, dropped, lam, alpha, beta, z, zp = _shift_rows(market, factor_model, grid)
     envelope = np.empty(dropped.shape)
     sweep = (dropped, lam, alpha, beta, 1.0 / z, envelope)
-    size = min(max(1, _BLOCK_ELEMS // grid.n_nodes), len(zp))
+    size = max(1, _BLOCK_ELEMS // grid.n_nodes)
     blocks = [slice(r, r + size) for r in range(0, len(zp), size)]
     reads = [_axis_reads(lo, frac, b) for b in blocks]
     workers = min(_worker_count(), len(blocks))
-    scratch = [np.empty(_BLOCK_BUFFERS * size * grid.n_nodes) for _ in range(workers)]
 
     def run(theta, i):
-        # worker i computes every workers-th block, all in its own scratch
+        # worker i computes every workers-th block
         for b in range(i, len(blocks), workers):
-            _envelope_rows(theta, market.quote_floor, blocks[b], reads[b], *sweep, scratch[i])
+            _envelope_rows(theta, market.quote_floor, blocks[b], reads[b], *sweep)
 
     # after step m theta is the slice at t_of[m]; ``kept`` holds the steps
     # whose slices are stored, and ``slot`` their rows of ``values`` in

@@ -114,7 +114,7 @@ def make_market_30asset(
     )
 
 
-def reference_quote_kernel(p, lam, alpha, beta, floor, work=None):
+def reference_quote_kernel(p, lam, alpha, beta, floor):
     """``(value, slope)`` of the envelope through scipy's Wright omega.
 
     The sweep's kernel before it took the closed form: the optimal offset

@@ -210,10 +210,17 @@ class TestParseConfig:
         (False, ("correlation", "matrix", 0, 1), math.nan,
          "correlation.matrix[0][1] must be a finite number"),
         (True, ("asset_groups", 1, "s0"), 10**400, "asset_groups[1].s0 must be a finite number"),
+        # one atom never reads the rule; four raised with no path
+        (False, ("assets", 0, "sizes"),
+         {"gamma": {"shape": 4.0, "rate": 4.0e-4, "n_atoms": 1, "rule": "pdf_weigths"}},
+         "assets[0].sizes.gamma.rule"),
+        (False, ("assets", 1, "sizes"),
+         {"gamma": {"shape": 4.0, "rate": 4.0e-4, "n_atoms": 4, "rule": ["x"]}},
+         "assets[1].sizes.gamma.rule"),
     ], ids=["count-bool", "block-size-fraction", "block-size-string", "block-size-negative",
             "within-string", "matrix-string", "matrix-ragged", "atom-string", "probability-bool",
             "n-atoms-bool", "horizon-nan", "gamma-nan", "sigma-inf", "correlation-nan",
-            "s0-huge-int"])
+            "s0-huge-int", "rule-typo-one-atom", "rule-list"])
     def test_malformed_numbers_named_by_path(self, grouped, where, value, path):
         raw = self.grouped() if grouped else deep(BASE)
         node = raw

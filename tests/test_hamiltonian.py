@@ -20,8 +20,6 @@ from scipy.special import wrightomega
 
 from helpers import make_intensity
 from rfqmm.hamiltonian import (
-    KERNEL_BUFFERS,
-    OMEGA_BUFFERS,
     batch_quote_kernel,
     quote_offset,
     solve_offset_equation,
@@ -163,6 +161,27 @@ class TestEnvelopeProperties:
         np.testing.assert_allclose(values, lam_floor * (-0.05 - p), rtol=1e-12)
         np.testing.assert_allclose(slopes, -lam_floor, rtol=1e-12)
 
+        # one curve per row, as in the sweep, across the clamp at floor 0.05;
+        # each element has the bits of a call on it alone
+        rng = np.random.default_rng(3)
+        lam, alpha = rng.uniform(5.0, 50.0, (6, 1)), rng.uniform(-1.0, 1.0, (6, 1))
+        beta, floor = rng.uniform(10.0, 60.0, (6, 1)), 0.05
+        p = rng.uniform(-1.0, 1.0, (6, 40))
+        # -c below -50, -c above 1e20 (clamped), NaN
+        p[0, :3] = [1e6, -1e25, np.nan]
+        x_f = alpha - beta * floor
+        clamped = beta * p + alpha + 1.0 < x_f - np.exp(-x_f)
+        assert clamped.any() and (~clamped & ~np.isnan(p)).any()
+        values, slopes = batch_quote_kernel(p, lam, alpha, beta, floor)
+        lam_floor = np.broadcast_to(fill_intensity(lam, x_f), p.shape)[clamped]
+        np.testing.assert_allclose(values[clamped], lam_floor * (-floor - p[clamped]), rtol=1e-12)
+        np.testing.assert_array_equal(slopes[clamped], -lam_floor)
+        for i, j in np.ndindex(p.shape):
+            one = batch_quote_kernel(p[i, j], lam[i, 0], alpha[i, 0], beta[i, 0], floor)
+            want = [values[i, j], slopes[i, j]]
+            np.testing.assert_array_equal(bits(np.array(one)), bits(np.array(want)))
+        assert np.isnan(values[0, 2]) and np.isfinite(np.delete(values.ravel(), 2)).all()
+
     def test_value_positive_decreasing_convex(self):
         p = np.linspace(-3.0, 3.0, 601)
         h, _ = batch_quote_kernel(p, 30.0, 0.7, 30.0, 1.0)
@@ -185,6 +204,10 @@ class TestEnvelopeProperties:
         quotes = np.linspace(-floor, -floor + 10.0, 500)
         sampled = np.max(np.asarray(curve(quotes)) * (quotes - p))
         assert value >= sampled - 1e-9 * max(1.0, abs(sampled))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def ulps(got, want):
@@ -226,45 +249,15 @@ class TestWrightOmega:
     def test_shape_and_scalar(self):
         assert wright_omega(np.zeros((2, 3))).shape == (2, 3)
         assert wright_omega(0.0) == pytest.approx(0.5671432904097838, rel=1e-15)
-
-
-def bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
-class TestWorkArray:
-    """A caller's work array changes where the steps run, not their bits."""
-
-    def test_wright_omega(self):
+        # each element of a block has the bits of a call on it alone
         z = np.concatenate([
             np.linspace(-60.0, 60.0, 241),  # below -50 and both starting guesses
             [-1e6, 1e20, np.nextafter(1e20, np.inf), 1e300, np.inf, -np.inf, np.nan],
         ]).reshape(31, 8)
-        # stale values, and longer than the call needs
-        work = np.full(OMEGA_BUFFERS * z.size + 3, np.nan)
-        got = wright_omega(z, work)
-        np.testing.assert_array_equal(bits(got), bits(wright_omega(z)))
-        assert got.shape == z.shape and np.shares_memory(got, work)
-
-    def test_batch_quote_kernel(self):
-        # one curve per row, as in the sweep, across the clamp at floor 0.05
-        rng = np.random.default_rng(3)
-        lam, alpha = rng.uniform(5.0, 50.0, (6, 1)), rng.uniform(-1.0, 1.0, (6, 1))
-        beta, floor = rng.uniform(10.0, 60.0, (6, 1)), 0.05
-        p = rng.uniform(-1.0, 1.0, (6, 40))
-        # -c below -50, -c above 1e20 (clamped), NaN
-        p[0, :3] = [1e6, -1e25, np.nan]
-        x_f = alpha - beta * floor
-        clamped = beta * p + alpha + 1.0 < x_f - np.exp(-x_f)
-        assert clamped.any() and (~clamped & ~np.isnan(p)).any()
-
-        work = np.full(KERNEL_BUFFERS * p.size + 5, np.nan)
-        got = batch_quote_kernel(p, lam, alpha, beta, floor, work=work)
-        want = batch_quote_kernel(p, lam, alpha, beta, floor)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(bits(g), bits(w))
-            assert np.shares_memory(g, work)
-        assert np.isnan(got[0][0, 2]) and np.isfinite(np.delete(got[0].ravel(), 2)).all()
+        got = wright_omega(z)
+        assert got.shape == z.shape
+        singles = np.array([wright_omega(v) for v in z.ravel()]).reshape(z.shape)
+        np.testing.assert_array_equal(bits(got), bits(singles))
 
 
 class TestEnvelopeTheorem:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REFERENCE_GAMMA, make_intensity, make_market_2asset
+from helpers import REFERENCE_GAMMA, make_asset, make_intensity, make_market_2asset
 from rfqmm.config_io import load_config
 from rfqmm.errors import ValidationError
 from rfqmm.model import (
@@ -95,6 +95,9 @@ class TestGammaDiscretization:
             GammaSpec(shape=-1.0, rate=2.0)
         with pytest.raises(ValidationError):
             discretize_gamma(REFERENCE_GAMMA, n_atoms=3, rule="nearest")
+        # one atom needs no rule, but a wrong one is still refused
+        with pytest.raises(ValidationError, match="nearest"):
+            discretize_gamma(REFERENCE_GAMMA, n_atoms=1, rule="nearest")
 
 
 class TestLogisticIntensity:
@@ -223,8 +226,6 @@ class TestMarketSpec:
         assert market_2asset.intensity_sum_at_floor() == pytest.approx(expected, rel=1e-14)
 
     def test_rejects_duplicate_ids(self):
-        from helpers import make_asset
-
         with pytest.raises(ValidationError, match="duplicate"):
             MarketSpec(
                 assets=(make_asset("X"), make_asset("X")),
@@ -241,6 +242,27 @@ class TestMarketSpec:
             make_market_2asset(risk_limit=0.0)
         with pytest.raises(ValidationError):
             make_market_2asset(quote_floor=0.0)
+
+    # NaN passed every "x <= 0" test, and inf every test but the sign: a NaN
+    # horizon then failed inside solve with numpy's ValueError
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [
+        "horizon", "risk_limit", "quote_floor", "s0", "sigma", "gamma", "zeta", "shape", "rate",
+    ])
+    def test_rejects_non_finite_scalars(self, name, value):
+        build = {
+            "horizon": lambda v: make_market_2asset(horizon=v),
+            "risk_limit": lambda v: make_market_2asset(risk_limit=v),
+            "quote_floor": lambda v: make_market_2asset(quote_floor=v),
+            "s0": lambda v: make_asset(s0=v),
+            "sigma": lambda v: make_asset(sigma=v),
+            "gamma": lambda v: RiskPenalty(gamma=v),
+            "zeta": lambda v: RiskPenalty(zeta=v),
+            "shape": lambda v: GammaSpec(shape=v, rate=4e-4),
+            "rate": lambda v: GammaSpec(shape=4.0, rate=v),
+        }[name]
+        with pytest.raises(ValidationError, match=f"{name} must be .* and finite, got {value}"):
+            build(value)
 
 
 def bundled_curves():

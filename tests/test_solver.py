@@ -259,6 +259,10 @@ class TestEvaluate:
             surface.value_many(0.0, far)
         vals = surface.value_many(0.0, far, out_of_box="nan")
         assert np.isnan(vals[0])
+        # an unknown mode is refused with every point inside the box as well
+        for point in (far, far / 3.0):
+            with pytest.raises(ValueError, match="unknown out_of_box mode 'bogus'"):
+                surface.value_many(0.0, point, out_of_box="bogus")
 
     def test_nearest_slice_selection(self):
         market = make_market_2asset(horizon=1.0)
@@ -476,13 +480,11 @@ class TestBlockedStep:
         rows = dropped.shape[0]
         for size in (1, 7, rows):
             out = np.full(dropped.shape, np.nan)
-            # scratch of stale values, reused by every block
-            work = np.full(solver._BLOCK_BUFFERS * size * grid.n_nodes, np.nan)
             for r in range(0, rows, size):
                 block = slice(r, r + size)
                 _envelope_rows(
                     theta, floor, block, _axis_reads(lo, frac, block), dropped,
-                    lam, alpha, beta, inv_z, out, work,
+                    lam, alpha, beta, inv_z, out,
                 )
             np.testing.assert_array_equal(bits(out), bits(expected))
 
@@ -503,7 +505,6 @@ class TestBlockedStep:
         _envelope_rows(
             theta.reshape(grid.shape), market.quote_floor, slice(None), _axis_reads(lo, frac),
             dropped, lam, alpha, beta, 1.0 / z, envelope,
-            np.empty(solver._BLOCK_BUFFERS * envelope.size),
         )
         total = zp[0] * envelope[0]
         for r in range(1, len(zp)):
@@ -520,10 +521,10 @@ class TestBlockedStep:
         caller = threading.current_thread()
         runners, sizes = [], set()
 
-        def spy(p, *args, **kwargs):
+        def spy(p, *args):
             runners.append(threading.current_thread())
             sizes.add(p.size)
-            return batch_quote_kernel(p, *args, **kwargs)
+            return batch_quote_kernel(p, *args)
 
         monkeypatch.setattr(solver, "batch_quote_kernel", spy)
         # 2 rows a block, 8 blocks; 3 rows a block, 6 blocks, the last of 1 row;
