@@ -38,9 +38,17 @@ from .residual import (
     AdjustedQuote,
     ResidualCorrection,
     adjusted_quote,
+    adjusted_quotes,
     residual_correction,
+    residual_corrections,
 )
-from .simulator import SimulationResult, SimulationSummary, TrajectoryStats, simulate
+from .simulator import (
+    SimulationResult,
+    SimulationSummary,
+    TrajectoryStats,
+    simulate,
+    simulate_starts,
+)
 from .solver import FactorGrid, SolverConfig, ValueSurface, solve
 
 __all__ = [
@@ -68,6 +76,7 @@ __all__ = [
     "ValidationError",
     "ValueSurface",
     "adjusted_quote",
+    "adjusted_quotes",
     "build_covariance",
     "build_factor_model",
     "config_hash",
@@ -80,7 +89,9 @@ __all__ = [
     "optimal_quote",
     "quote_table",
     "residual_correction",
+    "residual_corrections",
     "simulate",
+    "simulate_starts",
     "solve",
     "validate_hypotheses",
     "write_quote_table",

@@ -45,7 +45,7 @@ from .errors import OutOfDomainError, SolverError, StabilityError, ValidationErr
 from .factors import build_factor_model
 from .model import SIDES, MarketSpec, clean_inventory, validate_hypotheses
 from .quotes import REASON_OK, MyopicPolicy, SurfacePolicy, quote_table, write_quote_table
-from .residual import adjusted_quote, residual_correction
+from .residual import adjusted_quotes
 from .simulator import ENGINES, DegenerateRunWarning, SimulationSummary, simulate
 from .solver import FactorGrid, SolverConfig, ValueSurface, solve, solver_fingerprint
 
@@ -314,18 +314,16 @@ def _simulate_stage(
 
 def _adjust_stage(runner: Runner, market, surface, inventory, rfqs, t, n_paths, seed, name) -> None:
     q = clean_inventory(market, inventory)
-    # one estimate at the given state serves every RFQ and the report
-    here = residual_correction(surface, market, q, t=t, n_paths=n_paths, seed=seed)
+    # one run for the state and every priced RFQ's post-trade inventory; the
+    # estimate at the state serves every RFQ and the report
+    here, adjusted = adjusted_quotes(surface, market, q, rfqs, t=t, n_paths=n_paths, seed=seed)
     rows = []
-    for asset, side, size in rfqs:
-        a = adjusted_quote(
-            surface, market, q, asset, side, size, t=t, n_paths=n_paths, seed=seed, here=here
-        )
+    for a in adjusted:
         after = a.correction_after_trade
-        numbers = (float(size), a.base_delta, a.delta, a.shift, a.shift_stderr)
+        numbers = (a.size, a.base_delta, a.delta, a.shift, a.shift_stderr)
         numbers += (here.value, here.stderr)
         after_cells = ("", "") if after is None else (_fmt(after.value), _fmt(after.stderr))
-        rows.append([asset, side, *map(_fmt, numbers), *after_cells, a.reason])
+        rows.append([a.asset, a.side, *map(_fmt, numbers), *after_cells, a.reason])
     _write_csv(runner.path(name), ADJUST_COLUMNS, rows)
     value = surface.value(t, surface.factor_model.factor_coordinates(q))
     print(

@@ -40,7 +40,7 @@ from .errors import OutOfDomainError, ValidationError
 from .events import SIDE_SIGNS
 from .hamiltonian import quote_offset
 from .model import SIDES, LogisticIntensity, MarketSpec, clean_inventory
-from .solver import ValueSurface
+from .solver import ValueSurface, check_time
 
 REASON_OK = "ok"
 REASON_BOX = "factor_out_of_grid"
@@ -76,8 +76,8 @@ class QuoteResult:
 
 
 def _check_size(size: float) -> None:
-    if not size > 0.0:
-        raise ValidationError(f"trade size must be positive, got {size}")
+    if not 0.0 < size < np.inf:
+        raise ValidationError(f"trade size must be positive and finite, got {size}")
 
 
 def optimal_quote(
@@ -100,6 +100,7 @@ def optimal_quote(
     if side not in SIDES:
         raise ValidationError(f"side must be one of {SIDES}, got {side!r}")
     _check_size(size)
+    check_time(t)
     delta, reason, reservation = surface_quotes(
         surface, market, t, clean_inventory(market, q)[None],
         np.array([asset]), np.array([SIDES.index(side)]), np.array([float(size)]), None, None,
@@ -223,6 +224,7 @@ def quote_table(
     ]
     for _, _, z in keys:
         _check_size(z)
+    check_time(t)
     if not keys:
         return []
     asset_ix, side_ix, row_sizes = (np.tile(col, len(qs)) for col in zip(*keys))

@@ -15,14 +15,17 @@ estimates it by Monte-Carlo and applies the difference of two estimates to
 single RFQ quotes (:func:`adjusted_quote`); the simulator's policies quote
 off the surface alone, so no correction runs inside the event loop.
 
-Trajectories come from :func:`rfqmm.simulator.simulate` under a
-:class:`rfqmm.quotes.SurfacePolicy`, so a seeded run here is event-for-event
+Trajectories come from :func:`rfqmm.simulator.simulate_starts` under a
+:class:`rfqmm.quotes.SurfacePolicy`, so a seeded estimate is event-for-event
 identical to the corresponding simulator run.  Because that engine draws all
 arrival times and acceptance uniforms before any state is touched, two
 estimates differing only in the starting inventory replay the same
 randomness; differences of such estimates (the quote adjustment) are
 common-random-number pairs, which is what makes them usable at realistic
-path counts.
+path counts.  :func:`residual_corrections` runs all the inventories it is
+given as starts of one event loop that draws each path's events once, and
+:func:`adjusted_quotes` prices the RFQs of one state with all their arms in
+one such run.
 
 The integral is computed exactly: inventory is piecewise constant between
 fills, so each path contributes a finite sum of segment terms, not a
@@ -42,7 +45,13 @@ from .factors import FactorModel
 from .hamiltonian import quote_offset
 from .model import SIDES, MarketSpec, clean_inventory
 from .quotes import SurfacePolicy, optimal_quote
-from .simulator import SimulationResult, inventory_paths, simulate, standard_error
+from .simulator import (
+    SimulationResult,
+    check_run_size,
+    inventory_paths,
+    simulate_starts,
+    standard_error,
+)
 from .solver import ValueSurface
 
 
@@ -98,7 +107,7 @@ class AdjustedQuote:
         return self.reason != "ok"
 
 
-def _check_estimation_inputs(market: MarketSpec, t: float, n_paths: int) -> None:
+def _check_estimation_inputs(market: MarketSpec, t: float, n_paths: int, seed: int) -> None:
     if not market.penalty.is_smooth:
         raise ValidationError(
             "the residual correction needs differentiable penalties; the sqrt "
@@ -109,8 +118,7 @@ def _check_estimation_inputs(market: MarketSpec, t: float, n_paths: int) -> None
         raise ValidationError(
             f"t must lie in [0, horizon={market.horizon}), got {t}"
         )
-    if n_paths <= 0:
-        raise ValidationError(f"n_paths must be positive, got {n_paths}")
+    check_run_size(n_paths, seed)
 
 
 def correction_samples(
@@ -155,6 +163,49 @@ def _summarise_samples(samples: np.ndarray, n_paths: int, seed: int) -> Residual
     return ResidualCorrection(value, standard_error(samples), n_paths, seed, samples)
 
 
+def residual_corrections(
+    surface: ValueSurface,
+    market: MarketSpec,
+    inventories,
+    t: float = 0.0,
+    n_paths: int = 500,
+    seed: int = 0,
+) -> list[ResidualCorrection]:
+    """Estimate the residual-risk cost of standing at each of ``inventories`` at ``t``.
+
+    Simulates the surface policy's fill process from every inventory over
+    the remaining horizon in one multi-start run, and averages the exact
+    pathwise penalty-derivative integral of the leftover quadratic risk.
+    Path ``i`` replays ``path_generator(seed, i)`` from every inventory, so
+    the estimates are common-random-number pairs, and each is bit for bit
+    the one a run from that inventory alone gives.  A full-rank factor model
+    has a zero residual, making the integrand identically zero; that case
+    returns exact zeros, with zero standard error from two paths on, and
+    runs no simulation.
+    """
+    _check_estimation_inputs(market, t, n_paths, seed)
+    fm = surface.factor_model
+    starts = [clean_inventory(market, q) for q in inventories]
+    if not starts or not fm.residual_cov.any():
+        return [_summarise_samples(np.zeros(n_paths), n_paths, seed) for _ in starts]
+
+    run_market = (
+        market if t == 0.0 else dataclasses.replace(market, horizon=market.horizon - t)
+    )
+    policy = SurfacePolicy(surface, run_market)
+    runs = simulate_starts(
+        run_market,
+        policy,
+        n_paths,
+        seed,
+        starts,
+        engine="thinning",
+        keep_event_logs=True,
+        quote_times="stationary",
+    )
+    return [_summarise_samples(correction_samples(run, fm), n_paths, seed) for run in runs]
+
+
 def residual_correction(
     surface: ValueSurface,
     market: MarketSpec,
@@ -165,35 +216,78 @@ def residual_correction(
 ) -> ResidualCorrection:
     """Estimate the residual-risk cost of standing at inventory ``q`` at ``t``.
 
-    Simulates the surface policy's fill process from ``q`` over the
-    remaining horizon and averages the exact pathwise penalty-derivative
-    integral of the leftover quadratic risk.  A full-rank factor model has a
-    zero residual, making the integrand identically zero; that case returns
-    an exact zero, with zero standard error from two paths on, and runs no
-    simulation.
+    The one-inventory case of :func:`residual_corrections`.
     """
-    _check_estimation_inputs(market, t, n_paths)
-    fm = surface.factor_model
-    q0 = clean_inventory(market, q)
-    if not fm.residual_cov.any():
-        return _summarise_samples(np.zeros(n_paths), n_paths, seed)
+    return residual_corrections(surface, market, [q], t=t, n_paths=n_paths, seed=seed)[0]
 
-    run_market = (
-        market if t == 0.0 else dataclasses.replace(market, horizon=market.horizon - t)
+
+def adjusted_quotes(
+    surface: ValueSurface,
+    market: MarketSpec,
+    q,
+    rfqs,
+    t: float = 0.0,
+    n_paths: int = 500,
+    seed: int = 0,
+    here: ResidualCorrection | None = None,
+) -> tuple[ResidualCorrection, list[AdjustedQuote]]:
+    """Adjusted quotes for several RFQs ``(asset, side, size)`` at one state.
+
+    Every arm (the state ``q``, unless its correction ``here`` is given, and
+    the post-trade inventory of each priced RFQ) is one start of a single
+    :func:`residual_corrections` run on the per-path streams of ``seed``.
+    Returns the correction at ``q`` and one :class:`AdjustedQuote` per RFQ,
+    in order; a refused RFQ gets no arm (see :func:`adjusted_quote`).
+    """
+    q0 = clean_inventory(market, q)
+    bases = [optimal_quote(surface, market, q0, *rfq, t=t) for rfq in rfqs]
+    posts = []
+    for (asset, side, size), base in zip(rfqs, bases):
+        if not base.refused:
+            posts.append(q0.copy())
+            posts[-1][asset] += SIDE_SIGNS[SIDES.index(side)] * size
+    starts = posts if here is not None else [q0] + posts
+    arms = iter(residual_corrections(surface, market, starts, t=t, n_paths=n_paths, seed=seed))
+    if here is None:
+        here = next(arms)
+    quotes = [
+        _adjusted(market, rfq, base, None, None)
+        if base.refused
+        else _adjusted(market, rfq, base, here, next(arms))
+        for rfq, base in zip(rfqs, bases)
+    ]
+    return here, quotes
+
+
+def _adjusted(market, rfq, base, here, there) -> AdjustedQuote:
+    """The base quote with its reservation shifted by the paired arms'
+    per-unit difference; a refused base (no arms) is returned as-is."""
+    asset, side, size = rfq
+    if base.refused:
+        shift = shift_stderr = adjusted_reservation = delta = float("nan")
+    else:
+        diffs = (here.samples - there.samples) / size
+        shift = float(diffs.mean())
+        shift_stderr = standard_error(diffs)
+        adjusted_reservation = base.reservation + shift
+        _, alpha, beta = market.intensity_table[asset, SIDES.index(side)]
+        delta = float(
+            quote_offset(np.array([adjusted_reservation]), alpha, beta, market.quote_floor)[0]
+        )
+    return AdjustedQuote(
+        asset=asset,
+        side=side,
+        size=float(size),
+        delta=delta,
+        reason=base.reason,
+        base_delta=base.delta,
+        base_reservation=base.reservation,
+        adjusted_reservation=adjusted_reservation,
+        shift=shift,
+        shift_stderr=shift_stderr,
+        correction_at_state=here,
+        correction_after_trade=there,
     )
-    policy = SurfacePolicy(surface, run_market)
-    run = simulate(
-        run_market,
-        policy,
-        n_paths,
-        seed,
-        engine="thinning",
-        keep_event_logs=True,
-        quote_times="stationary",
-        start_inventory=q0,
-    )
-    samples = correction_samples(run, fm, start_inventory=q0)
-    return _summarise_samples(samples, n_paths, seed)
 
 
 def adjusted_quote(
@@ -212,8 +306,8 @@ def adjusted_quote(
 
     The correction to the reservation is the per-unit difference of two
     cost estimates, one from the current inventory and one from the
-    post-trade inventory.  Both run on the per-path streams of ``seed``, so
-    the difference is a paired estimator.
+    post-trade inventory.  Both are starts of one run on the per-path
+    streams of ``seed``, so the difference is a paired estimator.
 
     ``here`` is the correction at ``q`` already estimated with ``seed``,
     for callers pricing several RFQs from one state; when None it is
@@ -223,47 +317,8 @@ def adjusted_quote(
     A refused base quote is returned as-is (NaN delta, the refusal reason,
     no simulation).
     """
-    q0 = clean_inventory(market, q)
-    base = optimal_quote(surface, market, q0, asset, side, size, t=t)
+    rfq = (asset, side, size)
+    base = optimal_quote(surface, market, q, *rfq, t=t)
     if base.refused:
-        return AdjustedQuote(
-            asset=asset,
-            side=side,
-            size=float(size),
-            delta=float("nan"),
-            reason=base.reason,
-            base_delta=base.delta,
-            base_reservation=base.reservation,
-            adjusted_reservation=float("nan"),
-            shift=float("nan"),
-            shift_stderr=float("nan"),
-            correction_at_state=None,
-            correction_after_trade=None,
-        )
-
-    if here is None:
-        here = residual_correction(surface, market, q0, t=t, n_paths=n_paths, seed=seed)
-    q_post = q0.copy()
-    q_post[asset] += SIDE_SIGNS[SIDES.index(side)] * size
-    there = residual_correction(surface, market, q_post, t=t, n_paths=n_paths, seed=seed)
-    diffs = (here.samples - there.samples) / size
-    shift = float(diffs.mean())
-    shift_stderr = standard_error(diffs)
-
-    adjusted_reservation = base.reservation + shift
-    _, alpha, beta = market.intensity_table[asset, SIDES.index(side)]
-    delta_arr = quote_offset(np.array([adjusted_reservation]), alpha, beta, market.quote_floor)
-    return AdjustedQuote(
-        asset=asset,
-        side=side,
-        size=float(size),
-        delta=float(delta_arr[0]),
-        reason=base.reason,
-        base_delta=base.delta,
-        base_reservation=base.reservation,
-        adjusted_reservation=adjusted_reservation,
-        shift=shift,
-        shift_stderr=shift_stderr,
-        correction_at_state=here,
-        correction_after_trade=there,
-    )
+        return _adjusted(market, rfq, base, None, None)
+    return adjusted_quotes(surface, market, q, [rfq], t, n_paths, seed, here)[1][0]

@@ -19,14 +19,18 @@ variance q'Sigma q * dt (exact in law; the price-path engine replaces this
 with d correlated increments).
 
 Paths are mutually independent: path ``i`` draws from
-``path_generator(seed, i)``, and ``simulate`` runs the paths in contiguous
-chunks of :data:`PATH_CHUNK`, appending each chunk's results in path order.
-Every product that mixes a path's components is a fixed-order row-wise
-contraction, so a path's numbers do not depend on the chunk size or on how
-many paths are still alive at an event step, and memory is bounded by one
-chunk's padded events whatever the path count.  Summary statistics use
-numpy reductions (pairwise summation), so results do not depend on any
-parallel schedule.
+``path_generator(seed, i)``, and the paths run in contiguous chunks of
+:data:`PATH_CHUNK`, each chunk's results appended in path order.
+:func:`simulate_starts` runs the same paths from several start inventories
+in one event loop (:func:`simulate` is its one-start case).  A chunk then
+holds one row per (start, path); each path's events are drawn once and read
+by all of its rows, and only the rows' state (inventory, risk, accumulators)
+grows with the start count.  Every product that mixes a path's components
+is a fixed-order row-wise contraction, so a row's numbers do not depend on
+the chunk size, on the other starts, or on how many rows are still alive at
+an event step, and memory is bounded by one chunk whatever the path count.
+Summary statistics use numpy reductions (pairwise summation), so results do
+not depend on any parallel schedule.
 """
 
 from __future__ import annotations
@@ -198,6 +202,14 @@ def _check_degenerate(policy, buckets: BucketTable, q0: np.ndarray) -> None:
         )
 
 
+def check_run_size(n_paths, seed) -> None:
+    """Refuse an ``n_paths`` that is not a positive integer and a ``seed`` that
+    is not a nonnegative one; numpy integers are integers."""
+    for name, value, least in (("n_paths", n_paths, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value}")
+
+
 def simulate(
     market: MarketSpec,
     policy,
@@ -215,7 +227,31 @@ def simulate(
     choice for final-slice surfaces) or "event" (quotes read at the arrival
     time, for surfaces storing all slices; not with the ``collapsed``
     engine, whose clocks run at t = 0 rates).  Paths run in contiguous chunks
-    of :data:`PATH_CHUNK`; results are appended in path order.
+    of :data:`PATH_CHUNK`; results are appended in path order.  This is the
+    one-start case of :func:`simulate_starts`.
+    """
+    return simulate_starts(
+        market, policy, n_paths, seed, [start_inventory], engine, keep_event_logs, quote_times
+    )[0]
+
+
+def simulate_starts(
+    market: MarketSpec,
+    policy,
+    n_paths: int,
+    seed: int,
+    start_inventories,
+    engine: str = "thinning",
+    keep_event_logs: bool = False,
+    quote_times: str = "stationary",
+) -> List[SimulationResult]:
+    """Run ``n_paths`` trajectories from each of several start inventories.
+
+    Returns one result per start, each the one :func:`simulate` gives from
+    that start alone, bit for bit.  Path ``i`` of every start replays
+    ``path_generator(seed, i)``, so the starts' runs are common-random-number
+    pairs; each path's events are drawn once and shared by all starts, which
+    step through one event loop together.
     """
     if engine not in ENGINES:
         raise ValidationError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -227,45 +263,59 @@ def simulate(
             "engine 'collapsed' reads every quote at t = 0; "
             "it cannot run quote_times='event' (use engine 'thinning' or 'price_paths')"
         )
-    if n_paths <= 0:
-        raise ValidationError(f"n_paths must be positive, got {n_paths}")
-    q0 = clean_inventory(market, start_inventory)
-    q0.setflags(write=False)
+    check_run_size(n_paths, seed)
+    starts = [clean_inventory(market, q) for q in start_inventories]
+    if not starts:
+        raise ValidationError("simulate_starts needs at least one start inventory")
     buckets = BucketTable.from_market(market)
-    _check_degenerate(policy, buckets, q0)
+    for q0 in starts:
+        q0.setflags(write=False)
+        _check_degenerate(policy, buckets, q0)
     if engine == "collapsed":
         def run(chunk):
-            return _run_collapsed(market, policy, chunk, seed, buckets, keep_event_logs, q0)
+            return [
+                _run_collapsed(market, policy, chunk, seed, buckets, keep_event_logs, q0)
+                for q0 in starts
+            ]
     else:
         def run(chunk):
             return _run_thinning(
-                market, policy, chunk, seed, buckets, keep_event_logs, quote_times, engine, q0
+                market, policy, chunk, seed, buckets, keep_event_logs, quote_times, engine, starts
             )
-    paths, logs = [], []
-    for start in range(0, n_paths, PATH_CHUNK):
-        chunk_paths, chunk_logs = run(range(start, min(start + PATH_CHUNK, n_paths)))
-        paths += chunk_paths
-        logs += chunk_logs
-    return SimulationResult(
-        market=market,
-        policy_kind=policy.kind,
-        engine=engine,
-        seed=seed,
-        buckets=buckets,
-        paths=paths,
-        start_inventory=q0,
-        event_logs=logs if keep_event_logs else None,
-    )
+    paths = [[] for _ in starts]
+    logs = [[] for _ in starts]
+    for first in range(0, n_paths, PATH_CHUNK):
+        chunk = range(first, min(first + PATH_CHUNK, n_paths))
+        for s, (chunk_paths, chunk_logs) in enumerate(run(chunk)):
+            paths[s] += chunk_paths
+            logs[s] += chunk_logs
+    return [
+        SimulationResult(
+            market=market,
+            policy_kind=policy.kind,
+            engine=engine,
+            seed=seed,
+            buckets=buckets,
+            paths=paths[s],
+            start_inventory=q0,
+            event_logs=logs[s] if keep_event_logs else None,
+        )
+        for s, q0 in enumerate(starts)
+    ]
 
 
-def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, engine, q0):
+def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, engine, starts):
     """One chunk of paths stepped together, one event index at a time.
 
-    Returns the chunk's ``TrajectoryStats`` and event logs (empty unless
-    ``keep_logs``), in path order.
+    Row ``s * len(paths) + i`` runs path ``paths[i]`` from ``starts[s]``.  A
+    path's events are drawn once and read by each of its rows; only the
+    rows' state grows with the start count.  Returns, per start, the chunk's
+    ``TrajectoryStats`` and event logs (empty unless ``keep_logs``) in path
+    order.
     """
     price_paths = engine == "price_paths"
     n_paths = len(paths)
+    n_rows = len(starts) * n_paths
     d = market.n_assets
     horizon = market.horizon
     sigma = market.covariance
@@ -280,21 +330,7 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
     times = np.full((n_paths, max_ev), np.inf)
     bucket = np.zeros((n_paths, max_ev), dtype=np.int64)
     thin = np.zeros((n_paths, max_ev))
-    if price_paths:
-        normals = np.zeros((n_paths, max_ev + 1, d))
-        # Prices are s0 + chol @ w, with w the running sum of sqrt(dt) * z.
-        # The mark-to-market increment q . (chol @ z) is booked as
-        # (chol' q) . z, with chol' q updated on fills, so no event step
-        # needs a d x d product.
-        chol = np.linalg.cholesky(sigma)
-        s0 = np.array([a.s0 for a in market.assets])
-        w = np.zeros((n_paths, d))
-        lq = np.tile(q0 @ chol, (n_paths, 1))
-        # Booking the starting position at its initial mark keeps the final
-        # cash + q.S figure a wealth *change*, comparable across engines.
-        cash = np.full(n_paths, -float(q0 @ s0))
-    else:
-        normals = np.zeros((n_paths, max_ev + 1))
+    normals = np.zeros((n_paths, max_ev + 1, d) if price_paths else (n_paths, max_ev + 1))
     for i, e in enumerate(drawn):
         k = n_ev[i]
         times[i, :k] = e.times
@@ -302,39 +338,61 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
         thin[i, :k] = e.thin
         normals[i, : k + 1] = e.normals
 
-    q = np.tile(q0, (n_paths, 1))
-    sq = np.tile(q0 @ sigma, (n_paths, 1))
-    y = np.full(n_paths, float(q0 @ sigma @ q0))
-    t_prev = np.zeros(n_paths)
-    spread = np.zeros(n_paths)
-    market_pnl = np.zeros(n_paths)
-    risk_int = np.zeros(n_paths)
-    pen_int = np.zeros(n_paths)
-    fills = np.zeros((n_paths, len(buckets)), dtype=np.int64)
-    rejected = np.zeros(n_paths, dtype=np.int64)
-    refused = np.zeros(n_paths, dtype=np.int64)
+    # each row's path, and its event count
+    path_of = np.tile(np.arange(n_paths), len(starts))
+    row_ev = n_ev[path_of]
+
+    def per_row(values):
+        """One value per start, computed from that start alone, on its rows."""
+        return np.repeat(np.array(values), n_paths, axis=0)
+
+    if price_paths:
+        # Prices are s0 + chol @ w, with w the running sum of sqrt(dt) * z.
+        # The mark-to-market increment q . (chol @ z) is booked as
+        # (chol' q) . z, with chol' q updated on fills, so no event step
+        # needs a d x d product.
+        chol = np.linalg.cholesky(sigma)
+        s0 = np.array([a.s0 for a in market.assets])
+        w = np.zeros((n_rows, d))
+        lq = per_row([q0 @ chol for q0 in starts])
+        # Booking the starting position at its initial mark keeps the final
+        # cash + q.S figure a wealth *change*, comparable across engines.
+        cash = per_row([-float(q0 @ s0) for q0 in starts])
+
+    q = per_row(starts)
+    sq = per_row([q0 @ sigma for q0 in starts])
+    y = per_row([float(q0 @ sigma @ q0) for q0 in starts])
+    t_prev = np.zeros(n_rows)
+    spread = np.zeros(n_rows)
+    market_pnl = np.zeros(n_rows)
+    risk_int = np.zeros(n_rows)
+    pen_int = np.zeros(n_rows)
+    fills = np.zeros((n_rows, len(buckets)), dtype=np.int64)
+    rejected = np.zeros(n_rows, dtype=np.int64)
+    refused = np.zeros(n_rows, dtype=np.int64)
     # per event step: filled rows, assets, signed sizes, times and buckets
     fill_steps = []
     signs_by_side = np.array(SIDE_SIGNS)
     running = market.penalty.running
 
     for j in range(max_ev):
-        alive = np.nonzero(j < n_ev)[0]
-        tj = times[alive, j]
+        alive = np.nonzero(j < row_ev)[0]
+        ev = path_of[alive]
+        tj = times[ev, j]
         dt = tj - t_prev[alive]
         y_a = y[alive]
         risk_int[alive] += y_a * dt
         pen_int[alive] += running(y_a) * dt
         if price_paths:
-            z = normals[alive, j]
+            z = normals[ev, j]
             sdt = np.sqrt(dt)
             market_pnl[alive] += sdt * np.einsum("nd,nd->n", lq[alive], z)
             w[alive] += sdt[:, None] * z
         else:
-            market_pnl[alive] += np.sqrt(y_a * dt) * normals[alive, j]
+            market_pnl[alive] += np.sqrt(y_a * dt) * normals[ev, j]
         t_prev[alive] = tj
 
-        b = bucket[alive, j]
+        b = bucket[ev, j]
         a_ix = buckets.asset[b]
         s_ix = buckets.side[b]
         z = buckets.size[b]
@@ -345,7 +403,7 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
         refused[alive] += ~ok
         exponent = buckets.alpha[b] + buckets.beta[b] * np.where(ok, delta, 0.0)
         prob = np.where(ok, fill_intensity(1.0, exponent), 0.0)
-        fill = thin[alive, j] < prob
+        fill = thin[ev, j] < prob
         signs = signs_by_side[s_ix]
         post, admissible = market.post_trade_risk(y[alive], sq[alive, a_ix], signs, z, a_ix)
         breach = fill & ~admissible
@@ -372,7 +430,7 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
     dt = horizon - t_prev
     risk_int += y * dt
     pen_int += running(y) * dt
-    last = normals[np.arange(n_paths), n_ev]
+    last = normals[path_of, row_ev]
     if price_paths:
         sdt = np.sqrt(dt)
         market_pnl += sdt * np.einsum("nd,nd->n", lq, last)
@@ -403,9 +461,13 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
             refused_quotes=int(refused[i]),
             terminal_inventory=q[i].copy(),
         )
-        for i in range(n_paths)
+        for i in range(n_rows)
     ]
-    return stats, _split_fills(fill_steps, n_paths) if keep_logs else []
+    logs = _split_fills(fill_steps, n_rows) if keep_logs else []
+    return [
+        (stats[first : first + n_paths], logs[first : first + n_paths])
+        for first in range(0, n_rows, n_paths)
+    ]
 
 
 def _split_fills(fill_steps, n_paths):

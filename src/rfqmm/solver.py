@@ -125,6 +125,13 @@ def _axis_positions(u, top, last):
     return lo, u - lo
 
 
+def check_time(t: float) -> None:
+    """Refuse a non-finite quote time, which the nearest-slice lookup would
+    silently read as slice 0."""
+    if not math.isfinite(t):
+        raise ValidationError(f"t must be finite, got {t}")
+
+
 @dataclass(frozen=True, eq=False)
 class FactorGrid:
     """Uniform rectangular grid in factor coordinates.
@@ -156,10 +163,12 @@ class FactorGrid:
         for n in self.nodes_per_axis:
             if n < 3 or n % 2 == 0:
                 raise ValidationError(f"nodes per axis must be odd and >= 3, got {n}")
-        if np.any(half <= 0.0):
-            raise ValidationError(f"half widths must be positive, got {half.tolist()}")
-        if self.risk_limit <= 0.0:
-            raise ValidationError(f"risk limit must be positive, got {self.risk_limit}")
+        if not np.isfinite(v).all():
+            raise ValidationError(f"factor covariance must be finite, got {v.tolist()}")
+        if not (np.isfinite(half) & (half > 0.0)).all():
+            raise ValidationError(f"half widths must be positive and finite, got {half.tolist()}")
+        if not 0.0 < self.risk_limit < np.inf:
+            raise ValidationError(f"risk limit must be positive and finite, got {self.risk_limit}")
         v = 0.5 * (v + v.T)
         v.setflags(write=False)
         half.setflags(write=False)
@@ -363,6 +372,7 @@ class ValueSurface:
         return cell if all_inside else np.where(inside, cell, np.nan)
 
     def value(self, t: float, point) -> float:
+        check_time(t)
         return float(self.value_many(t, np.atleast_2d(np.asarray(point, dtype=float)))[0])
 
     def value_at_origin(self, t: float = 0.0) -> float:

@@ -575,6 +575,19 @@ class TestCommands:
         assert code == 1
         assert "could not parse sizes '6250,abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["quotes", "--factors", "2", "--sizes", "inf"],
+            ["adjust", "--factors", "1", "--paths", "5", "--rfq", "0:bid:inf"],
+        ],
+    )
+    def test_infinite_trade_size_named(self, work, capsys, args):
+        cfg, out = work
+        code = main([*args, "--config", str(cfg), "--out-dir", str(out), "--grid", "21"])
+        assert code == 1
+        assert "error: trade size must be positive and finite, got inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["nan,0", "0,inf"])
     def test_non_finite_inventory_named(self, work, capsys, text):
         cfg, out = work
@@ -608,26 +621,25 @@ class TestReproduce:
         assert main(args + ["--stage", "quotes"]) == 0
         assert npzs[0].stat().st_mtime_ns == stamp
 
-    def test_adjust_stage_runs_three_simulations_for_two_rfqs(self, tmp_path, monkeypatch):
+    def test_adjust_stage_runs_one_simulation_for_two_rfqs(self, tmp_path, monkeypatch):
         import rfqmm.residual
 
         calls = []
-        real = rfqmm.residual.simulate
+        real = rfqmm.residual.simulate_starts
 
         def counting(*args, **kwargs):
-            calls.append(kwargs["start_inventory"].copy())
+            calls.append([q.tolist() for q in args[4]])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(rfqmm.residual, "simulate", counting)
+        monkeypatch.setattr(rfqmm.residual, "simulate_starts", counting)
         code = main(
             ["reproduce", "paper-2asset", "--stage", "adjust", "--grid", "15",
              "--paths", "10", "--out-dir", str(tmp_path)]
         )
         assert code == 0
-        # one estimate at the flat state, shared by both RFQs, then each
-        # RFQ's post-trade state
-        starts = [[0.0, 0.0], [12500.0, 0.0], [-12500.0, 0.0]]
-        assert [c.tolist() for c in calls] == starts
+        # one run: the flat state, shared by both RFQs, then each RFQ's
+        # post-trade state
+        assert calls == [[[0.0, 0.0], [12500.0, 0.0], [-12500.0, 0.0]]]
 
     def test_adjust_stage_reports_corrected_value(self, tmp_path, capsys):
         code = main(

@@ -169,6 +169,27 @@ class TestOptimalQuote:
         with pytest.raises(ValidationError, match="shape"):
             quote_table(surface, market, [0.0, 0.0])
 
+    @pytest.mark.parametrize("size", [np.inf, np.nan, -1.0])
+    def test_size_must_be_positive_and_finite(self, short_setup, size):
+        market, _, _, surface = short_setup
+        message = f"trade size must be positive and finite, got {size}"
+        with pytest.raises(ValidationError, match=message):
+            optimal_quote(surface, market, [0.0, 0.0], 0, "bid", size)
+        with pytest.raises(ValidationError, match=message):
+            quote_table(surface, market, [[0.0, 0.0]], sizes=[size])
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_quote_time_must_be_finite(self, short_setup, t):
+        # the nearest-slice lookup would read a NaN time as slice 0
+        market, _, _, surface = short_setup
+        message = f"t must be finite, got {t}"
+        with pytest.raises(ValidationError, match=message):
+            optimal_quote(surface, market, [0.0, 0.0], 0, "bid", 100.0, t=t)
+        with pytest.raises(ValidationError, match=message):
+            quote_table(surface, market, [[0.0, 0.0]], t=t)
+        with pytest.raises(ValidationError, match=message):
+            surface.value(t, [0.0, 0.0])
+
 
 class TestRefusals:
     @staticmethod

@@ -12,7 +12,13 @@ from rfqmm.errors import ValidationError
 from rfqmm.factors import FactorModel, build_factor_model
 from rfqmm.model import RiskPenalty
 from rfqmm.quotes import SurfacePolicy, optimal_quote
-from rfqmm.residual import adjusted_quote, correction_samples, residual_correction
+from rfqmm.residual import (
+    adjusted_quote,
+    adjusted_quotes,
+    correction_samples,
+    residual_correction,
+    residual_corrections,
+)
 from rfqmm.simulator import simulate
 from rfqmm.solver import FactorGrid, solve
 
@@ -169,6 +175,50 @@ class TestTrajectoryIdentity:
             assert est.value <= 0.0
 
 
+class TestMultiStart:
+    def test_each_inventory_matches_its_own_estimate(self, two_asset_setup):
+        market, surface1, _ = two_asset_setup
+        inventories = [None, [20000.0, -10000.0], [-12500.0, 0.0]]
+        together = residual_corrections(surface1, market, inventories, t=0.5, n_paths=9, seed=4)
+        for q, est in zip(inventories, together):
+            alone = residual_correction(surface1, market, q, t=0.5, n_paths=9, seed=4)
+            np.testing.assert_array_equal(est.samples, alone.samples)
+            assert (est.value, est.stderr, est.n_paths, est.seed) == (
+                alone.value, alone.stderr, alone.n_paths, alone.seed
+            )
+        assert residual_corrections(surface1, market, [], n_paths=9, seed=4) == []
+
+    def test_full_rank_model_gives_exact_zeros(self, two_asset_setup):
+        market, _, surface2 = two_asset_setup
+        out = residual_corrections(surface2, market, [None, [5000.0, 0.0]], n_paths=3, seed=1)
+        assert [e.value for e in out] == [0.0, 0.0]
+
+    def test_adjusted_quotes_match_one_by_one(self, two_asset_setup):
+        market, surface1, _ = two_asset_setup
+        fm = surface1.factor_model
+        q = np.full(2, surface1.grid.half_widths[0] * 0.999 / fm.loadings[:, 0].sum())
+        # the middle RFQ is refused at this state and takes no arm
+        rfqs = [(0, "ask", 12500.0), (0, "bid", 25000.0), (1, "ask", 6250.0)]
+        here, quotes = adjusted_quotes(surface1, market, q, rfqs, n_paths=8, seed=6)
+        assert [a.refused for a in quotes] == [False, True, False]
+        alone_here = residual_correction(surface1, market, q, n_paths=8, seed=6)
+        np.testing.assert_array_equal(here.samples, alone_here.samples)
+        for rfq, got in zip(rfqs, quotes):
+            want = adjusted_quote(surface1, market, q, *rfq, n_paths=8, seed=6)
+            for f in dataclasses.fields(got):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name.startswith("correction"):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        np.testing.assert_array_equal(a.samples, b.samples)
+                else:
+                    assert a == b or (np.isnan(a) and np.isnan(b)), f.name
+        # a given estimate at the state is used as is, and no arm re-estimates it
+        again, requoted = adjusted_quotes(surface1, market, q, rfqs, n_paths=8, seed=6, here=here)
+        assert again is here
+        assert [a.delta for a in requoted[::2]] == [a.delta for a in quotes[::2]]
+
+
 class TestStderr:
     def test_scaling_with_path_count(self, flat_setup):
         surface, priced, _ = flat_setup
@@ -216,6 +266,23 @@ class TestDegenerateAndErrors:
         with pytest.raises(ValidationError, match="keep_event_logs"):
             run = simulate(priced, SurfacePolicy(surface, priced), 2, 0)
             correction_samples(run, surface.factor_model)
+
+    @pytest.mark.parametrize(
+        "n_paths, seed, message",
+        [
+            (2.5, 0, "n_paths must be an integer >= 1, got 2.5"),
+            (10, -1, "seed must be an integer >= 0, got -1"),
+            (10, 0.5, "seed must be an integer >= 0, got 0.5"),
+        ],
+    )
+    def test_run_size_is_checked(self, two_asset_setup, n_paths, seed, message):
+        market, surface1, surface2 = two_asset_setup
+        # the full-rank surface runs no simulation, so it is checked up front
+        for surface in (surface1, surface2):
+            with pytest.raises(ValidationError, match=message):
+                residual_correction(surface, market, n_paths=n_paths, seed=seed)
+            with pytest.raises(ValidationError, match=message):
+                residual_corrections(surface, market, [None], n_paths=n_paths, seed=seed)
 
 
 class TestAdjustedQuote:

@@ -260,6 +260,105 @@ class TestChunking:
         assert traced_peak(4 * simulator.PATH_CHUNK) < 1.5 * one_chunk
 
 
+#: start inventories of the multi-start runs, the first one flat
+MULTI_STARTS = [None, [20000.0, -10000.0], [-15000.0, 5000.0], [0.0, 30000.0]]
+
+
+class TestMultiStart:
+    """``simulate_starts`` gives every start the run ``simulate`` gives it
+    alone, and draws each path's events once for all starts."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("n_starts", [1, 2, 4])
+    @pytest.mark.parametrize("chunk", [1, 7, "n_paths"])
+    def test_each_start_matches_its_own_run_bitwise(
+        self, sim_setup, one_factor_setup, monkeypatch, engine, n_starts, chunk
+    ):
+        market = sim_setup[0]
+        fm1, surface1 = one_factor_setup
+        policy = SurfacePolicy(surface1, market)
+        n = 12
+        monkeypatch.setattr(simulator, "PATH_CHUNK", n if chunk == "n_paths" else chunk)
+        starts = MULTI_STARTS[:n_starts]
+        together = simulator.simulate_starts(
+            market, policy, n, 19, starts, engine=engine, keep_event_logs=True
+        )
+        assert len(together) == n_starts
+        for start, result in zip(starts, together):
+            alone = simulate(
+                market, policy, n, seed=19, engine=engine, keep_event_logs=True,
+                start_inventory=start,
+            )
+            assert _bits(result, fm1, start) == _bits(alone, fm1, start)
+            np.testing.assert_array_equal(result.start_inventory, alone.start_inventory)
+        assert all(any(log["t"] for log in r.event_logs) for r in together)
+
+    def test_events_are_drawn_once_per_path(self, sim_setup, monkeypatch):
+        market, _, _, surface = sim_setup
+        drawn = []
+
+        def counting(buckets, horizon, rng, price_dims=0):
+            drawn.append(rng)
+            return draw_path_events(buckets, horizon, rng, price_dims=price_dims)
+
+        monkeypatch.setattr(simulator, "draw_path_events", counting)
+        simulator.simulate_starts(market, SurfacePolicy(surface, market), 9, 3, MULTI_STARTS)
+        assert len(drawn) == 9
+
+    def test_events_are_shared_in_memory(self):
+        market = make_market_2asset(horizon=1.0)
+        policy = MyopicPolicy(market)
+
+        def traced_peak(n_starts):
+            tracemalloc.start()
+            try:
+                simulator.simulate_starts(
+                    market, policy, simulator.PATH_CHUNK, 3, MULTI_STARTS[:n_starts],
+                    engine="price_paths",
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # measured 1.24x here: the per-row state grows with the starts, a
+        # chunk's padded events and drawn paths do not
+        assert traced_peak(4) < 1.5 * traced_peak(1)
+
+    def test_validation(self, sim_setup):
+        market, _, _, surface = sim_setup
+        policy = SurfacePolicy(surface, market)
+        with pytest.raises(ValidationError, match="at least one start inventory"):
+            simulator.simulate_starts(market, policy, 5, 1, [])
+        with pytest.raises(ValidationError, match=r"inventory \[nan, 0.0\] must be finite"):
+            simulator.simulate_starts(market, policy, 5, 1, [None, [np.nan, 0.0]])
+
+    @pytest.mark.parametrize(
+        "n_paths, seed, message",
+        [
+            (2.5, 1, "n_paths must be an integer >= 1, got 2.5"),
+            (0, 1, "n_paths must be an integer >= 1, got 0"),
+            (True, 1, "n_paths must be an integer >= 1, got True"),
+            (5, -1, "seed must be an integer >= 0, got -1"),
+            (5, 1.5, "seed must be an integer >= 0, got 1.5"),
+            (5, None, "seed must be an integer >= 0, got None"),
+        ],
+    )
+    def test_run_size_is_checked(self, sim_setup, n_paths, seed, message):
+        market, _, _, surface = sim_setup
+        policy = SurfacePolicy(surface, market)
+        with pytest.raises(ValidationError, match=message):
+            simulate(market, policy, n_paths, seed)
+        with pytest.raises(ValidationError, match=message):
+            simulator.simulate_starts(market, policy, n_paths, seed, [None])
+
+    def test_numpy_integers_are_accepted(self, sim_setup):
+        market, _, _, surface = sim_setup
+        policy = SurfacePolicy(surface, market)
+        a = simulate(market, policy, np.int64(3), np.int32(4))
+        b = simulate(market, policy, 3, 4)
+        assert [p.pnl for p in a.paths] == [p.pnl for p in b.paths]
+
+
 class TestEngines:
     def test_price_path_identity_is_a_real_crosscheck(self, sim_setup):
         market, _, _, surface = sim_setup

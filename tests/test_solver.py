@@ -218,6 +218,16 @@ class TestGrid:
         with pytest.raises(ValidationError, match="positive"):
             FactorGrid(np.diag([1.0]), np.array([-1.0]), (3,), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_non_finite_inputs(self, bad):
+        # NaN passes a plain `x <= 0` test, so each field needs its own check
+        with pytest.raises(ValidationError, match="half widths must be positive and finite"):
+            FactorGrid(np.diag([1.0]), np.array([bad]), (3,), 1.0)
+        with pytest.raises(ValidationError, match="risk limit must be positive and finite"):
+            FactorGrid(np.diag([1.0]), np.array([1.0]), (3,), bad)
+        with pytest.raises(ValidationError, match="factor covariance must be finite"):
+            FactorGrid(np.diag([bad]), np.array([1.0]), (3,), 1.0)
+
 
 @pytest.fixture(scope="module")
 def surface():
