@@ -22,10 +22,10 @@ arrival times and acceptance uniforms before any state is touched, two
 estimates differing only in the starting inventory replay the same
 randomness; differences of such estimates (the quote adjustment) are
 common-random-number pairs, which is what makes them usable at realistic
-path counts.  :func:`residual_corrections` runs all the inventories it is
-given as starts of one event loop that draws each path's events once, and
-:func:`adjusted_quotes` prices the RFQs of one state with all their arms in
-one such run.
+path counts.  :func:`residual_corrections` runs the inventories it is given
+as starts of one event loop that draws each path's events once, a few
+starts at a time (:data:`STARTS_PER_RUN`), and :func:`adjusted_quotes`
+prices the RFQs of one state with all their arms in such runs.
 
 The integral is computed exactly: inventory is piecewise constant between
 fills, so each path contributes a finite sum of segment terms, not a
@@ -45,14 +45,16 @@ from .factors import FactorModel
 from .hamiltonian import quote_offset
 from .model import SIDES, MarketSpec, clean_inventory
 from .quotes import SurfacePolicy, optimal_quote
-from .simulator import (
-    SimulationResult,
-    check_run_size,
-    inventory_paths,
-    simulate_starts,
-    standard_error,
-)
+from .simulator import SimulationResult, check_run_size, inventory_paths, standard_error
+# the estimates' runs go through the name ``simulate``, as the single-start
+# runs did, so bench/tracing.py times them as the residual layer's simulations
+from .simulator import simulate_starts as simulate
 from .solver import ValueSurface
+
+#: starts of one estimation run: each start's event logs are kept until its
+#: samples are taken, so this bounds the memory of an estimate with many
+#: inventories; an adjusted quote runs 2, ``rfqmm adjust`` with two RFQs 3
+STARTS_PER_RUN = 4
 
 
 @dataclass(frozen=True)
@@ -158,11 +160,6 @@ def correction_samples(
     return out
 
 
-def _summarise_samples(samples: np.ndarray, n_paths: int, seed: int) -> ResidualCorrection:
-    value = float(samples.mean())
-    return ResidualCorrection(value, standard_error(samples), n_paths, seed, samples)
-
-
 def residual_corrections(
     surface: ValueSurface,
     market: MarketSpec,
@@ -173,37 +170,15 @@ def residual_corrections(
 ) -> list[ResidualCorrection]:
     """Estimate the residual-risk cost of standing at each of ``inventories`` at ``t``.
 
-    Simulates the surface policy's fill process from every inventory over
-    the remaining horizon in one multi-start run, and averages the exact
-    pathwise penalty-derivative integral of the leftover quadratic risk.
-    Path ``i`` replays ``path_generator(seed, i)`` from every inventory, so
-    the estimates are common-random-number pairs, and each is bit for bit
-    the one a run from that inventory alone gives.  A full-rank factor model
-    has a zero residual, making the integrand identically zero; that case
-    returns exact zeros, with zero standard error from two paths on, and
-    runs no simulation.
+    Returns one estimate per inventory, in order, each bit for bit the one
+    :func:`residual_correction` gives for that inventory alone; the
+    inventories are the starts of shared runs (see there).
     """
-    _check_estimation_inputs(market, t, n_paths, seed)
-    fm = surface.factor_model
     starts = [clean_inventory(market, q) for q in inventories]
-    if not starts or not fm.residual_cov.any():
-        return [_summarise_samples(np.zeros(n_paths), n_paths, seed) for _ in starts]
-
-    run_market = (
-        market if t == 0.0 else dataclasses.replace(market, horizon=market.horizon - t)
-    )
-    policy = SurfacePolicy(surface, run_market)
-    runs = simulate_starts(
-        run_market,
-        policy,
-        n_paths,
-        seed,
-        starts,
-        engine="thinning",
-        keep_event_logs=True,
-        quote_times="stationary",
-    )
-    return [_summarise_samples(correction_samples(run, fm), n_paths, seed) for run in runs]
+    if not starts:
+        _check_estimation_inputs(market, t, n_paths, seed)
+        return []
+    return residual_correction(surface, market, np.stack(starts), t, n_paths, seed)
 
 
 def residual_correction(
@@ -213,12 +188,49 @@ def residual_correction(
     t: float = 0.0,
     n_paths: int = 500,
     seed: int = 0,
-) -> ResidualCorrection:
+) -> ResidualCorrection | list[ResidualCorrection]:
     """Estimate the residual-risk cost of standing at inventory ``q`` at ``t``.
 
-    The one-inventory case of :func:`residual_corrections`.
+    Simulates the surface policy's fill process from ``q`` over the
+    remaining horizon and averages the exact pathwise penalty-derivative
+    integral of the leftover quadratic risk.  A full-rank factor model has a
+    zero residual, making the integrand identically zero; that case returns
+    exact zeros, with zero standard error from two paths on, and runs no
+    simulation.
+
+    ``q`` may also be a 2-D array with one inventory per row; a list with one
+    estimate per row comes back.  The rows run as the starts of one event
+    loop, up to :data:`STARTS_PER_RUN` at a time, and path ``i`` replays
+    ``path_generator(seed, i)`` from every row, so the estimates are
+    common-random-number pairs and each is bit for bit the one its row gets
+    alone.
     """
-    return residual_corrections(surface, market, [q], t=t, n_paths=n_paths, seed=seed)[0]
+    _check_estimation_inputs(market, t, n_paths, seed)
+    stacked = np.ndim(q) == 2
+    starts = [clean_inventory(market, row) for row in q] if stacked else [clean_inventory(market, q)]
+    fm = surface.factor_model
+    if not fm.residual_cov.any():
+        samples = [np.zeros(n_paths) for _ in starts]
+    else:
+        run_market = (
+            market if t == 0.0 else dataclasses.replace(market, horizon=market.horizon - t)
+        )
+        policy = SurfacePolicy(surface, run_market)
+        samples = []
+        for first in range(0, len(starts), STARTS_PER_RUN):
+            runs = simulate(
+                run_market,
+                policy,
+                n_paths,
+                seed,
+                starts[first : first + STARTS_PER_RUN],
+                engine="thinning",
+                keep_event_logs=True,
+                quote_times="stationary",
+            )
+            samples += [correction_samples(run, fm) for run in runs]
+    out = [ResidualCorrection(float(x.mean()), standard_error(x), n_paths, seed, x) for x in samples]
+    return out if stacked else out[0]
 
 
 def adjusted_quotes(
@@ -234,8 +246,8 @@ def adjusted_quotes(
     """Adjusted quotes for several RFQs ``(asset, side, size)`` at one state.
 
     Every arm (the state ``q``, unless its correction ``here`` is given, and
-    the post-trade inventory of each priced RFQ) is one start of a single
-    :func:`residual_corrections` run on the per-path streams of ``seed``.
+    the post-trade inventory of each priced RFQ) is a start of the
+    :func:`residual_corrections` runs on the per-path streams of ``seed``.
     Returns the correction at ``q`` and one :class:`AdjustedQuote` per RFQ,
     in order; a refused RFQ gets no arm (see :func:`adjusted_quote`).
     """

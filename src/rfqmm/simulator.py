@@ -134,6 +134,25 @@ class SimulationResult:
             fp.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+class StartRuns(tuple):
+    """The results of one multi-start run, one :class:`SimulationResult` per
+    start, in start order.
+
+    ``engine`` and ``paths`` read the run as a whole, every (start, path)
+    row start by start, so per-run tallies of fills and refusals take it as
+    they take a single result (``bench/tracing.py`` counts the residual
+    estimates' runs this way).
+    """
+
+    @property
+    def engine(self) -> str:
+        return self[0].engine
+
+    @property
+    def paths(self) -> List[TrajectoryStats]:
+        return [p for run in self for p in run.paths]
+
+
 def standard_error(samples: np.ndarray) -> float:
     """Standard error of the mean of ``samples``; NaN below two samples."""
     n = len(samples)
@@ -190,15 +209,29 @@ def total_variance_gap(result: SimulationResult):
     return float(gap), se
 
 
-def _check_degenerate(policy, buckets: BucketTable, q0: np.ndarray) -> None:
-    start = np.tile(q0, (len(buckets), 1))
-    _, ok = policy.quote_rows(0.0, start, buckets.asset, buckets.side, buckets.size)
-    if len(buckets) and not ok.any():
+def _check_degenerate(policy, buckets: BucketTable, starts) -> None:
+    """Warn once if the policy refuses every bucket at some start inventory.
+
+    Called two frames below the public entry point (:func:`simulate` or
+    :func:`simulate_starts`, each a direct call of :func:`_simulate_starts`),
+    so the warning names that entry point's caller.
+    """
+    refused_all = []
+    for s, q0 in enumerate(starts):
+        start = np.tile(q0, (len(buckets), 1))
+        _, ok = policy.quote_rows(0.0, start, buckets.asset, buckets.side, buckets.size)
+        if len(buckets) and not ok.any():
+            refused_all.append(s)
+    if refused_all:
+        where = (
+            "the starting inventory; the run"
+            if len(starts) == 1
+            else f"start inventories {refused_all} of {len(starts)}; their runs"
+        )
         warnings.warn(
-            "policy refuses every bucket at the starting inventory; the run "
-            "will complete with no fills",
+            f"policy refuses every bucket at {where} will complete with no fills",
             DegenerateRunWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -230,7 +263,7 @@ def simulate(
     of :data:`PATH_CHUNK`; results are appended in path order.  This is the
     one-start case of :func:`simulate_starts`.
     """
-    return simulate_starts(
+    return _simulate_starts(
         market, policy, n_paths, seed, [start_inventory], engine, keep_event_logs, quote_times
     )[0]
 
@@ -244,7 +277,7 @@ def simulate_starts(
     engine: str = "thinning",
     keep_event_logs: bool = False,
     quote_times: str = "stationary",
-) -> List[SimulationResult]:
+) -> StartRuns:
     """Run ``n_paths`` trajectories from each of several start inventories.
 
     Returns one result per start, each the one :func:`simulate` gives from
@@ -253,6 +286,14 @@ def simulate_starts(
     pairs; each path's events are drawn once and shared by all starts, which
     step through one event loop together.
     """
+    return _simulate_starts(
+        market, policy, n_paths, seed, start_inventories, engine, keep_event_logs, quote_times
+    )
+
+
+def _simulate_starts(
+    market, policy, n_paths, seed, start_inventories, engine, keep_event_logs, quote_times
+) -> StartRuns:
     if engine not in ENGINES:
         raise ValidationError(f"engine must be one of {ENGINES}, got {engine!r}")
     if quote_times not in ("stationary", "event"):
@@ -270,7 +311,7 @@ def simulate_starts(
     buckets = BucketTable.from_market(market)
     for q0 in starts:
         q0.setflags(write=False)
-        _check_degenerate(policy, buckets, q0)
+    _check_degenerate(policy, buckets, starts)
     if engine == "collapsed":
         def run(chunk):
             return [
@@ -289,7 +330,7 @@ def simulate_starts(
         for s, (chunk_paths, chunk_logs) in enumerate(run(chunk)):
             paths[s] += chunk_paths
             logs[s] += chunk_logs
-    return [
+    return StartRuns(
         SimulationResult(
             market=market,
             policy_kind=policy.kind,
@@ -301,7 +342,7 @@ def simulate_starts(
             event_logs=logs[s] if keep_event_logs else None,
         )
         for s, q0 in enumerate(starts)
-    ]
+    )
 
 
 def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, engine, starts):

@@ -625,13 +625,13 @@ class TestReproduce:
         import rfqmm.residual
 
         calls = []
-        real = rfqmm.residual.simulate_starts
+        real = rfqmm.residual.simulate
 
         def counting(*args, **kwargs):
             calls.append([q.tolist() for q in args[4]])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(rfqmm.residual, "simulate_starts", counting)
+        monkeypatch.setattr(rfqmm.residual, "simulate", counting)
         code = main(
             ["reproduce", "paper-2asset", "--stage", "adjust", "--grid", "15",
              "--paths", "10", "--out-dir", str(tmp_path)]

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import rfqmm.residual
 from helpers import make_market_1asset, make_market_2asset, make_sizes
 from rfqmm.errors import ValidationError
 from rfqmm.factors import FactorModel, build_factor_model
@@ -187,6 +188,24 @@ class TestMultiStart:
                 alone.value, alone.stderr, alone.n_paths, alone.seed
             )
         assert residual_corrections(surface1, market, [], n_paths=9, seed=4) == []
+
+    def test_runs_take_a_bounded_number_of_starts(self, two_asset_setup, monkeypatch):
+        market, surface1, _ = two_asset_setup
+        inventories = [None, [20000.0, -10000.0], [-12500.0, 0.0], [0.0, 6250.0], [5000.0, 0.0]]
+        want = residual_corrections(surface1, market, inventories, n_paths=7, seed=2)
+        sizes = []
+        real = rfqmm.residual.simulate
+
+        def counting(*args, **kwargs):
+            sizes.append(len(args[4]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rfqmm.residual, "simulate", counting)
+        monkeypatch.setattr(rfqmm.residual, "STARTS_PER_RUN", 2)
+        got = residual_correction(surface1, market, np.array(inventories[1:]), n_paths=7, seed=2)
+        assert sizes == [2, 2]
+        for a, b in zip(got, want[1:]):
+            np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_full_rank_model_gives_exact_zeros(self, two_asset_setup):
         market, _, surface2 = two_asset_setup

@@ -284,6 +284,9 @@ class TestMultiStart:
             market, policy, n, 19, starts, engine=engine, keep_event_logs=True
         )
         assert len(together) == n_starts
+        assert together.engine == engine
+        assert together.paths == [p for r in together for p in r.paths]
+        assert len(together.paths) == n_starts * n
         for start, result in zip(starts, together):
             alone = simulate(
                 market, policy, n, seed=19, engine=engine, keep_event_logs=True,
@@ -446,6 +449,13 @@ class TestRiskGate:
             assert p.n_fills.sum() == 0
             assert p.refused_quotes > 0
             assert p.pnl == 0.0
+        # the warning names the caller of either entry point, once per run
+        with pytest.warns(DegenerateRunWarning, match="the starting inventory") as caught:
+            simulate(market, policy, 5, seed=2)
+        assert [w.filename for w in caught] == [__file__]
+        with pytest.warns(DegenerateRunWarning, match=r"start inventories \[0, 1\] of 2") as caught:
+            simulator.simulate_starts(market, policy, 5, 2, [None, None])
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestTrivialCases:
