@@ -22,7 +22,7 @@ from rfqmm import simulator
 from rfqmm.errors import ValidationError
 from rfqmm.events import BucketTable, draw_path_events, path_generator
 from rfqmm.factors import build_factor_model
-from rfqmm.quotes import MyopicPolicy, SurfacePolicy, myopic_quote
+from rfqmm.quotes import MyopicPolicy, SurfacePolicy, myopic_quote, surface_quotes
 from rfqmm.residual import correction_samples
 from rfqmm.simulator import (
     ENGINES,
@@ -52,68 +52,114 @@ def one_factor_setup(sim_setup):
     return fm1, surface1
 
 
+def _replay(market, seed, path, quote, q0=None):
+    """One path re-run with plain scalar arithmetic, event by event.
+
+    ``quote(q, sq, y, asset, side, size)`` answers each arrival at the
+    current state with ``(delta, ok)``.  Returns the path's totals.
+    """
+    buckets = BucketTable.from_market(market)
+    sigma = market.covariance
+    limit = market.risk_limit * (1.0 + 1e-12)
+    ev = draw_path_events(buckets, market.horizon, path_generator(seed, path))
+    q = np.zeros(market.n_assets) if q0 is None else np.array(q0, dtype=float)
+    sq = q @ sigma
+    y = float(q @ sigma @ q)
+    t_prev = spread = market_pnl = risk_int = pen_int = 0.0
+    fills = np.zeros(len(buckets), dtype=np.int64)
+    rejected = refused = 0
+    for j in range(ev.n_events):
+        tj = ev.times[j]
+        dt = tj - t_prev
+        risk_int += y * dt
+        pen_int += float(market.penalty.running(y)) * dt
+        market_pnl += np.sqrt(y * dt) * ev.normals[j]
+        t_prev = tj
+        b = ev.bucket[j]
+        a = int(buckets.asset[b])
+        s = int(buckets.side[b])
+        z = buckets.size[b]
+        delta, ok = quote(q, sq, y, a, s, z)
+        if not ok:
+            refused += 1
+            continue
+        u = buckets.alpha[b] + buckets.beta[b] * delta
+        prob = 1.0 / (1.0 + np.exp(np.minimum(u, 700.0)))
+        if ev.thin[j] < prob:
+            sign = 1.0 if s == 0 else -1.0
+            post = y + 2.0 * sign * z * sq[a] + z * z * sigma[a, a]
+            if post > limit:
+                rejected += 1
+            else:
+                q[a] += sign * z
+                sq += (sign * z) * sigma[a]
+                y = post
+                spread += delta * z
+                fills[b] += 1
+    dt = market.horizon - t_prev
+    risk_int += y * dt
+    pen_int += float(market.penalty.running(y)) * dt
+    market_pnl += np.sqrt(y * dt) * ev.normals[ev.n_events]
+    return dict(
+        spread=spread, market_pnl=market_pnl, risk_int=risk_int, pen_int=pen_int,
+        fills=fills, rejected=rejected, refused=refused, q=q,
+    )
+
+
+def _assert_replayed(got, want):
+    assert got.spread_pnl == want["spread"]
+    assert got.market_pnl == want["market_pnl"]
+    assert got.pnl == want["spread"] + want["market_pnl"]
+    assert got.risk_integral == want["risk_int"]
+    assert got.penalty_integral == want["pen_int"]
+    assert got.rejected_fills == want["rejected"]
+    assert got.refused_quotes == want["refused"]
+    np.testing.assert_array_equal(got.n_fills, want["fills"])
+    np.testing.assert_array_equal(got.terminal_inventory, want["q"])
+
+
 class TestReplayOracle:
     """Re-execute a few paths with plain scalar arithmetic and demand
     exact equality with the vectorised engine."""
 
     def test_myopic_paths_replay_exactly(self):
         market = make_market_2asset(horizon=0.5)
-        policy = MyopicPolicy(market)
         seed = 21
-        result = simulate(market, policy, 3, seed=seed)
-        buckets = BucketTable.from_market(market)
-        sigma = market.covariance
-        limit = market.risk_limit * (1.0 + 1e-12)
+        result = simulate(market, MyopicPolicy(market), 3, seed=seed)
         deltas = {
             (i, s): myopic_quote(market.assets[i].intensity(side), market.quote_floor)
             for i in range(2)
             for s, side in enumerate(("bid", "ask"))
         }
+
+        def quote(q, sq, y, a, s, z):
+            return deltas[(a, s)], True
+
         for path in range(3):
-            ev = draw_path_events(buckets, market.horizon, path_generator(seed, path))
-            q = np.zeros(2)
-            sq = np.zeros(2)
-            y = 0.0
-            t_prev = spread = market_pnl = risk_int = pen_int = 0.0
-            fills = np.zeros(len(buckets), dtype=np.int64)
-            rejected = 0
-            for j in range(ev.n_events):
-                tj = ev.times[j]
-                dt = tj - t_prev
-                risk_int += y * dt
-                pen_int += float(market.penalty.running(y)) * dt
-                market_pnl += np.sqrt(y * dt) * ev.normals[j]
-                t_prev = tj
-                b = ev.bucket[j]
-                a = int(buckets.asset[b])
-                s = int(buckets.side[b])
-                z = buckets.size[b]
-                delta = deltas[(a, s)]
-                u = buckets.alpha[b] + buckets.beta[b] * delta
-                prob = 1.0 / (1.0 + np.exp(np.minimum(u, 700.0)))
-                if ev.thin[j] < prob:
-                    sign = 1.0 if s == 0 else -1.0
-                    post = y + 2.0 * sign * z * sq[a] + z * z * sigma[a, a]
-                    if post > limit:
-                        rejected += 1
-                    else:
-                        q[a] += sign * z
-                        sq += (sign * z) * sigma[a]
-                        y = post
-                        spread += delta * z
-                        fills[b] += 1
-            dt = market.horizon - t_prev
-            risk_int += y * dt
-            pen_int += float(market.penalty.running(y)) * dt
-            market_pnl += np.sqrt(y * dt) * ev.normals[ev.n_events]
-            got = result.paths[path]
-            assert got.spread_pnl == spread
-            assert got.market_pnl == market_pnl
-            assert got.pnl == spread + market_pnl
-            assert got.risk_integral == risk_int
-            assert got.penalty_integral == pen_int
-            assert got.rejected_fills == rejected
-            np.testing.assert_array_equal(got.n_fills, fills)
+            _assert_replayed(result.paths[path], _replay(market, seed, path, quote))
+
+    def test_surface_paths_replay_exactly(self, sim_setup):
+        """A feedback policy: each arrival is quoted alone, one row through
+        the quoting rule at the state the replay has reached."""
+        market, _, _, surface = sim_setup
+        seed = 21
+        # near the risk limit, so the replay meets risk refusals (the policy
+        # refuses what the gate would reject, so no fill is rejected here)
+        q0 = [0.9 * np.sqrt(market.risk_limit / market.covariance[0, 0]), 0.0]
+        result = simulate(market, SurfacePolicy(surface, market), 3, seed=seed, start_inventory=q0)
+
+        def quote(q, sq, y, a, s, z):
+            delta, reason, _ = surface_quotes(
+                surface, market, 0.0, q[None], np.array([a]), np.array([s]), np.array([z]),
+                sq[None], np.array([y]),
+            )
+            return delta[0], reason[0] == 0
+
+        replayed = [_replay(market, seed, path, quote, q0) for path in range(3)]
+        for path in range(3):
+            _assert_replayed(result.paths[path], replayed[path])
+        assert sum(r["refused"] for r in replayed) > 0
+        assert sum(int(r["fills"].sum()) for r in replayed) > 0
 
 
 class TestDeterminismAndLayout:
@@ -258,6 +304,72 @@ class TestChunking:
 
         one_chunk = traced_peak(simulator.PATH_CHUNK)
         assert traced_peak(4 * simulator.PATH_CHUNK) < 1.5 * one_chunk
+
+
+def _near_limit(market, start, share=0.9):
+    """``start`` (or the first asset alone) scaled to ``share`` of the risk limit."""
+    q = np.asarray(start if start is not None else np.eye(market.n_assets)[0], dtype=float)
+    return q * np.sqrt(share * market.risk_limit / (q @ market.covariance @ q))
+
+
+@pytest.fixture(scope="module")
+def event_setup():
+    market = make_market_2asset(horizon=0.2)
+    fm = build_factor_model(market.covariance, 1)
+    grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
+    return market, fm, solve(market, fm, grid, SolverConfig(store_policy="all_slices"))
+
+
+class TestWindow:
+    """A row's numbers do not depend on how many of its next events a pass of
+    the thinning loop quotes together (``simulator.EVENT_WINDOW``)."""
+
+    @staticmethod
+    def _check(monkeypatch, market, policy, fm, starts, engine, **kwargs):
+        runs = []
+        for window in (1, 3, simulator.EVENT_WINDOW):
+            monkeypatch.setattr(simulator, "EVENT_WINDOW", window)
+            results = simulator.simulate_starts(
+                market, policy, 20, 19, starts, engine=engine, keep_event_logs=True, **kwargs
+            )
+            runs.append([_bits(r, fm, s) for r, s in zip(results, starts)])
+        assert runs[0] == runs[1] == runs[2]
+        assert all(any(log["t"] for log in r.event_logs) for r in results)
+        return results
+
+    @pytest.mark.parametrize("engine", ["thinning", "price_paths"])
+    @pytest.mark.parametrize("policy_kind", ["surface", "myopic"])
+    @pytest.mark.parametrize("setup", ["two", "thirty"])
+    @pytest.mark.parametrize("n_starts", [1, 3])
+    def test_results_do_not_depend_on_the_window(
+        self, request, monkeypatch, engine, policy_kind, setup, n_starts
+    ):
+        if setup == "two":
+            market, _, _, surface = request.getfixturevalue("sim_setup")
+            fm = build_factor_model(market.covariance, 1)
+            start = None
+        else:
+            market, fm, surface, start = request.getfixturevalue("thirty_setup")
+        policy = SurfacePolicy(surface, market) if policy_kind == "surface" else MyopicPolicy(market)
+        # the first start near the risk limit: the surface policy refuses
+        # there, and the myopic policy's fills are rejected
+        near = _near_limit(market, start)
+        starts = [near, start, -near][:n_starts]
+        results = self._check(monkeypatch, market, policy, fm, starts, engine)
+        gated = sum(p.refused_quotes + p.rejected_fills for p in results[0].paths)
+        assert gated > 0
+
+    @pytest.mark.parametrize("engine", ["thinning", "price_paths"])
+    @pytest.mark.parametrize("n_starts", [1, 3])
+    def test_event_time_quotes_do_not_depend_on_the_window(
+        self, event_setup, monkeypatch, engine, n_starts
+    ):
+        market, fm, surface = event_setup
+        starts = [None, _near_limit(market, None), [20000.0, -10000.0]][:n_starts]
+        self._check(
+            monkeypatch, market, SurfacePolicy(surface, market), fm, starts, engine,
+            quote_times="event",
+        )
 
 
 #: start inventories of the multi-start runs, the first one flat
