@@ -254,9 +254,10 @@ class RiskPenalty:
         return self.gamma * np.sqrt(y)
 
     def running_derivative(self, y):
-        """d running / dy.  Undefined at y = 0 for the sqrt form."""
+        """d running / dy.  Undefined at y = 0 for the sqrt form with
+        ``gamma > 0``; a zero weight has derivative 0 everywhere."""
         y = np.asarray(y, dtype=float)
-        if self.running_form == "quadratic":
+        if self.running_form == "quadratic" or self.gamma == 0.0:
             return np.full_like(y, 0.5 * self.gamma)
         return 0.5 * self.gamma / np.sqrt(y)
 
@@ -269,10 +270,12 @@ class RiskPenalty:
         return self.zeta * np.sqrt(y)
 
     def terminal_derivative(self, y):
+        """d terminal / dy.  Undefined at y = 0 for the sqrt form with
+        ``zeta > 0``; a zero weight has derivative 0 everywhere."""
         y = np.asarray(y, dtype=float)
         if self.terminal_form == "zero":
             return np.zeros_like(y)
-        if self.terminal_form == "quadratic":
+        if self.terminal_form == "quadratic" or self.zeta == 0.0:
             return np.full_like(y, 0.5 * self.zeta)
         return 0.5 * self.zeta / np.sqrt(y)
 

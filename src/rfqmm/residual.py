@@ -29,7 +29,11 @@ prices the RFQs of one state with all their arms in such runs.
 
 The integral is computed exactly: inventory is piecewise constant between
 fills, so each path contributes a finite sum of segment terms, not a
-quadrature.
+quadrature.  :func:`correction_samples` takes those sums in array passes
+over blocks of paths (:func:`rfqmm.simulator.inventory_blocks`), with
+fixed-order row-wise contractions and each path's terms added in segment
+order; no step calls BLAS, so a sample is the same bits whatever paths
+share its block and whichever BLAS build numpy uses.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .factors import FactorModel
 from .hamiltonian import quote_offset
 from .model import SIDES, MarketSpec, clean_inventory
 from .quotes import SurfacePolicy, optimal_quote
-from .simulator import SimulationResult, check_run_size, inventory_paths, standard_error
+from .simulator import SimulationResult, check_run_size, inventory_blocks, standard_error
 # the estimates' runs go through the name ``simulate``, as the single-start
 # runs did, so bench/tracing.py times them as the residual layer's simulations
 from .simulator import simulate_starts as simulate
@@ -133,6 +137,13 @@ def correction_samples(
     surface-policy run with the same seed reproduces its ``samples`` array
     bit for bit.  Paths start from the run's recorded start inventory; a
     given ``start_inventory`` must equal it.
+
+    The samples are taken a block of paths at a time, from the padded
+    ``(segments, paths, d)`` inventories of
+    :func:`rfqmm.simulator.inventory_blocks`.  Factor coordinates and both
+    quadratic forms are row-wise einsums, each summing in index order; a
+    path's running cost adds its segment terms in segment order, padding
+    adding nothing, and the terminal cost is added last.
     """
     if start_inventory is not None and not np.array_equal(
         clean_inventory(result.market, start_inventory), result.start_inventory
@@ -141,23 +152,31 @@ def correction_samples(
             f"start_inventory {np.asarray(start_inventory).tolist()} is not the run's "
             f"start inventory {result.start_inventory.tolist()}"
         )
-    beta = factor_model.loadings
-    V = factor_model.factor_cov
-    R = factor_model.residual_cov
+    # contiguous operands pin the einsums' loop order, so a sample does not
+    # depend on the layout of the model's arrays
+    beta, V, R = (
+        np.ascontiguousarray(a)
+        for a in (factor_model.loadings, factor_model.factor_cov, factor_model.residual_cov)
+    )
     penalty = result.market.penalty
-
-    out = np.empty(len(result.paths))
-    for i, (inventory, durations) in enumerate(inventory_paths(result)):
-        factors = inventory @ beta
+    out = []
+    for inventory, durations, fills in inventory_blocks(result):
+        factors = np.einsum("spd,dk->spk", inventory, beta)
         # Both quadratic forms are nonnegative by construction; the clamp
         # only removes round-off dust so the pathwise sign guarantee of the
         # estimate survives floating point.
-        projected = np.maximum(np.einsum("sk,kl,sl->s", factors, V, factors), 0.0)
-        leftover = np.maximum(np.einsum("sd,de,se->s", inventory, R, inventory), 0.0)
-        running_cost = float(penalty.running_derivative(projected) @ (leftover * durations))
-        terminal_cost = float(penalty.terminal_derivative(projected[-1]) * leftover[-1])
-        out[i] = -(running_cost + terminal_cost)
-    return out
+        projected = np.maximum(np.einsum("spk,kl,spl->sp", factors, V, factors), 0.0)
+        leftover = np.maximum(np.einsum("spd,de,spe->sp", inventory, R, inventory), 0.0)
+        terms = penalty.running_derivative(projected) * (leftover * durations)
+        # padding adds exact zeros, also where a derivative is infinite
+        held = np.arange(len(terms))[:, None] <= fills
+        # a running sum adds a path's terms in segment order whatever the
+        # block; np.add.reduce would add a one-path block pairwise
+        running_cost = np.cumsum(np.where(held, terms, 0.0), axis=0)[-1]
+        last = fills, np.arange(fills.size)
+        terminal_cost = penalty.terminal_derivative(projected[last]) * leftover[last]
+        out.append(-(running_cost + terminal_cost))
+    return np.concatenate(out)
 
 
 def residual_corrections(
@@ -253,6 +272,11 @@ def adjusted_quotes(
     """
     q0 = clean_inventory(market, q)
     bases = [optimal_quote(surface, market, q0, *rfq, t=t) for rfq in rfqs]
+    return _priced(surface, market, q0, rfqs, bases, t, n_paths, seed, here)
+
+
+def _priced(surface, market, q0, rfqs, bases, t, n_paths, seed, here):
+    """:func:`adjusted_quotes` for the RFQs' base quotes ``bases`` at ``q0``."""
     posts = []
     for (asset, side, size), base in zip(rfqs, bases):
         if not base.refused:
@@ -333,4 +357,5 @@ def adjusted_quote(
     base = optimal_quote(surface, market, q, *rfq, t=t)
     if base.refused:
         return _adjusted(market, rfq, base, None, None)
-    return adjusted_quotes(surface, market, q, [rfq], t, n_paths, seed, here)[1][0]
+    q0 = clean_inventory(market, q)
+    return _priced(surface, market, q0, [rfq], [base], t, n_paths, seed, here)[1][0]

@@ -134,12 +134,10 @@ class SimulationResult:
 
     def to_ndjson(self, fp: IO[str]) -> None:
         """One sorted-key JSON object per path; byte-stable across reruns."""
+        labels = [self.buckets.label(b, self.market) for b in range(len(self.buckets))]
         for i, p in enumerate(self.paths):
-            fills = {
-                self.buckets.label(b, self.market): int(p.n_fills[b])
-                for b in range(len(self.buckets))
-                if p.n_fills[b]
-            }
+            counts = p.n_fills.tolist()
+            fills = {labels[b]: counts[b] for b in np.flatnonzero(p.n_fills).tolist()}
             record = {
                 "path": i,
                 "pnl": p.pnl,
@@ -701,24 +699,58 @@ def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
     return stats, logs
 
 
+def inventory_blocks(result: SimulationResult):
+    """The run's inventory paths, rebuilt a block of paths at a time.
+
+    Yields ``(inventory, durations, fills)`` per block of up to
+    :data:`PATH_CHUNK` paths, in path order.  ``inventory`` has shape
+    ``(segments, paths, d)``: ``inventory[0, i]`` is the run's start
+    inventory and ``inventory[j, i]`` path ``i``'s inventory after its
+    ``j``-th logged fill, held for ``durations[j, i]``; ``fills[i]`` is the
+    path's fill count.  Segments past a path's last fill are padding: its
+    final inventory held for zero time.  Requires event logs
+    (``keep_event_logs=True``).
+
+    The fills of a block are laid out as steps, zero on padding, and a
+    running sum down the segment axis adds each path's fills in turn,
+    ``((q0 + dq1) + dq2) ...``, as the engines do; a path's rows are the
+    same bits whatever other paths share its block.  Memory is bounded by
+    one block.
+    """
+    if result.event_logs is None:
+        raise ValidationError("inventory paths need keep_event_logs=True at simulate time")
+    d = result.market.n_assets
+    logs = result.event_logs
+    for first in range(0, len(logs), PATH_CHUNK):
+        block = logs[first : first + PATH_CHUNK]
+        n = len(block)
+        fills = np.array([len(log["t"]) for log in block])
+        column = {
+            k: np.frombuffer(b"".join(log[k] for log in block), dtype=LOG_COLUMNS[k])
+            for k in ("t", "asset", "dq")
+        }
+        # fill f of the block is number seg[f] (from 1) of path path[f]
+        path = np.repeat(np.arange(n), fills)
+        seg = np.arange(path.size) - np.repeat(np.cumsum(fills) - fills, fills) + 1
+        segments = int(fills.max()) + 1
+        steps = np.zeros((segments, n, d))
+        steps[0] = result.start_inventory
+        steps[seg, path, column["asset"]] = column["dq"]
+        times = np.full((segments + 1, n), result.market.horizon)
+        times[0] = 0.0
+        times[seg, path] = column["t"]
+        yield np.cumsum(steps, axis=0), np.diff(times, axis=0), fills
+
+
 def inventory_paths(result: SimulationResult):
     """Each path's piecewise-constant inventories and how long each is held.
 
     Yields ``(inventory, durations)`` per path: row 0 of ``inventory`` is the
     run's start inventory and row ``j`` the inventory after the ``j``-th
-    logged fill; ``durations`` sum to the horizon.  Requires event logs
-    (``keep_event_logs=True``).
+    logged fill; ``durations`` sum to the horizon.  Both are views of the
+    path's block from :func:`inventory_blocks`, without its padding.
+    Requires event logs (``keep_event_logs=True``).
     """
-    if result.event_logs is None:
-        raise ValidationError("inventory paths need keep_event_logs=True at simulate time")
-    d = result.market.n_assets
-    for log in result.event_logs:
-        times = np.asarray(log["t"], dtype=float)
-        m = times.size
-        # row 0 the start, row j the j-th fill's change: a running sum adds
-        # each fill in turn, ((q0 + dq1) + dq2) ..., as the engines do
-        steps = np.zeros((m + 1, d))
-        steps[0] = result.start_inventory
-        steps[np.arange(1, m + 1), np.asarray(log["asset"], dtype=int)] = log["dq"]
-        inventory = np.cumsum(steps, axis=0)
-        yield inventory, np.diff(np.concatenate(([0.0], times, [result.market.horizon])))
+    for inventory, durations, fills in inventory_blocks(result):
+        for i, m in enumerate(fills.tolist()):
+            yield inventory[: m + 1, i], durations[: m + 1, i]

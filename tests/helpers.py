@@ -166,6 +166,52 @@ def reference_draw_path_events(buckets, horizon, rng, price_dims=0) -> PathEvent
     )
 
 
+def replay_correction_samples(result, factor_model) -> list[float]:
+    """Per-path residual-risk costs replayed from a run's event logs in plain
+    Python floats: ``residual.correction_samples`` must match them exactly.
+
+    Each fill is added to the inventory component by component (``x + 0.0``
+    off its asset, as a running sum of steps adds it), factor coordinates
+    and quadratic forms are summed in index order from 0.0 with products
+    taken left to right, and a path's running terms are summed in segment
+    order.  No numpy product or reduction is used; the penalty derivatives
+    are the model's own, on one value at a time.
+    """
+    beta, V, R = (a.tolist() for a in (
+        factor_model.loadings, factor_model.factor_cov, factor_model.residual_cov
+    ))
+    penalty = result.market.penalty
+
+    def form(x, m):
+        acc = 0.0
+        for i in range(len(x)):
+            for j in range(len(x)):
+                acc += x[i] * m[i][j] * x[j]
+        return max(acc, 0.0)
+
+    out = []
+    for log in result.event_logs:
+        q = result.start_inventory.tolist()
+        times = [0.0, *log["t"], result.market.horizon]
+        running = 0.0
+        for j in range(len(times) - 1):
+            if j:
+                asset, dq = log["asset"][j - 1], log["dq"][j - 1]
+                q = [x + (dq if c == asset else 0.0) for c, x in enumerate(q)]
+            factors = []
+            for col in range(len(V)):
+                acc = 0.0
+                for c in range(len(q)):
+                    acc += q[c] * beta[c][col]
+                factors.append(acc)
+            projected = form(factors, V)
+            leftover = form(q, R)
+            slope = float(penalty.running_derivative(projected))
+            running += slope * (leftover * (times[j + 1] - times[j]))
+        out.append(-(running + float(penalty.terminal_derivative(projected)) * leftover))
+    return out
+
+
 def rk4_lattice_reference(market, grid, n_steps: int) -> np.ndarray:
     """Classical RK4 integration of the single-asset lattice dynamics.
 

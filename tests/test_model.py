@@ -171,6 +171,15 @@ class TestRiskPenalty:
         assert pen.terminal(9.0) == pytest.approx(9.0)
         assert not pen.is_smooth
 
+    def test_zero_weight_sqrt_has_zero_derivative(self):
+        # a zero weight is smooth, so its derivative at zero risk is 0, not 0/0
+        pen = RiskPenalty(running_form="sqrt", gamma=0.0, terminal_form="sqrt", zeta=0.0)
+        assert pen.is_smooth
+        y = np.array([0.0, 4.0])
+        np.testing.assert_array_equal(pen.running_derivative(y), [0.0, 0.0])
+        np.testing.assert_array_equal(pen.terminal_derivative(y), [0.0, 0.0])
+        np.testing.assert_array_equal(pen.running(y), [0.0, 0.0])
+
     def test_zero_terminal(self):
         pen = RiskPenalty()
         assert pen.terminal(5.0) == 0.0

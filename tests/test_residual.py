@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import rfqmm.residual
-from helpers import make_market_1asset, make_market_2asset, make_sizes
+from helpers import make_market_1asset, make_market_2asset, make_sizes, replay_correction_samples
+from rfqmm import simulator
 from rfqmm.errors import ValidationError
 from rfqmm.factors import FactorModel, build_factor_model
 from rfqmm.model import RiskPenalty
@@ -159,6 +160,55 @@ class TestTrajectoryIdentity:
         with pytest.raises(ValidationError, match="start inventory"):
             correction_samples(run, fm, start_inventory=np.zeros(2))
 
+    def test_samples_equal_a_scalar_replay(self, two_asset_setup):
+        market, surface1, _ = two_asset_setup
+        fm = surface1.factor_model
+        flat = np.zeros(2)
+        near_limit = fm.loadings[:, 0] * np.sqrt(
+            0.9 * market.risk_limit / (fm.loadings[:, 0] @ market.covariance @ fm.loadings[:, 0])
+        )
+        for start in (flat, near_limit):
+            run = simulate(
+                market, SurfacePolicy(surface1, market), 6, seed=8, keep_event_logs=True,
+                start_inventory=start,
+            )
+            assert any(log["t"] for log in run.event_logs)
+            got = correction_samples(run, fm)
+            assert got.all()
+            assert got.tolist() == replay_correction_samples(run, fm)
+
+    def test_samples_do_not_depend_on_the_block(self, two_asset_setup, monkeypatch):
+        # a path's sample is the same bits whatever paths share its block, and
+        # however much padding the block's longest path gives it
+        market, surface1, _ = two_asset_setup
+        fm = surface1.factor_model
+        run = simulate(market, SurfacePolicy(surface1, market), 20, seed=12, keep_event_logs=True)
+        want = correction_samples(run, fm)
+        longest = max(range(20), key=lambda i: len(run.event_logs[i]["t"]))
+        keep = [i for i in range(20) if i != longest]
+        assert max(len(run.event_logs[i]["t"]) for i in keep) < len(run.event_logs[longest]["t"])
+        shorter = dataclasses.replace(
+            run, paths=[run.paths[i] for i in keep], event_logs=[run.event_logs[i] for i in keep]
+        )
+        assert correction_samples(shorter, fm).tobytes() == want[keep].tobytes()
+        for block in (1, 3, simulator.PATH_CHUNK):
+            monkeypatch.setattr(simulator, "PATH_CHUNK", block)
+            assert correction_samples(run, fm).tobytes() == want.tobytes()
+
+    def test_two_chunk_run(self, two_asset_setup):
+        # 300 paths run, and are rebuilt, in two blocks
+        market, surface1, _ = two_asset_setup
+        fm = surface1.factor_model
+        assert simulator.PATH_CHUNK < 300
+        est = residual_correction(surface1, market, n_paths=300, seed=14)
+        run = simulate(market, SurfacePolicy(surface1, market), 300, seed=14, keep_event_logs=True)
+        np.testing.assert_array_equal(correction_samples(run, fm), est.samples)
+        ends = [0, simulator.PATH_CHUNK - 1, simulator.PATH_CHUNK, 299]
+        tail = dataclasses.replace(
+            run, paths=[run.paths[i] for i in ends], event_logs=[run.event_logs[i] for i in ends]
+        )
+        assert est.samples[ends].tolist() == replay_correction_samples(tail, fm)
+
     def test_bit_exact_reproducibility(self, flat_setup):
         surface, priced, _ = flat_setup
         a = residual_correction(surface, priced, n_paths=60, seed=5)
@@ -263,6 +313,33 @@ class TestDegenerateAndErrors:
         assert est.value == 0.0 and est.stderr == 0.0
         assert not est.samples.any()
 
+    @pytest.mark.parametrize(
+        "penalty, twin",
+        [
+            (
+                RiskPenalty(running_form="sqrt", gamma=0.0, terminal_form="quadratic", zeta=ZETA),
+                RiskPenalty(gamma=0.0, terminal_form="quadratic", zeta=ZETA),
+            ),
+            (
+                RiskPenalty(gamma=GAMMA, terminal_form="sqrt", zeta=0.0),
+                RiskPenalty(gamma=GAMMA),
+            ),
+        ],
+    )
+    def test_zero_weight_sqrt_penalty_adds_nothing(self, two_asset_setup, penalty, twin):
+        # a flat start has zero risk, where the zero-weight sqrt form's
+        # derivative is 0, not 0/0: the estimate is its zero-weight twin's
+        market, surface1, _ = two_asset_setup
+        got, want = (
+            residual_correction(
+                surface1, dataclasses.replace(market, penalty=p), n_paths=20, seed=8
+            )
+            for p in (penalty, twin)
+        )
+        assert want.value < 0.0 and math.isfinite(want.stderr)
+        np.testing.assert_array_equal(got.samples, want.samples)
+        assert (got.value, got.stderr) == (want.value, want.stderr)
+
     def test_sqrt_penalty_is_refused(self, flat_setup):
         surface, _, _ = flat_setup
         sqrt_market = dataclasses.replace(
@@ -362,6 +439,29 @@ class TestAdjustedQuote:
         adj = adjusted_quote(surface1, market, q_edge, 0, "bid", 25000.0, n_paths=10, seed=0)
         assert adj.refused and np.isnan(adj.delta)
         assert adj.correction_at_state is None and adj.correction_after_trade is None
+
+    def test_base_quote_is_priced_once(self, two_asset_setup, monkeypatch):
+        market, surface1, _ = two_asset_setup
+        fm = surface1.factor_model
+        q_edge = np.full(2, surface1.grid.half_widths[0] * 0.999 / fm.loadings[:, 0].sum())
+        q = [20000.0, -10000.0]
+        want = adjusted_quote(surface1, market, q, 0, "bid", 12500.0, n_paths=6, seed=3)
+        calls = []
+        real = rfqmm.residual.optimal_quote
+        monkeypatch.setattr(
+            rfqmm.residual, "optimal_quote", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        got = adjusted_quote(surface1, market, q, 0, "bid", 12500.0, n_paths=6, seed=3)
+        assert len(calls) == 1
+        assert (got.base_delta, got.delta, got.shift) == (want.base_delta, want.delta, want.shift)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a refused base quote ran a simulation")
+
+        # a refused base is priced once, and runs no simulation
+        monkeypatch.setattr(rfqmm.residual, "simulate", no_run)
+        refused = adjusted_quote(surface1, market, q_edge, 0, "bid", 25000.0, n_paths=6, seed=3)
+        assert len(calls) == 2 and refused.refused
 
     def test_one_factor_adjustment_moves_toward_full_quote(self, two_asset_setup):
         market, surface1, surface2 = two_asset_setup

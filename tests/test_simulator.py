@@ -17,6 +17,7 @@ from helpers import (
     make_market_30asset,
     make_sizes,
     reference_draw_path_events,
+    replay_correction_samples,
 )
 from rfqmm import simulator
 from rfqmm.errors import ValidationError
@@ -240,6 +241,30 @@ class TestDeterminismAndLayout:
         assert list(record) == sorted(record)
         assert record["path"] == 0
 
+    def test_ndjson_fills_are_labelled_per_bucket(self, sim_setup, monkeypatch):
+        market, _, _, surface = sim_setup
+        result = simulate(market, SurfacePolicy(surface, market), 12, seed=3)
+        buckets = result.buckets
+        want = [
+            {
+                buckets.label(b, market): int(p.n_fills[b])
+                for b in range(len(buckets))
+                if p.n_fills[b]
+            }
+            for p in result.paths
+        ]
+        calls = []
+        label = BucketTable.label
+        monkeypatch.setattr(
+            BucketTable, "label", lambda self, b, m: calls.append(b) or label(self, b, m)
+        )
+        buf = io.StringIO()
+        result.to_ndjson(buf)
+        assert [json.loads(line)["fills"] for line in buf.getvalue().splitlines()] == want
+        assert any(want)
+        # the labels are made once per call, not once per path and bucket
+        assert calls == list(range(len(buckets)))
+
 
 @pytest.fixture(scope="module")
 def thirty_setup():
@@ -304,6 +329,33 @@ class TestChunking:
 
         one_chunk = traced_peak(simulator.PATH_CHUNK)
         assert traced_peak(4 * simulator.PATH_CHUNK) < 1.5 * one_chunk
+
+    def test_inventory_rebuild_memory_is_bounded_by_one_block(self):
+        market = make_market_2asset(horizon=1.0)
+        fm = build_factor_model(market.covariance, 1)
+
+        def traced_peak(n_paths):
+            run = simulate(market, MyopicPolicy(market), n_paths, seed=3, keep_event_logs=True)
+            tracemalloc.start()
+            try:
+                correction_samples(run, fm)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = traced_peak(simulator.PATH_CHUNK)
+        assert traced_peak(4 * simulator.PATH_CHUNK) < 1.5 * one_block
+
+    def test_correction_samples_replay_in_thirty_dimensions(self, thirty_setup):
+        # 30 assets: every factor coordinate and quadratic form sums 30 or
+        # more terms, in index order
+        market, fm, surface, start = thirty_setup
+        run = simulate(
+            market, SurfacePolicy(surface, market), 3, seed=19, keep_event_logs=True,
+            start_inventory=start,
+        )
+        assert any(log["t"] for log in run.event_logs)
+        assert correction_samples(run, fm).tolist() == replay_correction_samples(run, fm)
 
 
 def _near_limit(market, start, share=0.9):
