@@ -45,7 +45,6 @@ from .residual import (
 from .simulator import (
     SimulationResult,
     SimulationSummary,
-    TrajectoryStats,
     simulate,
     simulate_starts,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "SolverError",
     "StabilityError",
     "SurfacePolicy",
-    "TrajectoryStats",
     "ValidationError",
     "ValueSurface",
     "adjusted_quote",

@@ -20,7 +20,9 @@ with d correlated increments).
 
 Paths are mutually independent: path ``i`` draws from
 ``path_generator(seed, i)``, and the paths run in contiguous chunks of
-:data:`PATH_CHUNK`, each chunk's results appended in path order.
+:data:`PATH_CHUNK`.  Each chunk ends as a record array of its paths'
+outcomes (:func:`path_dtype`), and a run's result holds its chunks' records
+joined in path order, read-only.
 :func:`simulate_starts` runs the same paths from several start inventories
 in one event loop (:func:`simulate` is its one-start case).  A chunk then
 holds one row per (start, path); each path's events are drawn once and read
@@ -48,7 +50,7 @@ import json
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from typing import IO, List, Optional
+from typing import IO, Optional
 
 import numpy as np
 
@@ -79,26 +81,25 @@ class DegenerateRunWarning(RuntimeWarning):
     """The policy refuses every bucket at zero inventory; no fills can occur."""
 
 
-@dataclass(frozen=True)
-class TrajectoryStats:
-    """Per-path outcome.
+def path_dtype(n_buckets: int, n_assets: int) -> np.dtype:
+    """The record of one path's outcome, a row of ``SimulationResult.paths``.
 
     ``pnl`` is spread_pnl + market_pnl in the scalar engines and the
     independently accumulated cash-plus-mark value in the price-path
-    engine.  ``n_fills`` is indexed by arrival bucket.
+    engine; ``objective`` is pnl - penalty_integral - terminal_penalty.
+    ``n_fills`` is indexed by arrival bucket.
     """
-
-    pnl: float
-    spread_pnl: float
-    market_pnl: float
-    risk_integral: float
-    penalty_integral: float
-    terminal_penalty: float
-    objective: float
-    n_fills: np.ndarray
-    rejected_fills: int
-    refused_quotes: int
-    terminal_inventory: np.ndarray
+    totals = ("pnl", "spread_pnl", "market_pnl", "risk_integral", "penalty_integral",
+              "terminal_penalty", "objective")
+    return np.dtype(
+        [(name, np.float64) for name in totals]
+        + [
+            ("n_fills", np.int64, (n_buckets,)),
+            ("rejected_fills", np.int64),
+            ("refused_quotes", np.int64),
+            ("terminal_inventory", np.float64, (n_assets,)),
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -117,12 +118,19 @@ class SimulationSummary:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
+    """One run's outcome.
+
+    ``paths`` holds one record per path, in path order, as a read-only numpy
+    record array (:func:`path_dtype`): ``paths.objective`` reads a column,
+    ``paths[i].pnl`` a record's field.
+    """
+
     market: MarketSpec
     policy_kind: str
     engine: str
     seed: int
     buckets: BucketTable
-    paths: List[TrajectoryStats]
+    paths: np.recarray
     start_inventory: np.ndarray
     event_logs: Optional[list] = None
     _summary: SimulationSummary = field(init=False, repr=False, default=None)
@@ -135,23 +143,12 @@ class SimulationResult:
     def to_ndjson(self, fp: IO[str]) -> None:
         """One sorted-key JSON object per path; byte-stable across reruns."""
         labels = [self.buckets.label(b, self.market) for b in range(len(self.buckets))]
-        for i, p in enumerate(self.paths):
-            counts = p.n_fills.tolist()
-            fills = {labels[b]: counts[b] for b in np.flatnonzero(p.n_fills).tolist()}
-            record = {
-                "path": i,
-                "pnl": p.pnl,
-                "spread_pnl": p.spread_pnl,
-                "market_pnl": p.market_pnl,
-                "risk_integral": p.risk_integral,
-                "penalty_integral": p.penalty_integral,
-                "terminal_penalty": p.terminal_penalty,
-                "objective": p.objective,
-                "rejected_fills": p.rejected_fills,
-                "refused_quotes": p.refused_quotes,
-                "fills": fills,
-                "terminal_inventory": list(p.terminal_inventory),
-            }
+        names = [name for name in self.paths.dtype.names if name != "n_fills"]
+        columns = [self.paths[name].tolist() for name in names]
+        for i, counts in enumerate(self.paths.n_fills.tolist()):
+            record = {name: column[i] for name, column in zip(names, columns)}
+            record["path"] = i
+            record["fills"] = {labels[b]: c for b, c in enumerate(counts) if c}
             fp.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -170,8 +167,17 @@ class StartRuns(tuple):
         return self[0].engine
 
     @property
-    def paths(self) -> List[TrajectoryStats]:
-        return [p for run in self for p in run.paths]
+    def paths(self) -> np.recarray:
+        return _joined([run.paths for run in self])
+
+
+def _joined(records) -> np.recarray:
+    """Record arrays joined in order, as one read-only record array."""
+    # concatenate gives plain structured elements; the view restores the
+    # records' attribute access
+    out = np.concatenate(records).view(np.recarray)
+    out.setflags(write=False)
+    return out
 
 
 def standard_error(samples: np.ndarray) -> float:
@@ -180,12 +186,9 @@ def standard_error(samples: np.ndarray) -> float:
     return float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
 
 
-def _summarise(paths: List[TrajectoryStats]) -> SimulationSummary:
+def _summarise(paths: np.recarray) -> SimulationSummary:
     n = len(paths)
-    pnl = np.array([p.pnl for p in paths])
-    spread = np.array([p.spread_pnl for p in paths])
-    risk = np.array([p.risk_integral for p in paths])
-    objective = np.array([p.objective for p in paths])
+    pnl, spread, objective = paths.pnl, paths.spread_pnl, paths.objective
 
     def se_of_stdev(x):
         if n < 2:
@@ -203,7 +206,7 @@ def _summarise(paths: List[TrajectoryStats]) -> SimulationSummary:
         stdev_pnl=float(pnl.std(ddof=1)) if n > 1 else 0.0,
         stdev_from_rfq=float(spread.std(ddof=1)) if n > 1 else 0.0,
         objective=float(objective.mean()),
-        mean_risk_integral=float(risk.mean()),
+        mean_risk_integral=float(paths.risk_integral.mean()),
         se_mean_pnl=standard_error(pnl),
         se_stdev_pnl=se_of_stdev(pnl),
         se_stdev_from_rfq=se_of_stdev(spread),
@@ -218,12 +221,11 @@ def total_variance_gap(result: SimulationResult):
     - Var(spread_pnl); the standard error comes from the per-path influence
     values of that statistic.  Both variances need at least 2 paths.
     """
-    n = len(result.paths)
+    paths = result.paths
+    n = len(paths)
     if n < 2:
         raise ValidationError(f"total_variance_gap needs at least 2 paths, got {n}")
-    pnl = np.array([p.pnl for p in result.paths])
-    spread = np.array([p.spread_pnl for p in result.paths])
-    risk = np.array([p.risk_integral for p in result.paths])
+    pnl, spread, risk = paths.pnl, paths.spread_pnl, paths.risk_integral
     gap = pnl.var(ddof=1) - risk.mean() - spread.var(ddof=1)
     influence = (pnl - pnl.mean()) ** 2 - risk - (spread - spread.mean()) ** 2
     se = float(influence.std(ddof=1) / np.sqrt(n))
@@ -281,8 +283,8 @@ def simulate(
     choice for final-slice surfaces) or "event" (quotes read at the arrival
     time, for surfaces storing all slices; not with the ``collapsed``
     engine, whose clocks run at t = 0 rates).  Paths run in contiguous chunks
-    of :data:`PATH_CHUNK`; results are appended in path order.  This is the
-    one-start case of :func:`simulate_starts`.
+    of :data:`PATH_CHUNK`; the result's ``paths`` holds their records in
+    path order.  This is the one-start case of :func:`simulate_starts`.
     """
     return _simulate_starts(
         market, policy, n_paths, seed, [start_inventory], engine, keep_event_logs, quote_times
@@ -349,7 +351,7 @@ def _simulate_starts(
     for first in range(0, n_paths, PATH_CHUNK):
         chunk = range(first, min(first + PATH_CHUNK, n_paths))
         for s, (chunk_paths, chunk_logs) in enumerate(run(chunk)):
-            paths[s] += chunk_paths
+            paths[s].append(chunk_paths)
             logs[s] += chunk_logs
     return StartRuns(
         SimulationResult(
@@ -358,7 +360,7 @@ def _simulate_starts(
             engine=engine,
             seed=seed,
             buckets=buckets,
-            paths=paths[s],
+            paths=_joined(paths[s]),
             start_inventory=q0,
             event_logs=logs[s] if keep_event_logs else None,
         )
@@ -384,8 +386,8 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
     (and the price-path ``w``) are running sums (:func:`_add_products`),
     which make the additions of one-event passes in the same order, and the
     fill is applied as such a pass applies it, so no output depends on the
-    window.  Returns, per start, the chunk's ``TrajectoryStats`` and event
-    logs (empty unless ``keep_logs``) in path order.
+    window.  Returns, per start, the chunk's path records and event logs
+    (empty unless ``keep_logs``) in path order.
     """
     price_paths = engine == "price_paths"
     n_paths = len(paths)
@@ -550,29 +552,26 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
         market_pnl += np.sqrt(y * dt) * last
         pnl = spread + market_pnl
 
-    terminal_pen = market.penalty.terminal(y)
-    objective = pnl - pen_int - terminal_pen
-    stats = [
-        TrajectoryStats(
-            pnl=float(pnl[i]),
-            spread_pnl=float(spread[i]),
-            market_pnl=float(market_pnl[i]),
-            risk_integral=float(risk_int[i]),
-            penalty_integral=float(pen_int[i]),
-            terminal_penalty=float(terminal_pen[i]),
-            objective=float(objective[i]),
-            n_fills=fills[i].copy(),
-            rejected_fills=int(rejected[i]),
-            refused_quotes=int(refused[i]),
-            terminal_inventory=q[i].copy(),
-        )
-        for i in range(n_rows)
-    ]
+    records = _path_records(
+        market, pnl, spread, market_pnl, risk_int, pen_int, fills, rejected, refused, q, y
+    )
     logs = _split_fills(fill_steps, n_rows) if keep_logs else []
     return [
-        (stats[first : first + n_paths], logs[first : first + n_paths])
+        (records[first : first + n_paths], logs[first : first + n_paths])
         for first in range(0, n_rows, n_paths)
     ]
+
+
+def _path_records(market, pnl, spread, market_pnl, risk_int, pen_int, fills, rejected, refused,
+                  q, y):
+    """A chunk's path records from its per-row columns, ``y`` the rows'
+    terminal risk; the one place the objective is formed."""
+    terminal_pen = market.penalty.terminal(y)
+    return np.rec.fromarrays(
+        [pnl, spread, market_pnl, risk_int, pen_int, terminal_pen, pnl - pen_int - terminal_pen,
+         fills, rejected, refused, q],
+        dtype=path_dtype(fills.shape[1], q.shape[1]),
+    )
 
 
 def _add_products(total, a, b, count):
@@ -623,15 +622,18 @@ def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
     rate is zero), one Gaussian (market increment over the elapsed
     interval), one uniform (bucket choice).  Buckets whose fill would breach
     the risk limit carry zero rate, so rejected fills never materialise
-    here.  Paths run one by one; returns their ``TrajectoryStats`` and event
-    logs like the thinning engine.
+    here.  Paths run one by one; returns their records and event logs like
+    the thinning engine.
     """
     horizon = market.horizon
     sigma = market.covariance
     nb = len(buckets)
     signs = np.array(SIDE_SIGNS)[buckets.side]
     running = market.penalty.running
-    stats = []
+    # per path: spread, market pnl, risk and penalty integrals, terminal risk
+    totals = []
+    fill_rows = []
+    inventories = []
     logs = []
 
     for i in paths:
@@ -677,26 +679,18 @@ def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
                 log["asset"].append(a)
                 log["dq"].append(float(dz))
                 log["bucket"].append(b)
-        pnl = spread + market_pnl
-        terminal_pen = float(market.penalty.terminal(y))
-        stats.append(
-            TrajectoryStats(
-                pnl=float(pnl),
-                spread_pnl=float(spread),
-                market_pnl=float(market_pnl),
-                risk_integral=float(risk_int),
-                penalty_integral=float(pen_int),
-                terminal_penalty=terminal_pen,
-                objective=float(pnl - pen_int - terminal_pen),
-                n_fills=fills,
-                rejected_fills=0,
-                refused_quotes=0,
-                terminal_inventory=q.copy(),
-            )
-        )
+        totals.append((spread, market_pnl, risk_int, pen_int, y))
+        fill_rows.append(fills)
+        inventories.append(q)
         if keep_logs:
             logs.append(log)
-    return stats, logs
+    spread, market_pnl, risk_int, pen_int, y = np.array(totals).T
+    none = np.zeros(len(paths), dtype=np.int64)
+    records = _path_records(
+        market, spread + market_pnl, spread, market_pnl, risk_int, pen_int, np.array(fill_rows),
+        none, none, np.array(inventories), y,
+    )
+    return records, logs
 
 
 def inventory_blocks(result: SimulationResult):
@@ -740,17 +734,3 @@ def inventory_blocks(result: SimulationResult):
         times[0] = 0.0
         times[seg, path] = column["t"]
         yield np.cumsum(steps, axis=0), np.diff(times, axis=0), fills
-
-
-def inventory_paths(result: SimulationResult):
-    """Each path's piecewise-constant inventories and how long each is held.
-
-    Yields ``(inventory, durations)`` per path: row 0 of ``inventory`` is the
-    run's start inventory and row ``j`` the inventory after the ``j``-th
-    logged fill; ``durations`` sum to the horizon.  Both are views of the
-    path's block from :func:`inventory_blocks`, without its padding.
-    Requires event logs (``keep_event_logs=True``).
-    """
-    for inventory, durations, fills in inventory_blocks(result):
-        for i, m in enumerate(fills.tolist()):
-            yield inventory[: m + 1, i], durations[: m + 1, i]

@@ -188,7 +188,7 @@ class TestTrajectoryIdentity:
         keep = [i for i in range(20) if i != longest]
         assert max(len(run.event_logs[i]["t"]) for i in keep) < len(run.event_logs[longest]["t"])
         shorter = dataclasses.replace(
-            run, paths=[run.paths[i] for i in keep], event_logs=[run.event_logs[i] for i in keep]
+            run, paths=run.paths[keep], event_logs=[run.event_logs[i] for i in keep]
         )
         assert correction_samples(shorter, fm).tobytes() == want[keep].tobytes()
         for block in (1, 3, simulator.PATH_CHUNK):
@@ -205,7 +205,7 @@ class TestTrajectoryIdentity:
         np.testing.assert_array_equal(correction_samples(run, fm), est.samples)
         ends = [0, simulator.PATH_CHUNK - 1, simulator.PATH_CHUNK, 299]
         tail = dataclasses.replace(
-            run, paths=[run.paths[i] for i in ends], event_logs=[run.event_logs[i] for i in ends]
+            run, paths=run.paths[ends], event_logs=[run.event_logs[i] for i in ends]
         )
         assert est.samples[ends].tolist() == replay_correction_samples(tail, fm)
 

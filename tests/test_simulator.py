@@ -28,7 +28,7 @@ from rfqmm.residual import correction_samples
 from rfqmm.simulator import (
     ENGINES,
     DegenerateRunWarning,
-    inventory_paths,
+    inventory_blocks,
     simulate,
     total_variance_gap,
 )
@@ -225,6 +225,23 @@ class TestDeterminismAndLayout:
         if market.horizon < 0.01:
             assert min(n_events) == 0 and max(n_events) > 0
 
+    def test_paths_are_a_read_only_record_array(self, sim_setup):
+        # the summary is cached, so the records it was taken from must not change
+        market, _, _, surface = sim_setup
+        result = simulate(market, SurfacePolicy(surface, market), 20, seed=3)
+        summary = result.summary()
+        paths = result.paths
+        assert paths[4].pnl == paths.pnl[4]
+        np.testing.assert_array_equal(paths[4].n_fills, paths.n_fills[4])
+        with pytest.raises(ValueError, match="read-only"):
+            paths.pnl[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            paths[0] = paths[1]
+        with pytest.raises(ValueError, match="read-only"):
+            paths[0].pnl = 1.0
+        assert result.summary() == summary
+        assert summary.n_paths == len(result.paths) == 20
+
     def test_ndjson_is_byte_stable(self, sim_setup):
         market, _, _, surface = sim_setup
         policy = SurfacePolicy(surface, market)
@@ -278,11 +295,7 @@ def thirty_setup():
 
 def _bits(result, fm, start):
     """Every per-path output of a run, as bytes, plus logs and residual samples."""
-    paths = [
-        tuple(np.asarray(getattr(p, f.name)).tobytes() for f in dataclasses.fields(p))
-        for p in result.paths
-    ]
-    return paths, result.event_logs, correction_samples(result, fm, start).tobytes()
+    return result.paths.tobytes(), result.event_logs, correction_samples(result, fm, start).tobytes()
 
 
 class TestChunking:
@@ -449,7 +462,7 @@ class TestMultiStart:
         )
         assert len(together) == n_starts
         assert together.engine == engine
-        assert together.paths == [p for r in together for p in r.paths]
+        assert np.array_equal(together.paths, np.concatenate([r.paths for r in together]))
         assert len(together.paths) == n_starts * n
         for start, result in zip(starts, together):
             alone = simulate(
@@ -648,14 +661,16 @@ class TestTrivialCases:
         with pytest.raises(ValidationError, match="at least 2 paths, got 1"):
             total_variance_gap(result)
 
-    # Occupancy: inventory_paths gives each path's inventories and how long
-    # each is held, the time weights of an inventory histogram.
+    # Occupancy: inventory_blocks gives each path's inventories and how long
+    # each is held, the time weights of an inventory histogram; path i's own
+    # rows are the first fills[i] + 1 of its column.
     def test_single_path_no_fills_histogram_is_a_point_mass(self):
         market = make_market_2asset(horizon=3.0, lam=0.0)
         result = simulate(market, MyopicPolicy(market), 1, seed=4, keep_event_logs=True)
-        [(inventory, durations)] = list(inventory_paths(result))
-        np.testing.assert_array_equal(inventory, np.zeros((1, 2)))
-        np.testing.assert_array_equal(durations, [market.horizon])
+        [(inventory, durations, fills)] = list(inventory_blocks(result))
+        assert fills.tolist() == [0]
+        np.testing.assert_array_equal(inventory, np.zeros((1, 1, 2)))
+        np.testing.assert_array_equal(durations, [[market.horizon]])
 
     def test_histogram_starts_from_the_start_inventory(self, sim_setup):
         market, fm, _, surface = sim_setup
@@ -665,24 +680,30 @@ class TestTrivialCases:
             start_inventory=q0,
         )
         np.testing.assert_array_equal(result.start_inventory, q0)
-        for (inventory, _), p, log in zip(inventory_paths(result), result.paths, result.event_logs):
-            np.testing.assert_array_equal(inventory[0], q0)
-            assert len(inventory) == len(log["t"]) + 1
-            # the fills added in turn to the start, as the engine adds them
-            np.testing.assert_array_equal(inventory[-1], p.terminal_inventory)
+        [(inventory, _, fills)] = list(inventory_blocks(result))
+        assert fills.tolist() == [len(log["t"]) for log in result.event_logs]
+        assert fills.any()
+        np.testing.assert_array_equal(inventory[0], np.tile(q0, (3, 1)))
+        # the fills added in turn to the start, as the engine adds them
+        terminal = result.paths.terminal_inventory
+        np.testing.assert_array_equal(inventory[fills, np.arange(3)], terminal)
+        # padding holds the final inventory
+        np.testing.assert_array_equal(inventory[-1], terminal)
 
     def test_histogram_conserves_time(self, sim_setup):
         market, _, _, surface = sim_setup
         result = simulate(market, SurfacePolicy(surface, market), 25, seed=10, keep_event_logs=True)
-        for _, durations in inventory_paths(result):
+        for _, durations, fills in inventory_blocks(result):
             assert np.all(durations >= 0.0)
-            assert durations.sum() == pytest.approx(market.horizon, rel=1e-12)
+            # padding is held for zero time
+            assert not durations[np.arange(len(durations))[:, None] > fills].any()
+            np.testing.assert_allclose(durations.sum(axis=0), market.horizon, rtol=1e-12)
 
     def test_histogram_requires_logs(self, sim_setup):
         market, _, _, surface = sim_setup
         result = simulate(market, SurfacePolicy(surface, market), 5, seed=10)
         with pytest.raises(ValidationError, match="keep_event_logs"):
-            next(inventory_paths(result))
+            next(inventory_blocks(result))
 
 
 class TestStatisticalInvariants:
@@ -728,10 +749,11 @@ class TestStatisticalInvariants:
         one = simulate(market, SurfacePolicy(surface1, market), 250, seed=seed, keep_event_logs=True)
 
         def minor_axis_occupancy(result):
-            # time-weighted sum of squares of the second factor coordinate
+            # time-weighted sum of squares of the second factor coordinate;
+            # padding is held for zero time
             return sum(
-                durations @ fm2.factor_coordinates(inventory)[:, 1] ** 2
-                for inventory, durations in inventory_paths(result)
+                (durations * fm2.factor_coordinates(inventory)[..., 1] ** 2).sum()
+                for inventory, durations, _ in inventory_blocks(result)
             )
 
         # second factor carries the small eigenvalue: the k=1 policy treats
