@@ -21,6 +21,9 @@ from .errors import ValidationError
 #: components smaller than this are ignored by the sign convention
 SIGN_EPS = 1e-12
 
+#: fewest rows :meth:`FactorModel.residual_forms` hands to einsum
+FORM_ROWS = 4
+
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
@@ -106,6 +109,41 @@ class FactorModel:
         """
         q = np.asarray(inventory, dtype=float)
         return np.einsum("...d,kd->...k", q, self._loadings_t)
+
+    @cached_property
+    def _contiguous(self) -> tuple:
+        """Contiguous loadings, factor and residual covariance, made once per
+        model: contiguous operands pin the einsums' loop order."""
+        return tuple(
+            np.ascontiguousarray(a) for a in (self.loadings, self.factor_cov, self.residual_cov)
+        )
+
+    def residual_forms(self, inventory: np.ndarray):
+        """Row-wise projected and leftover risk ``(f'Vf, q'Rq)`` of ``(rows,
+        d)`` inventories, ``f`` the factor coordinates.
+
+        The one rule for the residual correction's integrand.  Each form is a
+        row-wise einsum on contiguous operands, which fixes its loop order,
+        so a row's bits do not depend on what else shares the call.  Both
+        forms are nonnegative by construction; the clamp at 0 only removes
+        round-off dust, so the pathwise sign of the correction survives
+        floating point.
+
+        On one or two rows of two assets numpy's einsum takes another loop
+        than on a batch, and sums ``q'Rq`` in another order; fewer than
+        :data:`FORM_ROWS` rows are padded with zero rows to take a batch's.
+        """
+        n = len(inventory)
+        if n < FORM_ROWS:
+            q = np.zeros((FORM_ROWS, self.n_assets))
+            q[:n] = inventory
+        else:
+            q = np.ascontiguousarray(inventory)
+        beta, V, R = self._contiguous
+        factors = np.einsum("nd,dk->nk", q, beta)
+        projected = np.einsum("nk,kl,nl->n", factors, V, factors)[:n]
+        leftover = np.einsum("nd,de,ne->n", q, R, q)[:n]
+        return np.maximum(projected, 0.0), np.maximum(leftover, 0.0)
 
 
 def build_factor_model(covariance: np.ndarray, n_factors: int) -> FactorModel:

@@ -108,40 +108,53 @@ def optimal_quote(
     return QuoteResult(float(delta[0]), REASONS[reason[0]], float(reservation[0]))
 
 
-def surface_quotes(surface, market, t, inventories, asset_ix, side_ix, sizes, sq, risk):
+def surface_quotes(surface, market, t, inventories, asset_ix, side_ix, sizes, sq, risk, state=None):
     """The quoting rule, row by row: inventory, asset, side (0 bid, 1 ask) and size.
 
     ``sq`` (inventories @ Sigma) and ``risk`` (current q'Sigma q) may be
     passed in together by callers that maintain them incrementally; both
-    are recomputed when ``sq`` is None.  Returns ``(delta, reason,
-    reservation)``: ``reason`` holds indices into :data:`REASONS`, and
-    ``delta`` and ``reservation`` are NaN on refused rows.
+    are recomputed when ``sq`` is None.  ``state``, when given, indexes the
+    rows of ``inventories``, ``sq`` and ``risk`` by quote row, so quote rows
+    that share a state (the simulator's window of events, a start's
+    buckets) read it without copies; None means one state per quote row.
+    Returns ``(delta, reason, reservation)`` per quote row: ``reason`` holds
+    indices into :data:`REASONS`, and ``delta`` and ``reservation`` are NaN
+    on refused rows.
     """
     fm = surface.factor_model
-    n = inventories.shape[0]
+    n = len(asset_ix)
     points = fm.factor_coordinates(inventories)
+    here = points if state is None else points[state]
     signs = _SIGNS[side_ix]
-    shifted = points + (signs * sizes)[:, None] * fm.shift_directions[asset_ix]
+    shifted = here + (signs * sizes)[:, None] * fm.shift_directions[asset_ix]
 
     # one interpolation pass over both point sets, which is also the one box
     # test of each point: value_many returns NaN exactly off the box.  Reads
-    # do not depend on what else shares the batch.
+    # do not depend on what else shares the batch, so at one quote time a
+    # state's point is read once for all its rows.
+    stationary = np.ndim(t) == 0
+    now = points if stationary else here
+    m = len(now)
     values = surface.value_many(
-        t if np.ndim(t) == 0 else np.concatenate([t, t]),
-        np.concatenate([points, shifted]),
+        t if stationary else np.concatenate([t, t]),
+        np.concatenate([now, shifted]),
         out_of_box="nan",
     )
     off_box = np.isnan(values)
-    if off_box[:n].any():
+    if off_box[:m].any():
         raise OutOfDomainError("factor point outside the grid box; state is out of domain")
-    value_now, value_shifted, inside = values[:n], values[n:], ~off_box[n:]
+    value_now = values[:m] if state is None or not stationary else values[state]
+    value_shifted, inside = values[m:], ~off_box[m:]
 
     if sq is None:
         # row-wise contractions, so a row's risk does not depend on the batch
         sq = np.einsum("nd,ed->ne", inventories, market.covariance)
         risk = np.einsum("nd,nd->n", inventories, sq)
-    own = sq[np.arange(n), asset_ix]
-    _, admissible = market.post_trade_risk(risk, own, signs, sizes, asset_ix)
+    if state is None:
+        state = np.arange(n)
+    else:
+        risk = risk[state]
+    _, admissible = market.post_trade_risk(risk, sq[state, asset_ix], signs, sizes, asset_ix)
     ok = inside & admissible
 
     # refused rows price a zero level; NaN arithmetic raises no warning
@@ -170,7 +183,8 @@ class MyopicPolicy:
         delta = quote_offset(np.zeros(alpha.shape), alpha, beta, self.market.quote_floor)
         object.__setattr__(self, "_array", delta)
 
-    def quote_rows(self, t, inventories, asset_ix, side_ix, sizes, sq=None, risk=None):
+    def quote_rows(self, t, inventories, asset_ix, side_ix, sizes, sq=None, risk=None,
+                   state=None):
         delta = self._array[asset_ix, side_ix]
         return delta, np.ones(delta.shape, dtype=bool)
 
@@ -187,14 +201,16 @@ class SurfacePolicy:
     market: MarketSpec
     kind: ClassVar[str] = "surface"
 
-    def quote_rows(self, t, inventories, asset_ix, side_ix, sizes, sq=None, risk=None):
-        """Per-row (asset, side, size) quoting for the event loop.
+    def quote_rows(self, t, inventories, asset_ix, side_ix, sizes, sq=None, risk=None,
+                   state=None):
+        """Per-row (asset, side, size) quoting for the event loop; ``state``
+        indexes the inventories by row (see :func:`surface_quotes`).
 
         Returns ``(delta, ok)``; ``delta`` is NaN where the policy refuses.
         """
         delta, reason, _ = surface_quotes(
             self.surface, self.market, t,
-            np.asarray(inventories, dtype=float), asset_ix, side_ix, sizes, sq, risk,
+            np.asarray(inventories, dtype=float), asset_ix, side_ix, sizes, sq, risk, state,
         )
         return delta, reason == 0
 

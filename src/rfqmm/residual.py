@@ -12,8 +12,9 @@ along the inventory path the surface policy itself induces:
 
 with the expectation over fill arrivals quoted by the surface.  This module
 estimates it by Monte-Carlo and applies the difference of two estimates to
-single RFQ quotes (:func:`adjusted_quote`); the simulator's policies quote
-off the surface alone, so no correction runs inside the event loop.
+single RFQ quotes (:func:`adjusted_quote`).  The policies themselves quote
+off the surface alone: the correction is priced per RFQ, not quoted by the
+simulated policy.
 
 Trajectories come from :func:`rfqmm.simulator.simulate_starts` under a
 :class:`rfqmm.quotes.SurfacePolicy`, so a seeded estimate is event-for-event
@@ -22,18 +23,22 @@ arrival times and acceptance uniforms before any state is touched, two
 estimates differing only in the starting inventory replay the same
 randomness; differences of such estimates (the quote adjustment) are
 common-random-number pairs, which is what makes them usable at realistic
-path counts.  :func:`residual_corrections` runs the inventories it is given
-as starts of one event loop that draws each path's events once, a few
-starts at a time (:data:`STARTS_PER_RUN`), and :func:`adjusted_quotes`
-prices the RFQs of one state with all their arms in such runs.
+path counts.  :func:`residual_corrections` runs all the inventories it is
+given as starts of one event loop that draws each path's events once, and
+:func:`adjusted_quotes` prices the RFQs of one state with all their arms in
+one such run.
 
 The integral is computed exactly: inventory is piecewise constant between
 fills, so each path contributes a finite sum of segment terms, not a
-quadrature.  :func:`correction_samples` takes those sums in array passes
-over blocks of paths (:func:`rfqmm.simulator.inventory_blocks`), with
-fixed-order row-wise contractions and each path's terms added in segment
-order; no step calls BLAS, so a sample is the same bits whatever paths
-share its block and whichever BLAS build numpy uses.
+quadrature.  The event loop takes those sums as it runs, from each row's
+residual forms (:meth:`rfqmm.factors.FactorModel.residual_forms`) at its
+fills, so an estimate keeps no event logs and its memory does not grow with
+the fills.  :func:`correction_samples` is the audit route: it rebuilds the
+same samples, bit for bit, from a logged run's inventory paths in array
+passes over blocks of paths (:func:`rfqmm.simulator.inventory_blocks`).  Both
+routes use fixed-order row-wise contractions and add each path's terms in
+segment order; no step calls BLAS, so a sample is the same bits whatever
+paths share its block or its pass and whichever BLAS build numpy uses.
 """
 
 from __future__ import annotations
@@ -54,11 +59,6 @@ from .simulator import SimulationResult, check_run_size, inventory_blocks, stand
 # runs did, so bench/tracing.py times them as the residual layer's simulations
 from .simulator import simulate_starts as simulate
 from .solver import ValueSurface
-
-#: starts of one estimation run: each start's event logs are kept until its
-#: samples are taken, so this bounds the memory of an estimate with many
-#: inventories; an adjusted quote runs 2, ``rfqmm adjust`` with two RFQs 3
-STARTS_PER_RUN = 4
 
 
 @dataclass(frozen=True)
@@ -132,18 +132,20 @@ def correction_samples(
 ) -> np.ndarray:
     """Per-path residual-risk costs recomputed from a simulation's event logs.
 
-    Exposed so audits can check that :func:`residual_correction` prices
-    exactly the trajectories the fill simulator produces: running this on a
+    The audit route: :func:`residual_correction` takes its samples inside
+    the event loop and keeps no logs, and running this on a logged
     surface-policy run with the same seed reproduces its ``samples`` array
-    bit for bit.  Paths start from the run's recorded start inventory; a
-    given ``start_inventory`` must equal it.
+    bit for bit, from the trajectories the fill simulator records.  Paths
+    start from the run's recorded start inventory; a given
+    ``start_inventory`` must equal it.
 
     The samples are taken a block of paths at a time, from the padded
     ``(segments, paths, d)`` inventories of
-    :func:`rfqmm.simulator.inventory_blocks`.  Factor coordinates and both
-    quadratic forms are row-wise einsums, each summing in index order; a
-    path's running cost adds its segment terms in segment order, padding
-    adding nothing, and the terminal cost is added last.
+    :func:`rfqmm.simulator.inventory_blocks`.  The segments the paths hold
+    are gathered and their forms taken by
+    :meth:`~rfqmm.factors.FactorModel.residual_forms`, the rule the loop
+    uses; a path's running cost adds its segment terms in segment order,
+    padding adding nothing, and the terminal cost is added last.
     """
     if start_inventory is not None and not np.array_equal(
         clean_inventory(result.market, start_inventory), result.start_inventory
@@ -152,26 +154,17 @@ def correction_samples(
             f"start_inventory {np.asarray(start_inventory).tolist()} is not the run's "
             f"start inventory {result.start_inventory.tolist()}"
         )
-    # contiguous operands pin the einsums' loop order, so a sample does not
-    # depend on the layout of the model's arrays
-    beta, V, R = (
-        np.ascontiguousarray(a)
-        for a in (factor_model.loadings, factor_model.factor_cov, factor_model.residual_cov)
-    )
     penalty = result.market.penalty
     out = []
     for inventory, durations, fills in inventory_blocks(result):
-        factors = np.einsum("spd,dk->spk", inventory, beta)
-        # Both quadratic forms are nonnegative by construction; the clamp
-        # only removes round-off dust so the pathwise sign guarantee of the
-        # estimate survives floating point.
-        projected = np.maximum(np.einsum("spk,kl,spl->sp", factors, V, factors), 0.0)
-        leftover = np.maximum(np.einsum("spd,de,spe->sp", inventory, R, inventory), 0.0)
+        # the forms of the segments the paths hold, not of the padding
+        held = np.arange(len(durations))[:, None] <= fills
+        projected, leftover = np.zeros((2,) + held.shape)
+        projected[held], leftover[held] = factor_model.residual_forms(inventory[held])
         terms = penalty.running_derivative(projected) * (leftover * durations)
-        # padding adds exact zeros, also where a derivative is infinite
-        held = np.arange(len(terms))[:, None] <= fills
+        # padding adds exact zeros, also where a derivative is infinite, and
         # a running sum adds a path's terms in segment order whatever the
-        # block; np.add.reduce would add a one-path block pairwise
+        # block (np.add.reduce would add a one-path block pairwise)
         running_cost = np.cumsum(np.where(held, terms, 0.0), axis=0)[-1]
         last = fills, np.arange(fills.size)
         terminal_cost = penalty.terminal_derivative(projected[last]) * leftover[last]
@@ -219,10 +212,11 @@ def residual_correction(
 
     ``q`` may also be a 2-D array with one inventory per row; a list with one
     estimate per row comes back.  The rows run as the starts of one event
-    loop, up to :data:`STARTS_PER_RUN` at a time, and path ``i`` replays
-    ``path_generator(seed, i)`` from every row, so the estimates are
-    common-random-number pairs and each is bit for bit the one its row gets
-    alone.
+    loop, and path ``i`` replays ``path_generator(seed, i)`` from every row,
+    so the estimates are common-random-number pairs and each is bit for bit
+    the one its row gets alone.  The loop takes the samples as it runs
+    (``residual_forms`` of :func:`rfqmm.simulator.simulate_starts`) and
+    keeps no event logs.
     """
     _check_estimation_inputs(market, t, n_paths, seed)
     stacked = np.ndim(q) == 2
@@ -234,20 +228,18 @@ def residual_correction(
         run_market = (
             market if t == 0.0 else dataclasses.replace(market, horizon=market.horizon - t)
         )
-        policy = SurfacePolicy(surface, run_market)
-        samples = []
-        for first in range(0, len(starts), STARTS_PER_RUN):
-            runs = simulate(
-                run_market,
-                policy,
-                n_paths,
-                seed,
-                starts[first : first + STARTS_PER_RUN],
-                engine="thinning",
-                keep_event_logs=True,
-                quote_times="stationary",
-            )
-            samples += [correction_samples(run, fm) for run in runs]
+        runs = simulate(
+            run_market,
+            SurfacePolicy(surface, run_market),
+            n_paths,
+            seed,
+            starts,
+            engine="thinning",
+            keep_event_logs=False,
+            quote_times="stationary",
+            residual_forms=fm.residual_forms,
+        )
+        samples = [run.residual_samples for run in runs]
     out = [ResidualCorrection(float(x.mean()), standard_error(x), n_paths, seed, x) for x in samples]
     return out if stacked else out[0]
 

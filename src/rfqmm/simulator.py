@@ -41,7 +41,17 @@ including its first fill that passes the risk gate, the first event that
 changes its state.  Those events get the quotes, sums and fill a pass of one
 event would give them, added in the same order, so a row's bits do not
 depend on the window either; the window's later events are quoted again by
-the next pass.
+the next pass.  The ``quote_rows`` call takes each alive row's state once,
+with an index from the window's events to it, so a pass holds no copy of
+the state per event.
+
+Given a factor model's ``residual_forms``, the thinning loop also takes the
+residual-correction samples as it runs (:func:`simulate_starts`): each row
+keeps the forms of its current inventory, the time they took effect and its
+running cost, charges the ended segment at each fill that passes the risk
+gate and recomputes the forms of the filled rows only.  A run then needs no
+event logs for them; :func:`inventory_blocks` rebuilds the same inventory
+paths from logs, for audits.
 """
 
 from __future__ import annotations
@@ -122,7 +132,9 @@ class SimulationResult:
 
     ``paths`` holds one record per path, in path order, as a read-only numpy
     record array (:func:`path_dtype`): ``paths.objective`` reads a column,
-    ``paths[i].pnl`` a record's field.
+    ``paths[i].pnl`` a record's field.  ``residual_samples`` holds one
+    residual-risk cost per path, read-only, for runs given
+    ``residual_forms`` (see :func:`simulate_starts`), and is None otherwise.
     """
 
     market: MarketSpec
@@ -133,6 +145,7 @@ class SimulationResult:
     paths: np.recarray
     start_inventory: np.ndarray
     event_logs: Optional[list] = None
+    residual_samples: Optional[np.ndarray] = None
     _summary: SimulationSummary = field(init=False, repr=False, default=None)
 
     def summary(self) -> SimulationSummary:
@@ -175,7 +188,12 @@ def _joined(records) -> np.recarray:
     """Record arrays joined in order, as one read-only record array."""
     # concatenate gives plain structured elements; the view restores the
     # records' attribute access
-    out = np.concatenate(records).view(np.recarray)
+    return _read_only(records).view(np.recarray)
+
+
+def _read_only(arrays) -> np.ndarray:
+    """Arrays joined in order, as one read-only array."""
+    out = np.concatenate(arrays)
     out.setflags(write=False)
     return out
 
@@ -239,17 +257,18 @@ def _check_degenerate(policy, buckets: BucketTable, starts) -> None:
     :func:`simulate_starts`, each a direct call of :func:`_simulate_starts`),
     so the warning names that entry point's caller.
     """
-    refused_all = []
-    for s, q0 in enumerate(starts):
-        start = np.tile(q0, (len(buckets), 1))
-        _, ok = policy.quote_rows(0.0, start, buckets.asset, buckets.side, buckets.size)
-        if len(buckets) and not ok.any():
-            refused_all.append(s)
+    n, nb = len(starts), len(buckets)
+    # one call quotes every bucket at every start, each row reading its start
+    _, ok = policy.quote_rows(
+        0.0, np.stack(starts), np.tile(buckets.asset, n), np.tile(buckets.side, n),
+        np.tile(buckets.size, n), state=np.repeat(np.arange(n), nb),
+    )
+    refused_all = [s for s, row in enumerate(ok.reshape(n, nb)) if nb and not row.any()]
     if refused_all:
         where = (
             "the starting inventory; the run"
-            if len(starts) == 1
-            else f"start inventories {refused_all} of {len(starts)}; their runs"
+            if n == 1
+            else f"start inventories {refused_all} of {n}; their runs"
         )
         warnings.warn(
             f"policy refuses every bucket at {where} will complete with no fills",
@@ -275,6 +294,7 @@ def simulate(
     keep_event_logs: bool = False,
     quote_times: str = "stationary",
     start_inventory=None,
+    residual_forms=None,
 ) -> SimulationResult:
     """Run ``n_paths`` independent trajectories.
 
@@ -284,10 +304,12 @@ def simulate(
     time, for surfaces storing all slices; not with the ``collapsed``
     engine, whose clocks run at t = 0 rates).  Paths run in contiguous chunks
     of :data:`PATH_CHUNK`; the result's ``paths`` holds their records in
-    path order.  This is the one-start case of :func:`simulate_starts`.
+    path order.  This is the one-start case of :func:`simulate_starts`, which
+    describes ``residual_forms``.
     """
     return _simulate_starts(
-        market, policy, n_paths, seed, [start_inventory], engine, keep_event_logs, quote_times
+        market, policy, n_paths, seed, [start_inventory], engine, keep_event_logs, quote_times,
+        residual_forms,
     )[0]
 
 
@@ -300,6 +322,7 @@ def simulate_starts(
     engine: str = "thinning",
     keep_event_logs: bool = False,
     quote_times: str = "stationary",
+    residual_forms=None,
 ) -> StartRuns:
     """Run ``n_paths`` trajectories from each of several start inventories.
 
@@ -308,14 +331,25 @@ def simulate_starts(
     ``path_generator(seed, i)``, so the starts' runs are common-random-number
     pairs; each path's events are drawn once and shared by all starts, which
     step through one event loop together.
+
+    ``residual_forms`` (e.g. :meth:`rfqmm.factors.FactorModel.residual_forms`)
+    maps ``(rows, d)`` inventories to their row-wise ``(f'Vf, q'Rq)``.  When
+    given, each result's ``residual_samples`` holds every path's first-order
+    residual-risk cost, taken inside the event loop with the market's
+    penalty: ``-(sum of pen'(f'Vf) q'Rq dt over the segments between fills
+    + term'(f'Vf) q'Rq at the horizon)``, the numbers
+    :func:`rfqmm.residual.correction_samples` rebuilds from event logs, bit
+    for bit.  The ``collapsed`` engine does not take them.
     """
     return _simulate_starts(
-        market, policy, n_paths, seed, start_inventories, engine, keep_event_logs, quote_times
+        market, policy, n_paths, seed, start_inventories, engine, keep_event_logs, quote_times,
+        residual_forms,
     )
 
 
 def _simulate_starts(
-    market, policy, n_paths, seed, start_inventories, engine, keep_event_logs, quote_times
+    market, policy, n_paths, seed, start_inventories, engine, keep_event_logs, quote_times,
+    residual_forms,
 ) -> StartRuns:
     if engine not in ENGINES:
         raise ValidationError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -326,6 +360,11 @@ def _simulate_starts(
         raise ValidationError(
             "engine 'collapsed' reads every quote at t = 0; "
             "it cannot run quote_times='event' (use engine 'thinning' or 'price_paths')"
+        )
+    if engine == "collapsed" and residual_forms is not None:
+        raise ValidationError(
+            "engine 'collapsed' cannot take residual samples (residual_forms); "
+            "use engine 'thinning' or 'price_paths'"
         )
     check_run_size(n_paths, seed)
     starts = [clean_inventory(market, q) for q in start_inventories]
@@ -344,15 +383,18 @@ def _simulate_starts(
     else:
         def run(chunk):
             return _run_thinning(
-                market, policy, chunk, seed, buckets, keep_event_logs, quote_times, engine, starts
+                market, policy, chunk, seed, buckets, keep_event_logs, quote_times, engine, starts,
+                residual_forms,
             )
     paths = [[] for _ in starts]
     logs = [[] for _ in starts]
+    samples = [[] for _ in starts]
     for first in range(0, n_paths, PATH_CHUNK):
         chunk = range(first, min(first + PATH_CHUNK, n_paths))
-        for s, (chunk_paths, chunk_logs) in enumerate(run(chunk)):
+        for s, (chunk_paths, chunk_logs, chunk_samples) in enumerate(run(chunk)):
             paths[s].append(chunk_paths)
             logs[s] += chunk_logs
+            samples[s].append(chunk_samples)
     return StartRuns(
         SimulationResult(
             market=market,
@@ -363,12 +405,15 @@ def _simulate_starts(
             paths=_joined(paths[s]),
             start_inventory=q0,
             event_logs=logs[s] if keep_event_logs else None,
+            residual_samples=None if residual_forms is None else _read_only(samples[s]),
         )
         for s, q0 in enumerate(starts)
     )
 
 
-def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, engine, starts):
+def _run_thinning(
+    market, policy, paths, seed, buckets, keep_logs, quote_times, engine, starts, forms
+):
     """One chunk of paths stepped together, a window of events per pass.
 
     Row ``s * len(paths) + i`` runs path ``paths[i]`` from ``starts[s]``.  A
@@ -386,8 +431,9 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
     (and the price-path ``w``) are running sums (:func:`_add_products`),
     which make the additions of one-event passes in the same order, and the
     fill is applied as such a pass applies it, so no output depends on the
-    window.  Returns, per start, the chunk's path records and event logs
-    (empty unless ``keep_logs``) in path order.
+    window.  Returns, per start, the chunk's path records, event logs (empty
+    unless ``keep_logs``) and residual samples (None unless ``forms`` is
+    given; see :func:`simulate_starts`) in path order.
     """
     price_paths = engine == "price_paths"
     n_paths = len(paths)
@@ -459,6 +505,13 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
     signs_by_side = np.array(SIDE_SIGNS)
     running = market.penalty.running
     steps = np.arange(window)[:, None]
+    if forms is not None:
+        # each row's residual forms at its current inventory, the time they
+        # took effect, and the running cost accrued before it
+        projected, leftover = forms(q)
+        since = np.zeros(n_rows)
+        cost = np.zeros(n_rows)
+        slope = market.penalty.running_derivative
 
     while (alive := np.nonzero(pos < row_ev)[0]).size:
         n = alive.size
@@ -479,10 +532,12 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
         a_ix = buckets.asset[b]
         s_ix = buckets.side[b]
         z = buckets.size[b]
-        rep = np.tile(alive, window)
+        # a window's events read their row's state through an index, not
+        # through a copy of it per event
         delta, ok = policy.quote_rows(
             0.0 if quote_times == "stationary" else tw.ravel(),
-            q[rep], a_ix.ravel(), s_ix.ravel(), z.ravel(), sq=sq[rep], risk=y[rep],
+            q[alive], a_ix.ravel(), s_ix.ravel(), z.ravel(), sq=sq[alive], risk=y_a,
+            state=np.tile(cols, window),
         )
         delta = delta.reshape(window, n)
         ok = ok.reshape(window, n)
@@ -505,7 +560,9 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
         pen_int[alive] = _add_products(pen_int[alive], running(y_a), dt, n_conf)
         if price_paths:
             sdt = np.sqrt(dt)
-            dots = np.einsum("nd,nd->n", lq[rep], zw.reshape(-1, d)).reshape(window, n)
+            dots = np.einsum(
+                "nd,nd->n", lq[np.tile(alive, window)], zw.reshape(-1, d)
+            ).reshape(window, n)
             market_pnl[alive] = _add_products(market_pnl[alive], sdt, dots, n_conf)
             w[alive] = _add_products(w[alive], sdt[:, :, None], zw, n_conf)
         else:
@@ -531,6 +588,12 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
                 price = s0[af] + np.einsum("nd,nd->n", chol[af], w[rows])
                 cash[rows] -= sf * zf * (price - sf * df)
                 lq[rows] += (sf * zf)[:, None] * chol[af]
+            if forms is not None:
+                # the segment the fill ends is charged at the old forms
+                tf = tw[k, hit]
+                cost[rows] += slope(projected[rows]) * (leftover[rows] * (tf - since[rows]))
+                since[rows] = tf
+                projected[rows], leftover[rows] = forms(q[rows])
             if keep_logs:
                 fill_steps.append((rows, af, sf * zf, tw[k, hit], bf))
 
@@ -556,8 +619,17 @@ def _run_thinning(market, policy, paths, seed, buckets, keep_logs, quote_times, 
         market, pnl, spread, market_pnl, risk_int, pen_int, fills, rejected, refused, q, y
     )
     logs = _split_fills(fill_steps, n_rows) if keep_logs else []
+    samples = None
+    if forms is not None:
+        # the last segment runs to the horizon; the terminal cost comes last
+        cost += slope(projected) * (leftover * (horizon - since))
+        samples = -(cost + market.penalty.terminal_derivative(projected) * leftover)
     return [
-        (records[first : first + n_paths], logs[first : first + n_paths])
+        (
+            records[first : first + n_paths],
+            logs[first : first + n_paths],
+            None if samples is None else samples[first : first + n_paths],
+        )
         for first in range(0, n_rows, n_paths)
     ]
 
@@ -623,13 +695,14 @@ def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
     interval), one uniform (bucket choice).  Buckets whose fill would breach
     the risk limit carry zero rate, so rejected fills never materialise
     here.  Paths run one by one; returns their records and event logs like
-    the thinning engine.
+    the thinning engine, and no residual samples.
     """
     horizon = market.horizon
     sigma = market.covariance
     nb = len(buckets)
     signs = np.array(SIDE_SIGNS)[buckets.side]
     running = market.penalty.running
+    at_state = np.zeros(nb, dtype=np.intp)  # every bucket is quoted at the one state
     # per path: spread, market pnl, risk and penalty integrals, terminal risk
     totals = []
     fill_rows = []
@@ -647,8 +720,8 @@ def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
         log = {k: array(code) for k, code in LOG_COLUMNS.items()} if keep_logs else None
         while True:
             delta, ok = policy.quote_rows(
-                0.0, np.tile(q, (nb, 1)), buckets.asset, buckets.side, buckets.size,
-                sq=np.tile(sq, (nb, 1)), risk=np.full(nb, y),
+                0.0, q[None], buckets.asset, buckets.side, buckets.size,
+                sq=sq[None], risk=np.array([y]), state=at_state,
             )
             exponent = buckets.alpha + buckets.beta * np.where(ok, delta, 0.0)
             prob = np.where(ok, fill_intensity(1.0, exponent), 0.0)
@@ -690,7 +763,7 @@ def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
         market, spread + market_pnl, spread, market_pnl, risk_int, pen_int, np.array(fill_rows),
         none, none, np.array(inventories), y,
     )
-    return records, logs
+    return records, logs, None
 
 
 def inventory_blocks(result: SimulationResult):

@@ -280,6 +280,48 @@ class TestPolicies:
         assert mixed[2] == at0[2]
 
 
+    @pytest.mark.parametrize("quote_times", ["stationary", "event"])
+    def test_state_index_quotes_as_repeated_rows(self, quote_times):
+        # the event loop's window: quote rows read their states through an
+        # index, and get the bits of rows that repeat the states
+        market = make_market_2asset(horizon=0.05)
+        fm = build_factor_model(market.covariance, 1)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
+        surface = solve(market, fm, grid, SolverConfig(store_policy="all_slices"))
+        rng = np.random.default_rng(7)
+        edge = fm.loadings[:, 0] * surface.grid.half_widths[0] * 0.999
+        v = np.array([1.0, -1.0])
+        near = v * np.sqrt(0.99 * market.risk_limit / (v @ market.covariance @ v))
+        qs = np.vstack([rng.uniform(-1.0, 1.0, size=(4, 2)) * 50000.0, edge, near])
+        window = 8
+        state = np.tile(np.arange(len(qs)), window)
+        n = state.size
+        rows = (
+            rng.integers(2, size=n), rng.integers(2, size=n),
+            rng.choice([6250.0, 12500.0, 25000.0], size=n),
+        )
+        t = 0.0 if quote_times == "stationary" else rng.uniform(0.0, market.horizon, n)
+        sq = np.einsum("nd,ed->ne", qs, market.covariance)
+        risk = np.einsum("nd,nd->n", qs, sq)
+        want = surface_quotes(surface, market, t, qs[state], *rows, sq[state], risk[state])
+        assert set(want[1]) == {0, 1, 2}
+        for got in (
+            surface_quotes(surface, market, t, qs, *rows, sq, risk, state),
+            surface_quotes(surface, market, t, qs, *rows, None, None, state),
+        ):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        delta, ok = SurfacePolicy(surface, market).quote_rows(
+            t, qs, *rows, sq=sq, risk=risk, state=state
+        )
+        assert delta.tobytes() == want[0].tobytes()
+        np.testing.assert_array_equal(ok, want[1] == 0)
+        myopic = MyopicPolicy(market)
+        assert myopic.quote_rows(t, qs, *rows, state=state)[0].tobytes() == (
+            myopic.quote_rows(t, qs[state], *rows)[0].tobytes()
+        )
+
+
 class TestQuoteTable:
     def test_single_row_matches_direct_call(self, short_setup):
         market, _, _, surface = short_setup

@@ -226,6 +226,84 @@ class TestTrajectoryIdentity:
             assert est.value <= 0.0
 
 
+def _near_limit(market, fm, share=0.9):
+    """A start along the first factor at ``share`` of the risk limit."""
+    v = fm.loadings[:, 0]
+    return v * np.sqrt(share * market.risk_limit / (v @ market.covariance @ v))
+
+
+class TestLoopSamples:
+    """The residual samples the event loop takes as it runs are the ones
+    ``correction_samples`` rebuilds from a logged run of the same seed, bit
+    for bit."""
+
+    @staticmethod
+    def _check(market, surface, starts, n_paths=20, seed=19, engine="thinning"):
+        fm = surface.factor_model
+        policy = SurfacePolicy(surface, market)
+        runs = simulator.simulate_starts(
+            market, policy, n_paths, seed, starts, engine=engine, residual_forms=fm.residual_forms
+        )
+        for start, run in zip(starts, runs):
+            logged = simulate(
+                market, policy, n_paths, seed, engine=engine, keep_event_logs=True,
+                start_inventory=start,
+            )
+            assert any(log["t"] for log in logged.event_logs)
+            assert run.event_logs is None and not run.residual_samples.flags.writeable
+            assert run.paths.tobytes() == logged.paths.tobytes()
+            assert run.residual_samples.tobytes() == correction_samples(logged, fm).tobytes()
+        return runs
+
+    @pytest.mark.parametrize("window", [1, 3, "default"])
+    @pytest.mark.parametrize("chunk", [1, 7, "default"])
+    @pytest.mark.parametrize("n_starts", [1, 3])
+    def test_equal_the_rebuild_from_event_logs(
+        self, two_asset_setup, monkeypatch, window, chunk, n_starts
+    ):
+        market, surface1, _ = two_asset_setup
+        if window != "default":
+            monkeypatch.setattr(simulator, "EVENT_WINDOW", window)
+        if chunk != "default":
+            monkeypatch.setattr(simulator, "PATH_CHUNK", chunk)
+        # the first start near the risk limit, where the policy refuses
+        near = _near_limit(market, surface1.factor_model)
+        starts = [near, None, [20000.0, -10000.0]][:n_starts]
+        runs = self._check(market, surface1, starts)
+        assert runs[0].paths.refused_quotes.sum() > 0
+
+    def test_price_path_engine(self, two_asset_setup):
+        market, surface1, _ = two_asset_setup
+        self._check(market, surface1, [None, [20000.0, -10000.0]], engine="price_paths")
+
+    def test_later_start(self, two_asset_setup):
+        # t > 0 runs the remaining horizon
+        market, surface1, _ = two_asset_setup
+        t = 0.7
+        est = residual_correction(surface1, market, [20000.0, -10000.0], t=t, n_paths=20, seed=3)
+        rest = dataclasses.replace(market, horizon=market.horizon - t)
+        runs = self._check(rest, surface1, [[20000.0, -10000.0]], seed=3)
+        assert est.samples.tobytes() == runs[0].residual_samples.tobytes()
+
+    def test_zero_weight_sqrt_penalty(self, two_asset_setup):
+        market, surface1, _ = two_asset_setup
+        penalty = RiskPenalty(running_form="sqrt", gamma=0.0, terminal_form="quadratic", zeta=ZETA)
+        runs = self._check(dataclasses.replace(market, penalty=penalty), surface1, [None])
+        assert runs[0].residual_samples.all()
+
+    def test_collapsed_engine_refuses_the_sampler(self, two_asset_setup):
+        market, surface1, _ = two_asset_setup
+        with pytest.raises(ValidationError, match="'collapsed'.*residual_forms"):
+            simulate(
+                market, SurfacePolicy(surface1, market), 3, 0, engine="collapsed",
+                residual_forms=surface1.factor_model.residual_forms,
+            )
+
+    def test_runs_without_the_sampler_carry_no_samples(self, two_asset_setup):
+        market, surface1, _ = two_asset_setup
+        assert simulate(market, SurfacePolicy(surface1, market), 3, 0).residual_samples is None
+
+
 class TestMultiStart:
     def test_each_inventory_matches_its_own_estimate(self, two_asset_setup):
         market, surface1, _ = two_asset_setup
@@ -239,28 +317,40 @@ class TestMultiStart:
             )
         assert residual_corrections(surface1, market, [], n_paths=9, seed=4) == []
 
-    def test_runs_take_a_bounded_number_of_starts(self, two_asset_setup, monkeypatch):
+    def test_all_inventories_run_in_one_loop(self, two_asset_setup, monkeypatch):
+        # six inventories, more than the four starts a run once took: each
+        # gets the bits it gets alone, from one run that keeps no event logs
         market, surface1, _ = two_asset_setup
-        inventories = [None, [20000.0, -10000.0], [-12500.0, 0.0], [0.0, 6250.0], [5000.0, 0.0]]
-        want = residual_corrections(surface1, market, inventories, n_paths=7, seed=2)
-        sizes = []
+        inventories = [
+            None, [20000.0, -10000.0], [-12500.0, 0.0], [0.0, 6250.0], [5000.0, 0.0],
+            [-25000.0, 18750.0],
+        ]
+        alone = [residual_correction(surface1, market, q, n_paths=7, seed=2) for q in inventories]
+        runs = []
         real = rfqmm.residual.simulate
 
-        def counting(*args, **kwargs):
-            sizes.append(len(args[4]))
-            return real(*args, **kwargs)
+        def recording(*args, **kwargs):
+            runs.append((len(args[4]), kwargs["keep_event_logs"], real(*args, **kwargs)))
+            return runs[-1][2]
 
-        monkeypatch.setattr(rfqmm.residual, "simulate", counting)
-        monkeypatch.setattr(rfqmm.residual, "STARTS_PER_RUN", 2)
-        got = residual_correction(surface1, market, np.array(inventories[1:]), n_paths=7, seed=2)
-        assert sizes == [2, 2]
-        for a, b in zip(got, want[1:]):
-            np.testing.assert_array_equal(a.samples, b.samples)
+        monkeypatch.setattr(rfqmm.residual, "simulate", recording)
+        together = residual_corrections(surface1, market, inventories, n_paths=7, seed=2)
+        assert [(n, logs) for n, logs, _ in runs] == [(6, False)]
+        assert all(result.event_logs is None for result in runs[0][2])
+        for got, want in zip(together, alone):
+            assert got.samples.tobytes() == want.samples.tobytes()
 
-    def test_full_rank_model_gives_exact_zeros(self, two_asset_setup):
+    def test_full_rank_model_gives_exact_zeros(self, two_asset_setup, monkeypatch):
         market, _, surface2 = two_asset_setup
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a full-rank model ran a simulation")
+
+        monkeypatch.setattr(rfqmm.residual, "simulate", no_run)
         out = residual_corrections(surface2, market, [None, [5000.0, 0.0]], n_paths=3, seed=1)
         assert [e.value for e in out] == [0.0, 0.0]
+        assert [e.stderr for e in out] == [0.0, 0.0]
+        assert not any(e.samples.any() for e in out)
 
     def test_adjusted_quotes_match_one_by_one(self, two_asset_setup):
         market, surface1, _ = two_asset_setup

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,23 @@ class TestChunking:
         one_block = traced_peak(simulator.PATH_CHUNK)
         assert traced_peak(4 * simulator.PATH_CHUNK) < 1.5 * one_block
 
+    def test_loop_residual_samples_in_thirty_dimensions(self, thirty_setup):
+        # the event loop's residual samples, three starts in one loop, are
+        # what correction_samples rebuilds from each start's logged run
+        market, fm, surface, start = thirty_setup
+        policy = SurfacePolicy(surface, market)
+        near = _near_limit(market, start)
+        starts = [near, start, -near]
+        runs = simulator.simulate_starts(
+            market, policy, 9, 19, starts, residual_forms=fm.residual_forms
+        )
+        for q0, run in zip(starts, runs):
+            logged = simulate(
+                market, policy, 9, seed=19, keep_event_logs=True, start_inventory=q0
+            )
+            assert any(log["t"] for log in logged.event_logs)
+            assert run.residual_samples.tobytes() == correction_samples(logged, fm).tobytes()
+
     def test_correction_samples_replay_in_thirty_dimensions(self, thirty_setup):
         # 30 assets: every factor coordinate and quadratic form sums 30 or
         # more terms, in index order
@@ -633,6 +651,23 @@ class TestRiskGate:
         with pytest.warns(DegenerateRunWarning, match=r"start inventories \[0, 1\] of 2") as caught:
             simulator.simulate_starts(market, policy, 5, 2, [None, None])
         assert [w.filename for w in caught] == [__file__]
+
+    def test_degenerate_check_quotes_every_start_in_one_call(self, sim_setup, monkeypatch):
+        market, _, _, surface = sim_setup
+        buckets = BucketTable.from_market(market)
+        calls = []
+        real = SurfacePolicy.quote_rows
+
+        def counting(self, *args, **kwargs):
+            calls.append(len(args[2]))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SurfacePolicy, "quote_rows", counting)
+        starts = [np.zeros(2), np.array([20000.0, -10000.0]), np.zeros(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulator._check_degenerate(SurfacePolicy(surface, market), buckets, starts)
+        assert calls == [3 * len(buckets)]
 
 
 class TestTrivialCases:
