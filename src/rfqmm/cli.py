@@ -304,7 +304,7 @@ def _simulate_stage(
     if event_logs:
         with open(runner.path(f"events_{label}_{runner.tag}.ndjson"), "w", encoding="utf-8") as fh:
             for i, log in enumerate(result.event_logs[:EVENT_LOG_PATH_CAP]):
-                record = {"path": i, **{k: list(v) for k, v in log.items()}}
+                record = {"path": i, **{k: log[k].tolist() for k in log.dtype.names}}
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(
         f"{label}: mean {s.mean_pnl:.0f}  stdev {s.stdev_pnl:.0f}  "

@@ -397,6 +397,13 @@ class MarketSpec:
         table.setflags(write=False)
         return table
 
+    def risk_state(self, q):
+        """``(Sigma q, q'Sigma q)`` of ``(rows, assets)`` inventories, the one
+        rule for a state's risk: row-wise contractions, not BLAS products, so
+        a row's bits do not depend on the other rows or the BLAS build."""
+        sq = np.einsum("nd,ed->ne", q, self.covariance)
+        return sq, np.einsum("nd,nd->n", q, sq)
+
     def post_trade_risk(self, risk, sq_own, sign, size, asset):
         """Risk ``q'Sigma q`` after a fill of ``sign * size`` units of ``asset``.
 

@@ -142,14 +142,18 @@ def surface_quotes(surface, market, t, inventories, asset_ix, side_ix, sizes, sq
     )
     off_box = np.isnan(values)
     if off_box[:m].any():
-        raise OutOfDomainError("factor point outside the grid box; state is out of domain")
+        i = int(off_box[:m].argmax())
+        row = i if stationary or state is None else state[i]
+        raise OutOfDomainError(
+            f"inventory {inventories[row].tolist()} is out of domain: its factor point "
+            f"{now[i].tolist()} lies outside the grid box "
+            f"(half widths {surface.grid.half_widths.tolist()})"
+        )
     value_now = values[:m] if state is None or not stationary else values[state]
     value_shifted, inside = values[m:], ~off_box[m:]
 
     if sq is None:
-        # row-wise contractions, so a row's risk does not depend on the batch
-        sq = np.einsum("nd,ed->ne", inventories, market.covariance)
-        risk = np.einsum("nd,nd->n", inventories, sq)
+        sq, risk = market.risk_state(inventories)
     if state is None:
         state = np.arange(n)
     else:

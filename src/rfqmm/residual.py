@@ -252,32 +252,30 @@ def adjusted_quotes(
     t: float = 0.0,
     n_paths: int = 500,
     seed: int = 0,
-    here: ResidualCorrection | None = None,
 ) -> tuple[ResidualCorrection, list[AdjustedQuote]]:
     """Adjusted quotes for several RFQs ``(asset, side, size)`` at one state.
 
-    Every arm (the state ``q``, unless its correction ``here`` is given, and
-    the post-trade inventory of each priced RFQ) is a start of the
-    :func:`residual_corrections` runs on the per-path streams of ``seed``.
+    Every arm (the state ``q`` and the post-trade inventory of each priced
+    RFQ) is a start of the :func:`residual_corrections` runs on the per-path
+    streams of ``seed``.
     Returns the correction at ``q`` and one :class:`AdjustedQuote` per RFQ,
     in order; a refused RFQ gets no arm (see :func:`adjusted_quote`).
     """
     q0 = clean_inventory(market, q)
     bases = [optimal_quote(surface, market, q0, *rfq, t=t) for rfq in rfqs]
-    return _priced(surface, market, q0, rfqs, bases, t, n_paths, seed, here)
+    return _priced(surface, market, q0, rfqs, bases, t, n_paths, seed)
 
 
-def _priced(surface, market, q0, rfqs, bases, t, n_paths, seed, here):
+def _priced(surface, market, q0, rfqs, bases, t, n_paths, seed):
     """:func:`adjusted_quotes` for the RFQs' base quotes ``bases`` at ``q0``."""
-    posts = []
+    # the state, then each priced RFQ's post-trade inventory
+    starts = [q0]
     for (asset, side, size), base in zip(rfqs, bases):
         if not base.refused:
-            posts.append(q0.copy())
-            posts[-1][asset] += SIDE_SIGNS[SIDES.index(side)] * size
-    starts = posts if here is not None else [q0] + posts
+            starts.append(q0.copy())
+            starts[-1][asset] += SIDE_SIGNS[SIDES.index(side)] * size
     arms = iter(residual_corrections(surface, market, starts, t=t, n_paths=n_paths, seed=seed))
-    if here is None:
-        here = next(arms)
+    here = next(arms)
     quotes = [
         _adjusted(market, rfq, base, None, None)
         if base.refused
@@ -328,7 +326,6 @@ def adjusted_quote(
     t: float = 0.0,
     n_paths: int = 500,
     seed: int = 0,
-    here: ResidualCorrection | None = None,
 ) -> AdjustedQuote:
     """Quote with the reservation level corrected for residual risk.
 
@@ -336,11 +333,6 @@ def adjusted_quote(
     cost estimates, one from the current inventory and one from the
     post-trade inventory.  Both are starts of one run on the per-path
     streams of ``seed``, so the difference is a paired estimator.
-
-    ``here`` is the correction at ``q`` already estimated with ``seed``,
-    for callers pricing several RFQs from one state; when None it is
-    estimated here, and only if the base quote is priced; one estimated
-    with another seed unpairs the two arms, for variance studies.
 
     A refused base quote is returned as-is (NaN delta, the refusal reason,
     no simulation).
@@ -350,4 +342,4 @@ def adjusted_quote(
     if base.refused:
         return _adjusted(market, rfq, base, None, None)
     q0 = clean_inventory(market, q)
-    return _priced(surface, market, q0, [rfq], [base], t, n_paths, seed, here)[1][0]
+    return _priced(surface, market, q0, [rfq], [base], t, n_paths, seed)[1][0]

@@ -52,13 +52,15 @@ running cost, charges the ended segment at each fill that passes the risk
 gate and recomputes the forms of the filled rows only.  A run then needs no
 event logs for them; :func:`inventory_blocks` rebuilds the same inventory
 paths from logs, for audits.
+With ``keep_event_logs`` every engine's fills go through one builder,
+:func:`_split_fills`: a path's log is a read-only view into its chunk's one
+:data:`LOG_DTYPE` array.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from array import array
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
@@ -82,9 +84,8 @@ PATH_CHUNK = 256
 #: event rate of 5 and 8
 EVENT_WINDOW = 8
 
-#: an event log's columns and their ``array.array`` type codes, 8-byte items;
-#: a column compares, iterates and converts (``np.asarray``) like a list
-LOG_COLUMNS = {"t": "d", "asset": "q", "dq": "d", "bucket": "q"}
+#: one fill of an event log: its time, asset, signed size and arrival bucket
+LOG_DTYPE = np.dtype([("t", "f8"), ("asset", "i8"), ("dq", "f8"), ("bucket", "i8")])
 
 
 class DegenerateRunWarning(RuntimeWarning):
@@ -132,9 +133,11 @@ class SimulationResult:
 
     ``paths`` holds one record per path, in path order, as a read-only numpy
     record array (:func:`path_dtype`): ``paths.objective`` reads a column,
-    ``paths[i].pnl`` a record's field.  ``residual_samples`` holds one
+    ``paths[i].pnl`` a record's field.  ``event_logs`` holds, for runs with
+    ``keep_event_logs``, each path's fills in time order as a read-only array
+    of :data:`LOG_DTYPE` records.  ``residual_samples`` holds one
     residual-risk cost per path, read-only, for runs given
-    ``residual_forms`` (see :func:`simulate_starts`), and is None otherwise.
+    ``residual_forms`` (see :func:`simulate_starts`).  Both are None otherwise.
     """
 
     market: MarketSpec
@@ -471,26 +474,22 @@ def _run_thinning(
     path_of = np.tile(np.arange(n_paths), len(starts))
     row_ev = n_ev[path_of]
 
-    def per_row(values):
-        """One value per start, computed from that start alone, on its rows."""
-        return np.repeat(np.array(values), n_paths, axis=0)
-
+    # each row's start, row s * n_paths + i running path i from start s
+    q = np.repeat(np.stack(starts), n_paths, axis=0)
+    sq, y = market.risk_state(q)
     if price_paths:
-        # Prices are s0 + chol @ w, with w the running sum of sqrt(dt) * z.
-        # The mark-to-market increment q . (chol @ z) is booked as
+        # Prices are s0 + chol w, with w the running sum of sqrt(dt) * z.
+        # The mark-to-market increment q . (chol z) is booked as
         # (chol' q) . z, with chol' q updated on fills, so no event step
         # needs a d x d product.
         chol = np.linalg.cholesky(sigma)
         s0 = np.array([a.s0 for a in market.assets])
         w = np.zeros((n_rows, d))
-        lq = per_row([q0 @ chol for q0 in starts])
+        lq = np.einsum("nd,de->ne", q, chol)
         # Booking the starting position at its initial mark keeps the final
         # cash + q.S figure a wealth *change*, comparable across engines.
-        cash = per_row([-float(q0 @ s0) for q0 in starts])
+        cash = -np.einsum("nd,d->n", q, s0)
 
-    q = per_row(starts)
-    sq = per_row([q0 @ sigma for q0 in starts])
-    y = per_row([float(q0 @ sigma @ q0) for q0 in starts])
     t_prev = np.zeros(n_rows)
     spread = np.zeros(n_rows)
     market_pnl = np.zeros(n_rows)
@@ -605,7 +604,7 @@ def _run_thinning(
         sdt = np.sqrt(dt)
         market_pnl += sdt * np.einsum("nd,nd->n", lq, last)
         w += sdt[:, None] * last
-        # chol @ w row by row: a BLAS product may round a row differently
+        # chol w row by row: a BLAS product may round a row differently
         # depending on how many rows share the call
         prices = s0 + np.einsum("nd,ed->ne", w, chol)
         # cash account plus terminal mark; the starting position was booked
@@ -663,28 +662,24 @@ def _add_products(total, a, b, count):
     return acc[count, np.arange(total.shape[0])]
 
 
-def _split_fills(fill_steps, n_paths):
-    """Per-path event logs from the per-pass fill arrays, in time order.
-
-    Each log column is an ``array.array`` of 8-byte items (see
-    :data:`LOG_COLUMNS`).
-    """
+def _split_fills(fill_steps, n_rows):
+    """Per-row event logs from fill steps ``(rows, asset, dq, t, bucket)``,
+    appended in time order with one array or list per column: read-only
+    views into one :data:`LOG_DTYPE` array sorted by row."""
     rows, asset, dq, t, bucket = (
         [np.concatenate(col) for col in zip(*fill_steps)]
         if fill_steps
         else [np.empty(0, dtype=np.int64)] * 5
     )
-    # passes run in time order, so a stable sort by path keeps each path's
+    # steps come in time order, so a stable sort by row keeps each row's
     # fills in time order
     order = np.argsort(rows, kind="stable")
-    # path i's fills are bytes ends[i - 1] to ends[i] of each sorted column
-    ends = (8 * np.cumsum(np.bincount(rows, minlength=n_paths))).tolist()
-    columns = {"t": t, "asset": asset, "dq": dq, "bucket": bucket}
-    raw = {k: columns[k][order].tobytes() for k in LOG_COLUMNS}
-    return [
-        {k: array(code, raw[k][lo:hi]) for k, code in LOG_COLUMNS.items()}
-        for lo, hi in zip([0] + ends, ends)
-    ]
+    fills = np.empty(rows.size, dtype=LOG_DTYPE)
+    for name, column in zip(LOG_DTYPE.names, (t, asset, dq, bucket)):
+        fills[name] = column[order]
+    fills.setflags(write=False)
+    ends = np.cumsum(np.bincount(rows, minlength=n_rows)).tolist()
+    return [fills[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
@@ -699,6 +694,7 @@ def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
     """
     horizon = market.horizon
     sigma = market.covariance
+    sq0, y0 = market.risk_state(q0[None])
     nb = len(buckets)
     signs = np.array(SIDE_SIGNS)[buckets.side]
     running = market.penalty.running
@@ -707,17 +703,16 @@ def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
     totals = []
     fill_rows = []
     inventories = []
-    logs = []
+    fill_steps = []
 
-    for i in paths:
+    for row, i in enumerate(paths):
         rng = path_generator(seed, i)
         t = 0.0
         q = q0.copy()
-        sq = q0 @ sigma
-        y = float(q0 @ sigma @ q0)
+        sq = sq0[0].copy()
+        y = float(y0[0])
         spread = market_pnl = risk_int = pen_int = 0.0
         fills = np.zeros(nb, dtype=np.int64)
-        log = {k: array(code) for k, code in LOG_COLUMNS.items()} if keep_logs else None
         while True:
             delta, ok = policy.quote_rows(
                 0.0, q[None], buckets.asset, buckets.side, buckets.size,
@@ -748,22 +743,17 @@ def _run_collapsed(market, policy, paths, seed, buckets, keep_logs, q0):
             spread += float(delta[b]) * buckets.size[b]
             fills[b] += 1
             if keep_logs:
-                log["t"].append(t)
-                log["asset"].append(a)
-                log["dq"].append(float(dz))
-                log["bucket"].append(b)
+                fill_steps.append(([row], [a], [dz], [t], [b]))
         totals.append((spread, market_pnl, risk_int, pen_int, y))
         fill_rows.append(fills)
         inventories.append(q)
-        if keep_logs:
-            logs.append(log)
     spread, market_pnl, risk_int, pen_int, y = np.array(totals).T
     none = np.zeros(len(paths), dtype=np.int64)
     records = _path_records(
         market, spread + market_pnl, spread, market_pnl, risk_int, pen_int, np.array(fill_rows),
         none, none, np.array(inventories), y,
     )
-    return records, logs, None
+    return records, _split_fills(fill_steps, len(paths)) if keep_logs else [], None
 
 
 def inventory_blocks(result: SimulationResult):
@@ -791,11 +781,8 @@ def inventory_blocks(result: SimulationResult):
     for first in range(0, len(logs), PATH_CHUNK):
         block = logs[first : first + PATH_CHUNK]
         n = len(block)
-        fills = np.array([len(log["t"]) for log in block])
-        column = {
-            k: np.frombuffer(b"".join(log[k] for log in block), dtype=LOG_COLUMNS[k])
-            for k in ("t", "asset", "dq")
-        }
+        fills = np.array([log.size for log in block])
+        column = np.concatenate(block)
         # fill f of the block is number seg[f] (from 1) of path path[f]
         path = np.repeat(np.arange(n), fills)
         seg = np.arange(path.size) - np.repeat(np.cumsum(fills) - fills, fills) + 1

@@ -234,6 +234,23 @@ class TestMarketSpec:
         expected = 4 * float(lam(-1.0))
         assert market_2asset.intensity_sum_at_floor() == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("market", ["market_2asset", "market_30asset"])
+    def test_risk_state(self, request, market):
+        # Sigma q and q'Sigma q row by row, and a row's bits do not depend on
+        # how many rows share the call
+        market = request.getfixturevalue(market)
+        cov = market.covariance
+        rng = np.random.default_rng(5)
+        q = rng.standard_normal((40, market.n_assets)) * 1e4
+        sq, risk = market.risk_state(q)
+        np.testing.assert_allclose(sq, q @ cov, rtol=1e-12, atol=1e-6)
+        np.testing.assert_allclose(risk, np.einsum("nd,de,ne->n", q, cov, q), rtol=1e-12)
+        for first in range(len(q)):
+            for n in range(1, 6):
+                got = market.risk_state(q[first : first + n])
+                assert got[0].tobytes() == sq[first : first + n].tobytes()
+                assert got[1].tobytes() == risk[first : first + n].tobytes()
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError, match="duplicate"):
             MarketSpec(

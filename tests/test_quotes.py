@@ -226,8 +226,14 @@ class TestRefusals:
         market, fm, _, surface = short_setup
         f = np.array([surface.grid.half_widths[0] * 1.1, 0.0])
         q = fm.loadings @ f
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(OutOfDomainError) as info:
             optimal_quote(surface, market, q, 0, "bid", 6250.0)
+        # the message names the inventory, its factor point and the box
+        point = fm.factor_coordinates(q)
+        assert str(info.value) == (
+            f"inventory {q.tolist()} is out of domain: its factor point {point.tolist()} "
+            f"lies outside the grid box (half widths {surface.grid.half_widths.tolist()})"
+        )
 
 
 def same_rows(n, asset, side, size):

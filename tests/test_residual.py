@@ -172,7 +172,7 @@ class TestTrajectoryIdentity:
                 market, SurfacePolicy(surface1, market), 6, seed=8, keep_event_logs=True,
                 start_inventory=start,
             )
-            assert any(log["t"] for log in run.event_logs)
+            assert any(log.size for log in run.event_logs)
             got = correction_samples(run, fm)
             assert got.all()
             assert got.tolist() == replay_correction_samples(run, fm)
@@ -249,7 +249,7 @@ class TestLoopSamples:
                 market, policy, n_paths, seed, engine=engine, keep_event_logs=True,
                 start_inventory=start,
             )
-            assert any(log["t"] for log in logged.event_logs)
+            assert any(log.size for log in logged.event_logs)
             assert run.event_logs is None and not run.residual_samples.flags.writeable
             assert run.paths.tobytes() == logged.paths.tobytes()
             assert run.residual_samples.tobytes() == correction_samples(logged, fm).tobytes()
@@ -372,10 +372,6 @@ class TestMultiStart:
                         np.testing.assert_array_equal(a.samples, b.samples)
                 else:
                     assert a == b or (np.isnan(a) and np.isnan(b)), f.name
-        # a given estimate at the state is used as is, and no arm re-estimates it
-        again, requoted = adjusted_quotes(surface1, market, q, rfqs, n_paths=8, seed=6, here=here)
-        assert again is here
-        assert [a.delta for a in requoted[::2]] == [a.delta for a in quotes[::2]]
 
 
 class TestStderr:
@@ -506,19 +502,20 @@ class TestAdjustedQuote:
 
     def test_pairing_beats_independent_streams(self, flat_setup):
         surface, priced, _ = flat_setup
+        size = 12500.0
         paired, independent = [], []
         for rep in range(100):
-            kwargs = dict(t=0.0, n_paths=30, seed=1000 + rep)
             paired.append(
-                adjusted_quote(surface, priced, [40000.0], 0, "bid", 12500.0, **kwargs).shift
-            )
-            # the estimate at the state from another seed unpairs the two arms
-            here = residual_correction(surface, priced, [40000.0], n_paths=30, seed=5000 + rep)
-            independent.append(
                 adjusted_quote(
-                    surface, priced, [40000.0], 0, "bid", 12500.0, here=here, **kwargs
+                    surface, priced, [40000.0], 0, "bid", size, n_paths=30, seed=1000 + rep
                 ).shift
             )
+            # the two arms estimated from different seeds are unpaired
+            here, there = (
+                residual_correction(surface, priced, [q], n_paths=30, seed=seed)
+                for q, seed in ((40000.0, 5000 + rep), (40000.0 + size, 1000 + rep))
+            )
+            independent.append((here.value - there.value) / size)
         assert np.var(paired) < np.var(independent)
 
     def test_refusal_is_propagated_without_simulation(self, two_asset_setup):

@@ -21,13 +21,14 @@ from helpers import (
     replay_correction_samples,
 )
 from rfqmm import simulator
-from rfqmm.errors import ValidationError
+from rfqmm.errors import OutOfDomainError, ValidationError
 from rfqmm.events import BucketTable, draw_path_events, path_generator
 from rfqmm.factors import build_factor_model
 from rfqmm.quotes import MyopicPolicy, SurfacePolicy, myopic_quote, surface_quotes
 from rfqmm.residual import correction_samples
 from rfqmm.simulator import (
     ENGINES,
+    LOG_DTYPE,
     DegenerateRunWarning,
     inventory_blocks,
     simulate,
@@ -174,7 +175,29 @@ class TestDeterminismAndLayout:
             assert pa.pnl == pb.pnl
             assert pa.objective == pb.objective
             np.testing.assert_array_equal(pa.n_fills, pb.n_fills)
-        assert a.event_logs == b.event_logs
+        assert [log.tobytes() for log in a.event_logs] == [log.tobytes() for log in b.event_logs]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_event_logs_are_read_only_records(self, sim_setup, engine):
+        market, _, _, surface = sim_setup
+        result = simulate(
+            market, SurfacePolicy(surface, market), 12, seed=5, engine=engine,
+            keep_event_logs=True,
+        )
+        assert len(result.event_logs) == 12
+        for log in result.event_logs:
+            assert log.dtype == LOG_DTYPE and not log.flags.writeable
+        # one record per fill
+        sizes = [log.size for log in result.event_logs]
+        assert sizes == result.paths.n_fills.sum(1).tolist() and any(sizes)
+
+    def test_out_of_domain_start_is_named(self, sim_setup):
+        market, _, grid, surface = sim_setup
+        with pytest.raises(OutOfDomainError) as info:
+            simulate(market, SurfacePolicy(surface, market), 2, seed=0, start_inventory=[9e6, -9e6])
+        message = str(info.value)
+        assert "inventory [9000000.0, -9000000.0]" in message
+        assert f"(half widths {grid.half_widths.tolist()})" in message
 
     def test_different_seed_differs(self, sim_setup):
         market, _, _, surface = sim_setup
@@ -296,7 +319,11 @@ def thirty_setup():
 
 def _bits(result, fm, start):
     """Every per-path output of a run, as bytes, plus logs and residual samples."""
-    return result.paths.tobytes(), result.event_logs, correction_samples(result, fm, start).tobytes()
+    return (
+        result.paths.tobytes(),
+        [log.tobytes() for log in result.event_logs],
+        correction_samples(result, fm, start).tobytes(),
+    )
 
 
 class TestChunking:
@@ -326,7 +353,7 @@ class TestChunking:
                 start_inventory=start,
             )
             runs.append(_bits(result, fm, start))
-        assert any(log["t"] for log in runs[0][1])
+        assert any(runs[0][1])
         assert runs[0] == runs[1] == runs[2]
 
     def test_memory_is_bounded_by_one_chunk(self):
@@ -374,7 +401,7 @@ class TestChunking:
             logged = simulate(
                 market, policy, 9, seed=19, keep_event_logs=True, start_inventory=q0
             )
-            assert any(log["t"] for log in logged.event_logs)
+            assert any(log.size for log in logged.event_logs)
             assert run.residual_samples.tobytes() == correction_samples(logged, fm).tobytes()
 
     def test_correction_samples_replay_in_thirty_dimensions(self, thirty_setup):
@@ -385,7 +412,7 @@ class TestChunking:
             market, SurfacePolicy(surface, market), 3, seed=19, keep_event_logs=True,
             start_inventory=start,
         )
-        assert any(log["t"] for log in run.event_logs)
+        assert any(log.size for log in run.event_logs)
         assert correction_samples(run, fm).tolist() == replay_correction_samples(run, fm)
 
 
@@ -417,7 +444,7 @@ class TestWindow:
             )
             runs.append([_bits(r, fm, s) for r, s in zip(results, starts)])
         assert runs[0] == runs[1] == runs[2]
-        assert all(any(log["t"] for log in r.event_logs) for r in results)
+        assert all(any(log.size for log in r.event_logs) for r in results)
         return results
 
     @pytest.mark.parametrize("engine", ["thinning", "price_paths"])
@@ -489,7 +516,7 @@ class TestMultiStart:
             )
             assert _bits(result, fm1, start) == _bits(alone, fm1, start)
             np.testing.assert_array_equal(result.start_inventory, alone.start_inventory)
-        assert all(any(log["t"] for log in r.event_logs) for r in together)
+        assert all(any(log.size for log in r.event_logs) for r in together)
 
     def test_events_are_drawn_once_per_path(self, sim_setup, monkeypatch):
         market, _, _, surface = sim_setup
