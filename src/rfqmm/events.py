@@ -53,7 +53,7 @@ class BucketTable:
 
     @classmethod
     def from_market(cls, market: MarketSpec) -> "BucketTable":
-        asset, side, size, prob, rate = [], [], [], [], []
+        asset, side, size, prob = [], [], [], []
         for i, spec in enumerate(market.assets):
             for s, side_name in enumerate(SIDES):
                 dist = spec.sizes(side_name)
@@ -62,16 +62,16 @@ class BucketTable:
                     side.append(s)
                     size.append(z)
                     prob.append(p)
-                    rate.append(spec.intensity(side_name).lambda_rfq * p)
         asset = np.array(asset, dtype=np.int64)
         side = np.array(side, dtype=np.int64)
+        probability = np.array(prob, dtype=float)
         lam, alpha, beta = market.intensity_table[asset, side].T.copy()
         return cls(
             asset=asset,
             side=side,
             size=np.array(size, dtype=float),
-            probability=np.array(prob, dtype=float),
-            arrival_rate=np.array(rate, dtype=float),
+            probability=probability,
+            arrival_rate=lam * probability,
             lam=lam,
             alpha=alpha,
             beta=beta,

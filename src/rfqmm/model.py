@@ -440,18 +440,8 @@ def clean_inventory(market: MarketSpec, q) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SideCheck:
-    """One (asset, side) intensity curve, checked against the hypotheses."""
-
-    asset_id: str
-    side: Side
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
-    """One passed check per (asset, side): see :func:`validate_hypotheses`."""
-
-    checks: tuple[SideCheck, ...]
+    """The outcome of :func:`validate_hypotheses`: every curve passes."""
 
     @property
     def passed(self) -> bool:
@@ -477,9 +467,6 @@ def validate_hypotheses(market: MarketSpec) -> HypothesisReport:
     ``lambda_rfq == 0`` never trades, so it has no shape to check.
     :class:`LogisticIntensity` refuses every other parameter (non-finite
     values, lambda_rfq < 0, beta <= 0) at construction, so no curve can
-    fail here and nothing is evaluated: the report lists each (asset, side)
-    as passed.
+    fail here and nothing is evaluated: the report passes.
     """
-    return HypothesisReport(
-        checks=tuple(SideCheck(a.asset_id, side) for a in market.assets for side in SIDES)
-    )
+    return HypothesisReport()

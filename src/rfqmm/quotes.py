@@ -138,7 +138,6 @@ def surface_quotes(surface, market, t, inventories, asset_ix, side_ix, sizes, sq
     values = surface.value_many(
         t if stationary else np.concatenate([t, t]),
         np.concatenate([now, shifted]),
-        out_of_box="nan",
     )
     off_box = np.isnan(values)
     if off_box[:m].any():

@@ -249,8 +249,7 @@ def total_variance_gap(result: SimulationResult):
     pnl, spread, risk = paths.pnl, paths.spread_pnl, paths.risk_integral
     gap = pnl.var(ddof=1) - risk.mean() - spread.var(ddof=1)
     influence = (pnl - pnl.mean()) ** 2 - risk - (spread - spread.mean()) ** 2
-    se = float(influence.std(ddof=1) / np.sqrt(n))
-    return float(gap), se
+    return float(gap), standard_error(influence)
 
 
 def _check_degenerate(policy, buckets: BucketTable, starts) -> None:
@@ -297,7 +296,6 @@ def simulate(
     keep_event_logs: bool = False,
     quote_times: str = "stationary",
     start_inventory=None,
-    residual_forms=None,
 ) -> SimulationResult:
     """Run ``n_paths`` independent trajectories.
 
@@ -307,12 +305,12 @@ def simulate(
     time, for surfaces storing all slices; not with the ``collapsed``
     engine, whose clocks run at t = 0 rates).  Paths run in contiguous chunks
     of :data:`PATH_CHUNK`; the result's ``paths`` holds their records in
-    path order.  This is the one-start case of :func:`simulate_starts`, which
-    describes ``residual_forms``.
+    path order.  This is the one-start case of :func:`simulate_starts`,
+    without residual samples.
     """
     return _simulate_starts(
         market, policy, n_paths, seed, [start_inventory], engine, keep_event_logs, quote_times,
-        residual_forms,
+        None,
     )[0]
 
 

@@ -331,37 +331,28 @@ class ValueSurface:
     def slice_values(self, t: float) -> np.ndarray:
         return self.values[self.slice_index(t)]
 
-    def value_many(self, t, points, out_of_box: str = "raise") -> np.ndarray:
+    def value_many(self, t, points) -> np.ndarray:
         """Multilinear interpolation of the nearest stored slice.
 
         ``t`` is one time or one time per point; each point reads the slice
         :meth:`slice_index` picks.  As in the sweep's shifted reads, each
         point's 2^k cell is interpolated one axis at a time, last axis
         first, with one lerp per axis, so a point reads the same bits alone
-        as in any batch.  ``out_of_box`` is either "raise" or "nan"; the NaN
-        marker is what the quote engine turns into refusals.
+        as in any batch.
 
         Each point is box-tested once, by :meth:`FactorGrid.contains`, and
         all points are placed on all axes in one vectorised pass from the
         grid's cached constants (see the module docstring).  A solved
-        surface's values are finite (``solve`` checks every step), so in
-        "nan" mode a NaN marks exactly the points off the box.
+        surface's values are finite (``solve`` checks every step), so a NaN
+        marks exactly the points off the box: the marker the quote engine
+        turns into refusals and :meth:`value` into an error.
         """
         grid = self.grid
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         m, k = pts.shape
         if k != grid.ndim:
             raise ValidationError(f"query dimension {k} does not match grid dimension {grid.ndim}")
-        if out_of_box not in ("raise", "nan"):
-            raise ValueError(f"unknown out_of_box mode {out_of_box!r}")
         inside = grid.contains(pts)
-        all_inside = inside.all()
-        if not all_inside and out_of_box == "raise":
-            bad = pts[~inside][0]
-            raise OutOfDomainError(
-                f"factor point {bad.tolist()} lies outside the grid box "
-                f"(half widths {grid.half_widths.tolist()})"
-            )
         top, last, strides, corners = grid._cell_constants
         lo, frac = _axis_positions((pts + grid.half_widths) / grid.spacing, top, last)
         base = self.slice_index(t) * grid.n_nodes + lo @ strides
@@ -369,24 +360,32 @@ class ValueSurface:
         for j in reversed(range(k)):
             w = frac[:, j].reshape((m,) + (1,) * j)
             cell = cell[..., 0] * (1.0 - w) + cell[..., 1] * w
-        return cell if all_inside else np.where(inside, cell, np.nan)
+        return cell if inside.all() else np.where(inside, cell, np.nan)
 
     def value(self, t: float, point) -> float:
+        """The surface at one factor point; off the box, an OutOfDomainError."""
         check_time(t)
-        return float(self.value_many(t, np.atleast_2d(np.asarray(point, dtype=float)))[0])
+        point = np.asarray(point, dtype=float)
+        value = float(self.value_many(t, point)[0])
+        if math.isnan(value):
+            raise OutOfDomainError(
+                f"factor point {point.tolist()} lies outside the grid box "
+                f"(half widths {self.grid.half_widths.tolist()})"
+            )
+        return value
 
-    def value_at_origin(self, t: float = 0.0) -> float:
-        return self.value(t, np.zeros(self.grid.ndim))
+    def value_at_origin(self) -> float:
+        return self.value(0.0, np.zeros(self.grid.ndim))
 
-    def to_csv(self, fp, t: float = 0.0) -> None:
-        """Write the slice nearest ``t`` as CSV, C-ordered nodes."""
+    def to_csv(self, fp) -> None:
+        """Write the t = 0 slice as CSV, C-ordered nodes."""
         import csv
 
         k = self.grid.ndim
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow([f"f{j + 1}" for j in range(k)] + ["value", "admissible"])
         nodes = self.grid.node_coordinates()
-        flat = self.slice_values(t).ravel()
+        flat = self.slice_values(0.0).ravel()
         admissible = self.grid.admissible_mask()
         for row, val, ok in zip(nodes, flat, admissible):
             writer.writerow([repr(float(x)) for x in row] + [repr(float(val)), int(ok)])

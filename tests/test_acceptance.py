@@ -188,7 +188,7 @@ def test_criterion_06_representation_invariance():
 
     nodes = surf_q.grid.node_coordinates()
     vals_q = surf_q.slice_values(0.0).ravel()
-    vals_f = surf_f.value_many(0.0, nodes @ fm.loadings, out_of_box="nan")
+    vals_f = surf_f.value_many(0.0, nodes @ fm.loadings)
     risk = np.einsum("nd,de,ne->n", nodes, cov, nodes)
     mask = np.isfinite(vals_f) & (risk <= 0.9 * limit)
     assert mask.sum() > 3000

@@ -314,7 +314,10 @@ class TestCommands:
     def test_validate_ok(self, config_file, capsys):
         p = config_file(deep(BASE))
         assert main(["validate", "--config", str(p)]) == 0
-        assert "checks passed" in capsys.readouterr().out
+        h = config_hash(deep(BASE))
+        assert capsys.readouterr().out == (
+            f"config {h[:12]}: 2 assets, horizon 0.5 days\nall 4 intensity checks passed\n"
+        )
 
     def test_validate_bad_config_exits_nonzero(self, config_file, capsys):
         raw = deep(BASE)
@@ -598,6 +601,44 @@ class TestCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert "inventory" in err and "finite" in err
+
+    @pytest.mark.parametrize(
+        "args, artifact",
+        [
+            (["quotes", "--factors", "2"], "quotes_{tag}_k2_g21.csv"),
+            (["adjust", "--factors", "1", "--paths", "5", "--rfq", "0:bid:12500"],
+             "adjust_{tag}_k1.csv"),
+        ],
+    )
+    def test_spaced_negative_inventory(self, work, capsys, args, artifact):
+        # argparse alone reads "-1000,2000" as an option
+        cfg, out = work
+        path = out / artifact.format(tag=load_config(cfg)[1][:12])
+        written = []
+        for inventory in ([], ["--inventory=-1000,2000"], ["--inventory", "-1000,2000"]):
+            code = main([*args, *inventory, "--config", str(cfg), "--out-dir", str(out),
+                         "--grid", "21"])
+            assert code == 0
+            written.append(path.read_bytes())
+        flat, joined, spaced = written
+        assert spaced == joined != flat
+
+    def test_spaced_negative_size_reaches_the_size_check(self, work, capsys):
+        cfg, out = work
+        code = main(
+            ["quotes", "--config", str(cfg), "--out-dir", str(out),
+             "--grid", "21", "--factors", "2", "--sizes", "-5"]
+        )
+        assert code == 1
+        assert "error: trade size must be positive and finite, got -5.0" in capsys.readouterr().err
+
+    def test_inventory_followed_by_an_option_is_refused(self, work, capsys):
+        cfg, out = work
+        with pytest.raises(SystemExit) as info:
+            main(["quotes", "--config", str(cfg), "--out-dir", str(out),
+                  "--grid", "21", "--inventory", "--sizes", "5"])
+        assert info.value.code == 2
+        assert "argument --inventory: expected one argument" in capsys.readouterr().err
 
 
 class TestReproduce:

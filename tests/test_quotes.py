@@ -537,11 +537,11 @@ class TestGoldenBits:
         ])
         inside = grid.contains(pts)
         assert inside.tolist() == [True, True, False] * 4
-        values = surface.value_many(0.0, pts, out_of_box="nan")
+        values = surface.value_many(0.0, pts)
         np.testing.assert_array_equal(np.isnan(values), ~inside)
         # a point in the slack reads the edge node, bit for bit
         nodes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]) * grid.half_widths
         edges = surface.value_many(0.0, nodes)
         np.testing.assert_array_equal(values[1::3], edges)
         with pytest.raises(OutOfDomainError):
-            surface.value_many(0.0, pts)
+            surface.value(0.0, pts[2])

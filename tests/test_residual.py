@@ -294,8 +294,8 @@ class TestLoopSamples:
     def test_collapsed_engine_refuses_the_sampler(self, two_asset_setup):
         market, surface1, _ = two_asset_setup
         with pytest.raises(ValidationError, match="'collapsed'.*residual_forms"):
-            simulate(
-                market, SurfacePolicy(surface1, market), 3, 0, engine="collapsed",
+            simulator.simulate_starts(
+                market, SurfacePolicy(surface1, market), 3, 0, [None], engine="collapsed",
                 residual_forms=surface1.factor_model.residual_forms,
             )
 

@@ -4,6 +4,7 @@ safety rails and interpolation access."""
 import dataclasses
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -263,16 +264,21 @@ class TestEvaluate:
             cell = values[lo[0] : lo[0] + 2, lo[1] : lo[1] + 2]
             assert cell.min() - 1e-9 <= val <= cell.max() + 1e-9
 
-    def test_out_of_box_modes(self, surface):
-        far = np.array([[surface.grid.half_widths[0] * 1.5, 0.0]])
-        with pytest.raises(OutOfDomainError, match="outside the grid box"):
-            surface.value_many(0.0, far)
-        vals = surface.value_many(0.0, far, out_of_box="nan")
-        assert np.isnan(vals[0])
-        # an unknown mode is refused with every point inside the box as well
-        for point in (far, far / 3.0):
-            with pytest.raises(ValueError, match="unknown out_of_box mode 'bogus'"):
-                surface.value_many(0.0, point, out_of_box="bogus")
+    def test_value_many_marks_off_box_points_with_nan(self, surface):
+        half = surface.grid.half_widths
+        pts = np.array([[0.5, 0.0], [1.5, 0.0], [0.0, -0.9], [0.3, -2.0], [-1.0, 1.0]]) * half
+        got = surface.value_many(0.0, pts)
+        inside = np.array([True, False, True, False, True])
+        np.testing.assert_array_equal(np.isnan(got), ~inside)
+        # an in-box point reads the bits it reads alone
+        for point, value in zip(pts[inside], got[inside]):
+            assert surface.value_many(0.0, point[None])[0] == value
+
+    def test_value_raises_off_the_box(self, surface):
+        far = [float(surface.grid.half_widths[0]) * 1.5, 0.0]
+        message = f"factor point {far} lies outside the grid box"
+        with pytest.raises(OutOfDomainError, match=re.escape(message)):
+            surface.value(0.0, far)
 
     def test_nearest_slice_selection(self):
         market = make_market_2asset(horizon=1.0)
@@ -388,7 +394,7 @@ class TestAgainstScipy:
         np.testing.assert_array_equal(at_once, value_many_by_axis(surface, 0.3, pts))
         np.testing.assert_array_equal(per_row, value_many_by_axis(surface, row_times, pts))
         edge = pts * 1.2
-        got = surface.value_many(row_times, edge, out_of_box="nan")
+        got = surface.value_many(row_times, edge)
         inside = grid.contains(edge)
         assert 0 < inside.sum() < len(edge)
         np.testing.assert_array_equal(np.isnan(got), ~inside)
