@@ -32,7 +32,6 @@ from .quotes import (
     myopic_quote,
     optimal_quote,
     quote_table,
-    write_quote_table,
 )
 from .residual import (
     AdjustedQuote,
@@ -92,6 +91,5 @@ __all__ = [
     "simulate_starts",
     "solve",
     "validate_hypotheses",
-    "write_quote_table",
     "__version__",
 ]

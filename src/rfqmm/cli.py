@@ -20,8 +20,11 @@ Artifact discipline: every output file name embeds the first 12 hex digits
 of the configuration hash, and each run writes a manifest JSON listing the
 artifacts it produced.  CSV and NDJSON outputs are byte-identical across
 reruns with the same config and seed; the manifest is not (it records wall
-clock).  ``quotes``, ``simulate`` and ``adjust`` never re-solve: they load
-the surface cached by ``solve`` (or exit with code 2 telling you to run it).
+clock).  This module is the only one that writes them: every CSV through
+``_write_csv``, every NDJSON file through ``_write_ndjson``, from plain
+Python data, so a float's ``repr`` (``_fmt``) is the one number format.
+``quotes``, ``simulate`` and ``adjust`` never re-solve: they load the
+surface cached by ``solve`` (or exit with code 2 telling you to run it).
 ``reproduce`` solves on first use and caches.
 """
 
@@ -45,7 +48,7 @@ from .config_io import load_config
 from .errors import OutOfDomainError, SolverError, StabilityError, ValidationError
 from .factors import build_factor_model
 from .model import SIDES, MarketSpec, clean_inventory
-from .quotes import REASON_OK, MyopicPolicy, SurfacePolicy, quote_table, write_quote_table
+from .quotes import REASON_OK, MyopicPolicy, SurfacePolicy, quote_table
 from .residual import adjusted_quotes
 from .simulator import ENGINES, DegenerateRunWarning, SimulationSummary, simulate
 from .solver import FactorGrid, SolverConfig, ValueSurface, solve, solver_fingerprint
@@ -79,6 +82,8 @@ SCENARIOS = {
 }
 REPRODUCTION_RFQS = ((0, "bid", 12500.0), (0, "ask", 12500.0))
 
+#: a quote table's columns after the inventory's q1..qd
+QUOTE_COLUMNS = ("asset", "side", "size", "delta", "reason")
 SUMMARY_COLUMNS = ("policy", "engine", "seed") + tuple(
     f.name for f in dataclasses.fields(SimulationSummary)
 )
@@ -238,6 +243,12 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_ndjson(path: Path, records) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -272,9 +283,14 @@ def _factors_stage(runner: Runner, market: MarketSpec, k: int) -> None:
 
 
 def _solve_stage(runner: Runner, surface: ValueSurface, k: int, grid_nodes: int) -> None:
-    name = f"surface_{runner.tag}_k{k}_g{grid_nodes}.csv"
-    with open(runner.path(name), "w", encoding="utf-8") as fh:
-        surface.to_csv(fh)
+    # the t = 0 slice, nodes in C order
+    grid = surface.grid
+    table = np.column_stack([grid.node_coordinates(), surface.slice_values(0.0).ravel()])
+    _write_csv(
+        runner.path(f"surface_{runner.tag}_k{k}_g{grid_nodes}.csv"),
+        [f"f{j + 1}" for j in range(k)] + ["value", "admissible"],
+        [[*map(_fmt, row), int(ok)] for row, ok in zip(table.tolist(), grid.admissible_mask())],
+    )
     origin = surface.value_at_origin()
     peak = float(np.max(surface.slice_values(0.0)))
     print(f"solved grid={grid_nodes}: k={k} value at origin {origin:.1f}, grid maximum {peak:.1f}")
@@ -282,9 +298,15 @@ def _solve_stage(runner: Runner, surface: ValueSurface, k: int, grid_nodes: int)
 
 def _quotes_stage(runner: Runner, market, surface, k, grid_nodes, inventories, sizes=None) -> None:
     rows = quote_table(surface, market, inventories, sizes=sizes)
-    name = f"quotes_{runner.tag}_k{k}_g{grid_nodes}.csv"
-    with open(runner.path(name), "w", encoding="utf-8") as fh:
-        write_quote_table(fh, rows, market.n_assets)
+    # a refusal is an empty delta and its reason
+    _write_csv(
+        runner.path(f"quotes_{runner.tag}_k{k}_g{grid_nodes}.csv"),
+        tuple(f"q{j + 1}" for j in range(market.n_assets)) + QUOTE_COLUMNS,
+        [
+            [*map(_fmt, q), asset_id, side, _fmt(size), "" if delta is None else _fmt(delta), why]
+            for q, asset_id, side, size, delta, why in rows
+        ],
+    )
     refused = sum(1 for r in rows if r[5] != REASON_OK)
     print(f"quoted {len(rows)} rows ({refused} refusals) for {len(inventories)} inventories")
 
@@ -298,16 +320,33 @@ def _simulate_stage(
     for w in caught:
         if issubclass(w.category, DegenerateRunWarning):
             print(f"warn[sim]: {w.message}", file=sys.stderr)
+        else:
+            # issued again where it was raised, so -W and test filters apply
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     s = result.summary()
     row = (result.policy_kind, result.engine, result.seed) + dataclasses.astuple(s)
     _write_csv(runner.path(f"summary_{label}_{runner.tag}.csv"), SUMMARY_COLUMNS, [map(_fmt, row)])
-    with open(runner.path(f"paths_{label}_{runner.tag}.ndjson"), "w", encoding="utf-8") as fh:
-        result.to_ndjson(fh)
+    # a path's record: its totals, its index and its fills by bucket label
+    buckets, paths = result.buckets, result.paths
+    labels = [
+        f"{market.assets[a].asset_id}:{SIDES[side]}:{z:g}"
+        for a, side, z in zip(buckets.asset.tolist(), buckets.side.tolist(), buckets.size.tolist())
+    ]
+    columns = {name: paths[name].tolist() for name in paths.dtype.names if name != "n_fills"}
+    columns["path"] = list(range(len(paths)))
+    columns["fills"] = [
+        {labels[b]: c for b, c in enumerate(counts) if c} for counts in paths.n_fills.tolist()
+    ]
+    records = (dict(zip(columns, row)) for row in zip(*columns.values()))
+    _write_ndjson(runner.path(f"paths_{label}_{runner.tag}.ndjson"), records)
     if event_logs:
-        with open(runner.path(f"events_{label}_{runner.tag}.ndjson"), "w", encoding="utf-8") as fh:
-            for i, log in enumerate(result.event_logs[:EVENT_LOG_PATH_CAP]):
-                record = {"path": i, **{k: log[k].tolist() for k in log.dtype.names}}
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        _write_ndjson(
+            runner.path(f"events_{label}_{runner.tag}.ndjson"),
+            (
+                {"path": i, **{key: log[key].tolist() for key in log.dtype.names}}
+                for i, log in enumerate(result.event_logs[:EVENT_LOG_PATH_CAP])
+            ),
+        )
     print(
         f"{label}: mean {s.mean_pnl:.0f}  stdev {s.stdev_pnl:.0f}  "
         f"rfq-stdev {s.stdev_from_rfq:.0f}  objective {s.objective:.0f}"

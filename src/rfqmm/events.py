@@ -80,12 +80,6 @@ class BucketTable:
     def __len__(self) -> int:
         return self.asset.size
 
-    def label(self, b: int, market: MarketSpec) -> str:
-        return (
-            f"{market.assets[self.asset[b]].asset_id}"
-            f":{SIDES[self.side[b]]}:{self.size[b]:g}"
-        )
-
 
 def path_generator(seed: int, path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(path,))))

@@ -23,10 +23,11 @@ H is affine with slope -Lambda(-floor).
 
 The module has two entries, one per kind of caller:
 
-* :func:`batch_quote_kernel` is the sweep's envelope: H and H' on blocks of
-  about 2^16 elements, through :func:`wright_omega`, a numpy evaluation of
-  omega that costs about a third of scipy's ``wrightomega`` per element
-  there (31 against 87 ns on a 2-core Xeon VM).  It computes no quote, no
+* :func:`batch_quote_kernel` is the sweep's envelope: H on blocks of about
+  2^16 elements, with H' beside it, which the sweep does not read and
+  acceptance criterion 3 checks.  Both come through :func:`wright_omega`, a
+  numpy evaluation of omega that costs about a third of scipy's
+  ``wrightomega`` per element there (31 against 87 ns on a 2-core Xeon VM).  It computes no quote, no
   log and no intensity per element, and it runs its full-size steps in
   place: on a block a fresh temporary per operation costs more than the
   arithmetic.

@@ -409,9 +409,12 @@ class MarketSpec:
 
         ``risk`` is the current ``q'Sigma q`` and ``sq_own`` the current
         ``(Sigma q)_asset``; all arguments broadcast.  Returns the post-trade
-        risk and whether it stays within the risk limit.
+        risk and whether it stays within the risk limit.  The update can round
+        below zero when a fill returns the inventory to flat, so the risk is
+        clamped at 0, where the simulators take its square root.
         """
         post = risk + 2.0 * sign * size * sq_own + size * size * self.covariance[asset, asset]
+        post = np.maximum(post, 0.0)
         return post, post <= self.risk_limit * RISK_SLACK
 
     def intensity_sum_at_floor(self) -> float:

@@ -30,9 +30,8 @@ so a risk-admissible ``q`` cannot trigger the out-of-domain error below.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import IO, ClassVar, Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -218,21 +217,18 @@ class SurfacePolicy:
         return delta, reason == 0
 
 
-QUOTE_TABLE_BASE_COLUMNS = ("asset", "side", "size", "delta", "reason")
-
-
 def quote_table(
     surface: ValueSurface,
     market: MarketSpec,
     inventories,
     sizes: Optional[Sequence[float]] = None,
-    t: float = 0.0,
 ):
-    """Materialise quotes over a set of inventories.
+    """Materialise quotes over a set of inventories at t = 0.
 
     Rows follow the input inventory order, then asset index, then side
     (bid before ask), then increasing size, so the output is deterministic.
-    Each row is ``(q tuple, asset id, side, size, delta or None, reason)``.
+    Each row is ``(q tuple, asset id, side, size, delta or None, reason)``,
+    of plain Python values.
     """
     qs = np.reshape([clean_inventory(market, q) for q in inventories], (-1, market.n_assets))
     keys = [
@@ -243,27 +239,15 @@ def quote_table(
     ]
     for _, _, z in keys:
         _check_size(z)
-    check_time(t)
     if not keys:
         return []
     asset_ix, side_ix, row_sizes = (np.tile(col, len(qs)) for col in zip(*keys))
     q_rows = np.repeat(qs, len(keys), axis=0)
     delta, reason, _ = surface_quotes(
-        surface, market, t, q_rows, asset_ix, side_ix, row_sizes, None, None
+        surface, market, 0.0, q_rows, asset_ix, side_ix, row_sizes, None, None
     )
     return [
-        (tuple(q), market.assets[i].asset_id, SIDES[s], z, None if r else float(d), REASONS[r])
-        for q, (i, s, z), d, r in zip(q_rows, keys * len(qs), delta, reason)
+        (tuple(q), market.assets[i].asset_id, SIDES[s], z, None if r else d, REASONS[r])
+        for q, (i, s, z), d, r in zip(q_rows.tolist(), keys * len(qs), delta.tolist(), reason)
     ]
 
-
-def write_quote_table(fp: IO[str], rows, n_assets: int) -> None:
-    """CSV emission with a refusal encoded as an empty delta plus a reason."""
-    writer = csv.writer(fp, lineterminator="\n")
-    header = [f"q{j + 1}" for j in range(n_assets)] + list(QUOTE_TABLE_BASE_COLUMNS)
-    writer.writerow(header)
-    for q, asset_id, side, size, delta, reason in rows:
-        writer.writerow(
-            [repr(float(c)) for c in q]
-            + [asset_id, side, repr(size), "" if delta is None else repr(delta), reason]
-        )

@@ -59,10 +59,9 @@ With ``keep_event_logs`` every engine's fills go through one builder,
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -155,17 +154,6 @@ class SimulationResult:
         if self._summary is None:
             object.__setattr__(self, "_summary", _summarise(self.paths))
         return self._summary
-
-    def to_ndjson(self, fp: IO[str]) -> None:
-        """One sorted-key JSON object per path; byte-stable across reruns."""
-        labels = [self.buckets.label(b, self.market) for b in range(len(self.buckets))]
-        names = [name for name in self.paths.dtype.names if name != "n_fills"]
-        columns = [self.paths[name].tolist() for name in names]
-        for i, counts in enumerate(self.paths.n_fills.tolist()):
-            record = {name: column[i] for name, column in zip(names, columns)}
-            record["path"] = i
-            record["fills"] = {labels[b]: c for b, c in enumerate(counts) if c}
-            fp.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 class StartRuns(tuple):

@@ -377,19 +377,6 @@ class ValueSurface:
     def value_at_origin(self) -> float:
         return self.value(0.0, np.zeros(self.grid.ndim))
 
-    def to_csv(self, fp) -> None:
-        """Write the t = 0 slice as CSV, C-ordered nodes."""
-        import csv
-
-        k = self.grid.ndim
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow([f"f{j + 1}" for j in range(k)] + ["value", "admissible"])
-        nodes = self.grid.node_coordinates()
-        flat = self.slice_values(0.0).ravel()
-        admissible = self.grid.admissible_mask()
-        for row, val, ok in zip(nodes, flat, admissible):
-            writer.writerow([repr(float(x)) for x in row] + [repr(float(val)), int(ok)])
-
     def save(self, path) -> None:
         """Write the surface to ``path`` (".npz" appended if missing).
 

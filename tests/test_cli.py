@@ -8,16 +8,27 @@ import json
 import math
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from rfqmm.cli import _surface_cache_name, main
+from helpers import make_market_2asset
+from rfqmm.cli import (
+    Runner,
+    _quotes_stage,
+    _simulate_stage,
+    _solve_stage,
+    _surface_cache_name,
+    main,
+)
 from rfqmm.config_io import config_hash, load_config, parse_config
 from rfqmm.errors import ValidationError
 from rfqmm.factors import build_factor_model
+from rfqmm.quotes import REASON_OK, REASON_RISK, SurfacePolicy
+from rfqmm.simulator import simulate
 from rfqmm.solver import SWEEP_SCHEME, FactorGrid, SolverConfig, solve
 
 BASE = {
@@ -639,6 +650,104 @@ class TestCommands:
                   "--grid", "21", "--inventory", "--sizes", "5"])
         assert info.value.code == 2
         assert "argument --inventory: expected one argument" in capsys.readouterr().err
+
+    def test_simulate_issues_other_warnings_again(self, work, tmp_path, monkeypatch):
+        cfg, _ = work
+
+        def noisy(*args, **kwargs):
+            warnings.warn("a note from the run", UserWarning)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr("rfqmm.cli.simulate", noisy)
+        with pytest.warns(UserWarning, match="a note from the run") as caught:
+            code = main(
+                ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path),
+                 "--policy", "myopic", "--paths", "5"]
+            )
+        assert code == 0
+        assert [w.filename for w in caught] == [__file__]
+
+
+@pytest.fixture(scope="module")
+def stage_setup():
+    """A 2-asset market and its k=2 surface on a 21-node grid."""
+    market = make_market_2asset(horizon=1.0)
+    fm = build_factor_model(market.covariance, 2)
+    grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
+    return market, fm, grid, solve(market, fm, grid)
+
+
+def stage_runner(out_dir):
+    return Runner(out_dir, "0123456789ab" * 5, "test", seed=None)
+
+
+class TestArtifactWriters:
+    """The bytes each stage writes, read back from its Runner's directory."""
+
+    def test_surface_csv(self, stage_setup, tmp_path):
+        _, _, grid, surface = stage_setup
+        runner = stage_runner(tmp_path)
+        _solve_stage(runner, surface, 2, 21)
+        lines = (tmp_path / runner.artifacts[0]).read_text().splitlines()
+        assert lines[0] == "f1,f2,value,admissible"
+        assert len(lines) == 1 + grid.n_nodes
+        first = lines[1].split(",")
+        assert float(first[0]) == -grid.half_widths[0]
+
+    def test_quote_csv_round_trip(self, stage_setup, tmp_path):
+        market, fm, grid, surface = stage_setup
+        hot = fm.loadings @ (0.9 * grid.half_widths)
+        texts = []
+        for run in ("a", "b"):
+            runner = stage_runner(tmp_path / run)
+            _quotes_stage(runner, market, surface, 2, 21, [[0.0, 0.0], hot], sizes=[6250.0])
+            texts.append((runner.out_dir / runner.artifacts[0]).read_text())
+        lines = texts[0].splitlines()
+        assert lines[0] == "q1,q2,asset,side,size,delta,reason"
+        assert len(lines) == 1 + 2 * 2 * 2  # inventories x assets x sides
+        refused = [ln for ln in lines[1:] if ln.endswith(REASON_RISK)]
+        assert refused
+        for ln in refused:
+            assert ",," in ln  # empty delta field
+        quoted = [ln for ln in lines[1:] if ln.endswith(REASON_OK)]
+        assert quoted
+        # emission is deterministic
+        assert texts[0] == texts[1]
+
+    def test_paths_ndjson_is_byte_stable(self, stage_setup, tmp_path):
+        market, _, _, surface = stage_setup
+        policy = SurfacePolicy(surface, market)
+        texts = []
+        for run in ("a", "b"):
+            runner = stage_runner(tmp_path / run)
+            _simulate_stage(runner, market, policy, "surface", 12, 3)
+            texts.append((runner.out_dir / f"paths_surface_{runner.tag}.ndjson").read_text())
+        assert texts[0] == texts[1]
+        lines = texts[0].splitlines()
+        assert len(lines) == 12
+        record = json.loads(lines[0])
+        assert list(record) == sorted(record)
+        assert record["path"] == 0
+
+    def test_paths_ndjson_fills_are_labelled_per_bucket(self, stage_setup, tmp_path):
+        market, _, _, surface = stage_setup
+        policy = SurfacePolicy(surface, market)
+        result = simulate(market, policy, 12, seed=3)
+        # buckets by asset, side, then size; a size prints without ".0"
+        labels = [
+            f"A{i}:{side}:{size}"
+            for i in (0, 1) for side in ("bid", "ask") for size in (6250, 12500, 18750, 25000)
+        ]
+        assert len(labels) == len(result.buckets)
+        want = [
+            {labels[b]: c for b, c in enumerate(counts) if c}
+            for counts in result.paths.n_fills.tolist()
+        ]
+        runner = stage_runner(tmp_path)
+        _simulate_stage(runner, market, policy, "surface", 12, 3)
+        text = (tmp_path / f"paths_surface_{runner.tag}.ndjson").read_text()
+        assert [json.loads(line)["fills"] for line in text.splitlines()] == want
+        assert any(want)
 
 
 class TestReproduce:

@@ -251,6 +251,19 @@ class TestMarketSpec:
                 assert got[0].tobytes() == sq[first : first + n].tobytes()
                 assert got[1].tobytes() == risk[first : first + n].tobytes()
 
+    def test_post_trade_risk_is_not_negative_back_at_flat(self):
+        # four correlated fills from flat back to flat: the incremental update
+        # rounds to -7.45e-9 without the clamp, and the simulators take its
+        # square root
+        market, _ = load_config(resources.files("rfqmm.configs").joinpath("paper_30asset.yaml"))
+        sq, risk = market.risk_state(np.zeros((1, market.n_assets)))
+        sq, risk = sq[0], float(risk[0])
+        for asset, dq in ((0, 25000.0), (15, 6250.0), (0, -25000.0), (15, -6250.0)):
+            risk, admissible = market.post_trade_risk(risk, sq[asset], np.sign(dq), abs(dq), asset)
+            sq = sq + dq * market.covariance[asset]
+            assert risk >= 0.0 and admissible
+        assert risk == 0.0
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError, match="duplicate"):
             MarketSpec(

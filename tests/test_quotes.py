@@ -1,7 +1,6 @@
 """Quote engine: myopic baseline, feedback quotes, refusal rules, table
 export and the policy objects the simulator drives."""
 
-import io
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from rfqmm.quotes import (
     optimal_quote,
     quote_table,
     surface_quotes,
-    write_quote_table,
 )
 from rfqmm.solver import BOX_TOL, FactorGrid, SolverConfig, ValueSurface, solve
 
@@ -185,8 +183,6 @@ class TestOptimalQuote:
         message = f"t must be finite, got {t}"
         with pytest.raises(ValidationError, match=message):
             optimal_quote(surface, market, [0.0, 0.0], 0, "bid", 100.0, t=t)
-        with pytest.raises(ValidationError, match=message):
-            quote_table(surface, market, [[0.0, 0.0]], t=t)
         with pytest.raises(ValidationError, match=message):
             surface.value(t, [0.0, 0.0])
 
@@ -387,26 +383,6 @@ class TestQuoteTable:
         market, _, _, surface = short_setup
         assert quote_table(surface, market, [[0.0, 0.0]], sizes=[]) == []
         assert quote_table(surface, market, []) == []
-
-    def test_csv_round_trip(self, short_setup):
-        market, fm, _, surface = short_setup
-        hot = fm.loadings @ (0.9 * surface.grid.half_widths)
-        rows = quote_table(surface, market, [[0.0, 0.0], hot], sizes=[6250.0])
-        buf = io.StringIO()
-        write_quote_table(buf, rows, market.n_assets)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "q1,q2,asset,side,size,delta,reason"
-        assert len(lines) == 1 + len(rows)
-        refused = [ln for ln in lines[1:] if ln.endswith(REASON_RISK)]
-        assert refused
-        for ln in refused:
-            assert ",," in ln  # empty delta field
-        quoted = [ln for ln in lines[1:] if ln.endswith(REASON_OK)]
-        assert quoted
-        # emission is deterministic
-        buf2 = io.StringIO()
-        write_quote_table(buf2, rows, market.n_assets)
-        assert buf.getvalue() == buf2.getvalue()
 
     def test_result_dataclass_flags(self):
         ok = QuoteResult(delta=0.02, reason=REASON_OK, reservation=0.0)

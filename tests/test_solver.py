@@ -681,13 +681,3 @@ class TestPersistence:
         with pytest.raises(ValidationError, match="format"):
             ValueSurface.load(path)
 
-    def test_csv_export(self, tmp_path):
-        _, _, grid, surface = small_surface(horizon=0.5, nodes=21)
-        out = tmp_path / "surface.csv"
-        with open(out, "w", newline="") as fp:
-            surface.to_csv(fp)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "f1,f2,value,admissible"
-        assert len(lines) == 1 + grid.n_nodes
-        first = lines[1].split(",")
-        assert float(first[0]) == -grid.half_widths[0]
