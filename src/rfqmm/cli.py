@@ -10,11 +10,13 @@ Subcommands
 ``adjust``     residual-risk correction and adjusted quotes for listed RFQs.
 ``reproduce``  the bundled reference scenarios, stage by stage.
 
-Each stage has one function that writes the stage's artifacts and prints
-its result line.  A subcommand parses its flags and calls its stage;
-``reproduce`` calls the same stage functions with each scenario's defaults
-(see ``SCENARIOS``), so a reproduction writes the same bytes as the
-matching subcommand run.
+Every subcommand has one lifecycle, in ``main``: load the config, open the
+run (a ``Runner``), call the subcommand's ``cmd_*``, write the manifest;
+``validate`` stops after its stage.  Each stage has one function that writes
+the stage's artifacts and prints its result line.  A ``cmd_*`` maps its
+flags to stage calls; ``reproduce`` calls the same stage functions with each
+scenario's defaults (see ``SCENARIOS``), so a reproduction writes the same
+bytes as the matching subcommand run.
 
 Artifact discipline: every output file name embeds the first 12 hex digits
 of the configuration hash, and each run writes a manifest JSON listing the
@@ -23,6 +25,7 @@ reruns with the same config and seed; the manifest is not (it records wall
 clock).  This module is the only one that writes them: every CSV through
 ``_write_csv``, every NDJSON file through ``_write_ndjson``, from plain
 Python data, so a float's ``repr`` (``_fmt``) is the one number format.
+All surfaces come through ``_surface``: ``solve`` always solves and caches;
 ``quotes``, ``simulate`` and ``adjust`` never re-solve: they load the
 surface cached by ``solve`` (or exit with code 2 telling you to run it).
 ``reproduce`` solves on first use and caches.
@@ -143,22 +146,9 @@ class Runner:
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load(args) -> tuple[MarketSpec, str]:
-    try:
-        return load_config(args.config)
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {args.config}", code=1)
-
-
 def _surface_cache_name(tag: str, k: int, grid: int, dt) -> str:
     dt_tag = "auto" if dt is None else repr(float(dt))
     return f"surface_{tag}_k{k}_g{grid}_dt{dt_tag}.npz"
-
-
-def _cache_path(runner: Runner, k: int, grid_nodes: int, dt) -> Path:
-    cache = runner.out_dir / "cache"
-    cache.mkdir(parents=True, exist_ok=True)
-    return cache / _surface_cache_name(runner.tag, k, grid_nodes, dt)
 
 
 def _default_factors(market: MarketSpec, k) -> int:
@@ -167,49 +157,52 @@ def _default_factors(market: MarketSpec, k) -> int:
     return min(2, market.n_assets)
 
 
-def _cache_fingerprint(config_hash: str, dt) -> dict:
-    """What a cached surface must carry to stand in for a new solve."""
-    return {**solver_fingerprint(SolverConfig(dt=dt)), "config_hash": config_hash}
-
-
-def _solve_surface(runner: Runner, market, k, grid_nodes, dt) -> ValueSurface:
-    """Solve, stamp and cache a surface, overwriting any cached one."""
-    fm = build_factor_model(market.covariance, k)
-    grid = FactorGrid.from_factor_model(fm, market.risk_limit, grid_nodes)
-    surface = solve(market, fm, grid, SolverConfig(dt=dt))
-    surface.fingerprint = _cache_fingerprint(runner.hash, dt)
-    surface.save(_cache_path(runner, k, grid_nodes, dt))
-    return surface
-
-
 def _setting(fingerprint: dict, key: str) -> str:
     return f"{key}={fingerprint[key]!r}" if key in fingerprint else f"no {key}"
 
 
-def _cached_surface(runner: Runner, market, k, grid_nodes, dt, solve_on_miss: bool) -> ValueSurface:
-    path = _cache_path(runner, k, grid_nodes, dt)
-    if path.exists():
-        try:
-            surface = ValueSurface.load(path)
-        except ValidationError as exc:
-            raise CliError(f"{exc}; delete it or change --out-dir", code=2)
-        want, got, missing = _cache_fingerprint(runner.hash, dt), surface.fingerprint, object()
-        # every key of either side, so a key only the cache carries is refused too
-        for key in {**want, **got}:
-            if got.get(key, missing) != want.get(key, missing):
-                raise CliError(
-                    f"cached surface {path} was solved with {_setting(got, key)}, this run "
-                    f"needs {_setting(want, key)}; delete it or change --out-dir",
-                    code=2,
-                )
+def _surface(runner: Runner, market, k: int, grid_nodes: int, dt, solve_when: str) -> ValueSurface:
+    """The k-factor surface on ``grid_nodes`` nodes per axis.
+
+    ``solve_when`` is "always" (solve and overwrite the cache), "missing"
+    (load the cache, or solve and cache it) or "never" (load the cache, or
+    exit 2).  A loaded cache must carry this run's fingerprint, key by key.
+    """
+    path = runner.out_dir / "cache" / _surface_cache_name(runner.tag, k, grid_nodes, dt)
+    want = {
+        **solver_fingerprint(SolverConfig(dt=dt)),
+        "config_hash": runner.hash,
+        "factors": k,
+        "grid": grid_nodes,
+    }
+    if solve_when == "always" or (solve_when == "missing" and not path.exists()):
+        fm = build_factor_model(market.covariance, k)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, grid_nodes)
+        surface = solve(market, fm, grid, SolverConfig(dt=dt))
+        surface.fingerprint = want
+        path.parent.mkdir(exist_ok=True)
+        surface.save(path)
         return surface
-    if not solve_on_miss:
+    if not path.exists():
         raise CliError(
             f"no cached surface at {path}; run `rfqmm solve --config ... "
             f"--factors {k} --grid {grid_nodes}` with the same --out-dir first",
             code=2,
         )
-    return _solve_surface(runner, market, k, grid_nodes, dt)
+    try:
+        surface = ValueSurface.load(path)
+    except ValidationError as exc:
+        raise CliError(f"{exc}; delete it or change --out-dir", code=2)
+    got, missing = surface.fingerprint, object()
+    # every key of either side, so a key only the cache carries is refused too
+    for key in {**want, **got}:
+        if got.get(key, missing) != want.get(key, missing):
+            raise CliError(
+                f"cached surface {path} was solved with {_setting(got, key)}, this run "
+                f"needs {_setting(want, key)}; delete it or change --out-dir",
+                code=2,
+            )
+    return surface
 
 
 def _parse_numbers(text: str, what: str) -> list[float]:
@@ -220,15 +213,11 @@ def _parse_numbers(text: str, what: str) -> list[float]:
 
 
 def _parse_rfq(text: str, market: MarketSpec) -> tuple[int, str, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CliError(f"could not parse RFQ {text!r}; expected ASSET:SIDE:SIZE, e.g. 0:bid:12500")
     try:
-        asset = int(parts[0])
-        size = float(parts[2])
+        asset, side, size = text.split(":")
+        asset, size = int(asset), float(size)
     except ValueError:
         raise CliError(f"could not parse RFQ {text!r}; expected ASSET:SIDE:SIZE, e.g. 0:bid:12500")
-    side = parts[1]
     if not 0 <= asset < market.n_assets:
         raise CliError(f"RFQ {text!r}: asset index out of range for {market.n_assets} assets")
     if side not in SIDES:
@@ -373,96 +362,66 @@ def _adjust_stage(runner: Runner, market, surface, inventory, rfqs, t, n_paths, 
     )
 
 
-def cmd_validate(args) -> int:
-    market, config_hash = _load(args)
-    _validate_stage(market, config_hash)
-    return 0
-
-
-def cmd_factors(args) -> int:
-    market, config_hash = _load(args)
-    runner = Runner(Path(args.out_dir), config_hash, "factors", seed=None)
+def cmd_factors(args, market, runner) -> None:
     _factors_stage(runner, market, _default_factors(market, args.factors))
-    runner.finish()
-    return 0
 
 
-def cmd_solve(args) -> int:
-    market, config_hash = _load(args)
+def cmd_solve(args, market, runner) -> None:
     k = _default_factors(market, args.factors)
-    runner = Runner(Path(args.out_dir), config_hash, "solve", seed=None)
-    surface = _solve_surface(runner, market, k, args.grid, args.dt)
-    cache = _cache_path(runner, k, args.grid, args.dt)
-    runner.artifacts.append(str(cache.relative_to(runner.out_dir)))
+    surface = _surface(runner, market, k, args.grid, args.dt, "always")
+    runner.path("cache/" + _surface_cache_name(runner.tag, k, args.grid, args.dt))
     _solve_stage(runner, surface, k, args.grid)
-    runner.finish()
-    return 0
 
 
-def cmd_quotes(args) -> int:
-    market, config_hash = _load(args)
+def cmd_quotes(args, market, runner) -> None:
     k = _default_factors(market, args.factors)
-    runner = Runner(Path(args.out_dir), config_hash, "quotes", seed=None)
-    surface = _cached_surface(runner, market, k, args.grid, args.dt, solve_on_miss=False)
+    surface = _surface(runner, market, k, args.grid, args.dt, "never")
     inventories = [_parse_numbers(text, "inventory") for text in args.inventory or []]
     sizes = _parse_numbers(args.sizes, "sizes") if args.sizes else None
     _quotes_stage(
         runner, market, surface, k, args.grid, inventories or [np.zeros(market.n_assets)], sizes
     )
-    runner.finish()
-    return 0
 
 
-def cmd_simulate(args) -> int:
-    market, config_hash = _load(args)
-    runner = Runner(Path(args.out_dir), config_hash, "simulate", seed=args.seed)
+def cmd_simulate(args, market, runner) -> None:
     if args.policy == "myopic":
         policy = MyopicPolicy(market)
     else:
         k = _default_factors(market, args.factors)
-        surface = _cached_surface(runner, market, k, args.grid, args.dt, solve_on_miss=False)
-        policy = SurfacePolicy(surface, market)
+        policy = SurfacePolicy(_surface(runner, market, k, args.grid, args.dt, "never"), market)
     _simulate_stage(
         runner, market, policy, args.policy, args.paths, args.seed, args.engine, args.event_logs
     )
-    runner.finish()
-    return 0
 
 
-def cmd_adjust(args) -> int:
-    market, config_hash = _load(args)
+def cmd_adjust(args, market, runner) -> None:
     k = _default_factors(market, args.factors)
-    runner = Runner(Path(args.out_dir), config_hash, "adjust", seed=args.seed)
-    surface = _cached_surface(runner, market, k, args.grid, args.dt, solve_on_miss=False)
+    surface = _surface(runner, market, k, args.grid, args.dt, "never")
     inventory = _parse_numbers(args.inventory, "inventory") if args.inventory else None
     rfqs = [_parse_rfq(text, market) for text in (args.rfq or [])]
     _adjust_stage(
         runner, market, surface, inventory, rfqs, args.t, args.paths, args.seed,
         f"adjust_{runner.tag}_k{k}.csv",
     )
-    runner.finish()
-    return 0
 
 
 def _bundled_config(target: str) -> Path:
     return Path(str(resources.files("rfqmm.configs").joinpath(SCENARIOS[target].config)))
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args, market, runner) -> None:
     scenario = SCENARIOS[args.target]
-    market, config_hash = load_config(_bundled_config(args.target))
     grid_nodes = args.grid if args.grid is not None else scenario.grid
     stages = STAGES[:-1] if args.stage == "all" else (args.stage,)
-    runner = Runner(Path(args.out_dir), config_hash, f"reproduce_{args.target}", seed=args.seed)
 
     def surface(k):
-        return _cached_surface(runner, market, k, grid_nodes, args.dt, solve_on_miss=True)
+        return _surface(runner, market, k, grid_nodes, args.dt, "missing")
 
     k_first = scenario.factors[0]
     for stage in stages:
         print(f"--- {args.target} / {stage} ---")
         if stage == "validate":
-            _validate_stage(market, config_hash)
+            _validate_stage(market, runner.hash)
         elif stage == "factors":
             _factors_stage(runner, market, k_first)
         elif stage == "solve":
@@ -482,8 +441,6 @@ def cmd_reproduce(args) -> int:
                 runner, market, surface(scenario.adjust_factors), None, REPRODUCTION_RFQS,
                 0.0, n, args.seed, f"adjust_{runner.tag}.csv",
             )
-    runner.finish()
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse a config; its checks enforce the model hypotheses")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("factors", help="eigen-analysis and factor loadings")
     p.add_argument("--config", required=True)
@@ -573,8 +529,28 @@ def main(argv=None) -> int:
         else:
             tokens.append(token)
     args = build_parser().parse_args(tokens)
+    # every command's lifecycle: load the config, open the run, call the
+    # command, write the manifest; validate stops after its stage
+    reproduce = args.subcommand == "reproduce"
+    config = _bundled_config(args.target) if reproduce else args.config
+    name = f"reproduce_{args.target}" if reproduce else args.subcommand
     try:
-        return args.fn(args)
+        try:
+            market, config_hash = load_config(config)
+        except FileNotFoundError:
+            raise CliError(f"config file not found: {config}")
+        except OSError as exc:
+            raise CliError(f"could not read config {config}: {exc.strerror}")
+        if args.subcommand == "validate":
+            _validate_stage(market, config_hash)
+            return 0
+        try:
+            runner = Runner(Path(args.out_dir), config_hash, name, getattr(args, "seed", None))
+        except OSError as exc:
+            raise CliError(f"could not create out dir {args.out_dir}: {exc.strerror}")
+        args.fn(args, market, runner)
+        runner.finish()
+        return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

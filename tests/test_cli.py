@@ -4,8 +4,10 @@ Everything here runs on deliberately small grids and path counts; the
 full-size reproduction runs live in the acceptance suite.
 """
 
+import errno
 import json
 import math
+import os
 import re
 import shutil
 import warnings
@@ -666,6 +668,63 @@ class TestCommands:
             )
         assert code == 0
         assert [w.filename for w in caught] == [__file__]
+
+    @pytest.mark.parametrize("k, grid, named", [
+        (1, 21, "solved with factors=1, this run needs factors=2"),
+        (2, 11, "solved with grid=21, this run needs grid=11"),
+    ], ids=["factors", "grid"])
+    def test_cache_of_another_factor_count_or_grid_refused(
+        self, work, tmp_path, capsys, k, grid, named
+    ):
+        # the file name carries k and the grid; a cache copied to another
+        # name must not stand in for that surface
+        cfg, out = work
+        tag = load_config(cfg)[1][:12]
+        (tmp_path / "cache").mkdir()
+        shutil.copy(
+            out / "cache" / _surface_cache_name(tag, k, 21, None),
+            tmp_path / "cache" / _surface_cache_name(tag, 2, grid, None),
+        )
+        code = main(
+            ["quotes", "--config", str(cfg), "--out-dir", str(tmp_path),
+             "--grid", str(grid), "--factors", "2"]
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.glob("quotes_*.csv"))
+
+    def test_cache_without_factor_count_refused(self, work, tmp_path, capsys):
+        # a cache written before the fingerprint carried k and the grid
+        cfg, out = work
+
+        def edit(meta):
+            fingerprint = dict(meta["fingerprint"])
+            del fingerprint["factors"], fingerprint["grid"]
+            return {**meta, "fingerprint": fingerprint}
+
+        code, err = self.quote_off_edited_cache(cfg, out, tmp_path, edit, capsys)
+        assert code == 2
+        assert "solved with no factors, this run needs factors=2" in err
+
+    @pytest.mark.parametrize("subcommand, config_dir, out_dir, reason", [
+        ("validate", True, None, errno.EISDIR),
+        ("solve", True, "out", errno.EISDIR),
+        ("factors", False, "taken", errno.EEXIST),
+        ("factors", False, "taken/out", errno.ENOTDIR),
+    ], ids=["validate-config-dir", "solve-config-dir", "out-dir-is-file", "out-dir-under-file"])
+    def test_bad_path_is_an_error_line(
+        self, work, tmp_path, capsys, subcommand, config_dir, out_dir, reason
+    ):
+        cfg, _ = work
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        argv = [subcommand, "--config", str(tmp_path if config_dir else cfg)]
+        if out_dir is not None:
+            argv += ["--out-dir", str(tmp_path / out_dir)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        named = tmp_path if config_dir else tmp_path / out_dir
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{named}: {os.strerror(reason)}\n" in err
 
 
 @pytest.fixture(scope="module")
