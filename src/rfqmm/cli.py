@@ -180,8 +180,14 @@ def _surface(runner: Runner, market, k: int, grid_nodes: int, dt, solve_when: st
         grid = FactorGrid.from_factor_model(fm, market.risk_limit, grid_nodes)
         surface = solve(market, fm, grid, SolverConfig(dt=dt))
         surface.fingerprint = want
-        path.parent.mkdir(exist_ok=True)
-        surface.save(path)
+        try:
+            path.parent.mkdir(exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"could not create cache dir {path.parent}: {exc.strerror}")
+        try:
+            surface.save(path)
+        except OSError as exc:
+            raise CliError(f"could not write surface cache {path}: {exc.strerror}")
         return surface
     if not path.exists():
         raise CliError(
@@ -193,6 +199,8 @@ def _surface(runner: Runner, market, k: int, grid_nodes: int, dt, solve_when: st
         surface = ValueSurface.load(path)
     except ValidationError as exc:
         raise CliError(f"{exc}; delete it or change --out-dir", code=2)
+    except OSError as exc:
+        raise CliError(f"could not read surface cache {path}: {exc.strerror}")
     got, missing = surface.fingerprint, object()
     # every key of either side, so a key only the cache carries is refused too
     for key in {**want, **got}:

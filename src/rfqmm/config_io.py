@@ -316,6 +316,8 @@ def load_config(path) -> tuple[MarketSpec, str]:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ValidationError(f"{path} is not valid YAML: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     market = parse_config(raw, source=str(path))
     return market, config_hash(raw)
 

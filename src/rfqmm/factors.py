@@ -21,7 +21,7 @@ from .errors import ValidationError
 #: components smaller than this are ignored by the sign convention
 SIGN_EPS = 1e-12
 
-#: fewest rows :meth:`FactorModel.residual_forms` hands to einsum
+#: fewest rows :meth:`FactorModel.residual_risk` hands to einsum
 FORM_ROWS = 4
 
 
@@ -111,23 +111,19 @@ class FactorModel:
         return np.einsum("...d,kd->...k", q, self._loadings_t)
 
     @cached_property
-    def _contiguous(self) -> tuple:
-        """Contiguous loadings, factor and residual covariance, made once per
-        model: contiguous operands pin the einsums' loop order."""
-        return tuple(
-            np.ascontiguousarray(a) for a in (self.loadings, self.factor_cov, self.residual_cov)
-        )
+    def _residual_cov(self) -> np.ndarray:
+        """Contiguous residual covariance, made once per model: a contiguous
+        operand pins the einsum's loop order."""
+        return np.ascontiguousarray(self.residual_cov)
 
-    def residual_forms(self, inventory: np.ndarray):
-        """Row-wise projected and leftover risk ``(f'Vf, q'Rq)`` of ``(rows,
-        d)`` inventories, ``f`` the factor coordinates.
+    def residual_risk(self, inventory: np.ndarray) -> np.ndarray:
+        """Row-wise leftover risk ``q'Rq`` of ``(rows, d)`` inventories.
 
-        The one rule for the residual correction's integrand.  Each form is a
+        The one rule for the residual correction's integrand.  It is a
         row-wise einsum on contiguous operands, which fixes its loop order,
-        so a row's bits do not depend on what else shares the call.  Both
-        forms are nonnegative by construction; the clamp at 0 only removes
-        round-off dust, so the pathwise sign of the correction survives
-        floating point.
+        so a row's bits do not depend on what else shares the call.  The form
+        is nonnegative by construction; the clamp at 0 only removes round-off
+        dust, so the pathwise sign of the correction survives floating point.
 
         On one or two rows of two assets numpy's einsum takes another loop
         than on a batch, and sums ``q'Rq`` in another order; fewer than
@@ -139,11 +135,7 @@ class FactorModel:
             q[:n] = inventory
         else:
             q = np.ascontiguousarray(inventory)
-        beta, V, R = self._contiguous
-        factors = np.einsum("nd,dk->nk", q, beta)
-        projected = np.einsum("nk,kl,nl->n", factors, V, factors)[:n]
-        leftover = np.einsum("nd,de,ne->n", q, R, q)[:n]
-        return np.maximum(projected, 0.0), np.maximum(leftover, 0.0)
+        return np.maximum(np.einsum("nd,de,ne->n", q, self._residual_cov, q)[:n], 0.0)
 
 
 def build_factor_model(covariance: np.ndarray, n_factors: int) -> FactorModel:

@@ -253,14 +253,6 @@ class RiskPenalty:
             return 0.5 * self.gamma * y
         return self.gamma * np.sqrt(y)
 
-    def running_derivative(self, y):
-        """d running / dy.  Undefined at y = 0 for the sqrt form with
-        ``gamma > 0``; a zero weight has derivative 0 everywhere."""
-        y = np.asarray(y, dtype=float)
-        if self.running_form == "quadratic" or self.gamma == 0.0:
-            return np.full_like(y, 0.5 * self.gamma)
-        return 0.5 * self.gamma / np.sqrt(y)
-
     def terminal(self, y):
         y = np.asarray(y, dtype=float)
         if self.terminal_form == "zero":
@@ -269,24 +261,23 @@ class RiskPenalty:
             return 0.5 * self.zeta * y
         return self.zeta * np.sqrt(y)
 
-    def terminal_derivative(self, y):
-        """d terminal / dy.  Undefined at y = 0 for the sqrt form with
-        ``zeta > 0``; a zero weight has derivative 0 everywhere."""
-        y = np.asarray(y, dtype=float)
-        if self.terminal_form == "zero":
-            return np.zeros_like(y)
-        if self.terminal_form == "quadratic" or self.zeta == 0.0:
-            return np.full_like(y, 0.5 * self.zeta)
-        return 0.5 * self.zeta / np.sqrt(y)
-
     @property
-    def is_smooth(self) -> bool:
-        """True when both penalty forms are differentiable in y at zero."""
-        if self.running_form == "sqrt" and self.gamma > 0.0:
-            return False
-        if self.terminal_form == "sqrt" and self.zeta > 0.0:
-            return False
-        return True
+    def slopes(self) -> tuple[float, float]:
+        """Constant slopes ``(d running / dy, d terminal / dy)``.
+
+        The residual correction weights the leftover risk by these.  A sqrt
+        form with a positive weight has no constant slope, and an unbounded
+        one at zero risk, so it is refused; a zero weight has slope 0.
+        """
+        if (self.running_form == "sqrt" and self.gamma > 0.0) or (
+            self.terminal_form == "sqrt" and self.zeta > 0.0
+        ):
+            raise ValidationError(
+                "the residual correction needs differentiable penalties; the sqrt "
+                "form has an unbounded derivative at zero risk, which a flat "
+                "inventory reaches"
+            )
+        return 0.5 * self.gamma, 0.0 if self.terminal_form == "zero" else 0.5 * self.zeta
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,17 @@ A surface solved on ``k < d`` factors prices only the projected risk
 ``f' V f``.  The discarded piece ``q' R q`` (``R`` the residual covariance
 of the decomposition) still costs money through the running and terminal
 penalties.  To first order that cost, as a function of the current state,
-is the expected penalty-derivative-weighted residual variance accumulated
-along the inventory path the surface policy itself induces:
+is the expected slope-weighted residual variance accumulated along the
+inventory path the surface policy itself induces:
 
-    correction(t, q) = E[ -integral_t^T pen'(f_s' V f_s) q_s' R q_s ds
-                          - term'(f_T' V f_T) q_T' R q_T ]
+    correction(t, q) = E[ -c integral_t^T q_s' R q_s ds - e q_T' R q_T ]
 
-with the expectation over fill arrivals quoted by the surface.  This module
+with the expectation over fill arrivals quoted by the surface, and ``c``
+and ``e`` the running and terminal penalties' slopes in ``y = q' Sigma q``
+(:attr:`rfqmm.model.RiskPenalty.slopes`).  The estimator takes only
+penalties whose slopes are constants: the quadratic forms, and a sqrt form
+of zero weight.  A sqrt form of positive weight has an unbounded slope at
+the zero risk a flat inventory reaches, and is refused.  This module
 estimates it by Monte-Carlo and applies the difference of two estimates to
 single RFQ quotes (:func:`adjusted_quote`).  The policies themselves quote
 off the surface alone: the correction is priced per RFQ, not quoted by the
@@ -31,7 +35,7 @@ one such run.
 The integral is computed exactly: inventory is piecewise constant between
 fills, so each path contributes a finite sum of segment terms, not a
 quadrature.  The event loop takes those sums as it runs, from each row's
-residual forms (:meth:`rfqmm.factors.FactorModel.residual_forms`) at its
+leftover risk (:meth:`rfqmm.factors.FactorModel.residual_risk`) at its
 fills, so an estimate keeps no event logs and its memory does not grow with
 the fills.  :func:`correction_samples` is the audit route: it rebuilds the
 same samples, bit for bit, from a logged run's inventory paths in array
@@ -114,12 +118,7 @@ class AdjustedQuote:
 
 
 def _check_estimation_inputs(market: MarketSpec, t: float, n_paths: int, seed: int) -> None:
-    if not market.penalty.is_smooth:
-        raise ValidationError(
-            "the residual correction needs differentiable penalties; the sqrt "
-            "form has an unbounded derivative at zero risk, which a flat "
-            "inventory reaches"
-        )
+    market.penalty.slopes  # refuses a penalty without constant slopes
     if not 0.0 <= t < market.horizon:
         raise ValidationError(
             f"t must lie in [0, horizon={market.horizon}), got {t}"
@@ -141,11 +140,11 @@ def correction_samples(
 
     The samples are taken a block of paths at a time, from the padded
     ``(segments, paths, d)`` inventories of
-    :func:`rfqmm.simulator.inventory_blocks`.  The segments the paths hold
-    are gathered and their forms taken by
-    :meth:`~rfqmm.factors.FactorModel.residual_forms`, the rule the loop
-    uses; a path's running cost adds its segment terms in segment order,
-    padding adding nothing, and the terminal cost is added last.
+    :func:`rfqmm.simulator.inventory_blocks`.  Every segment's leftover risk
+    is taken by :meth:`~rfqmm.factors.FactorModel.residual_risk`, the rule
+    the loop uses; a path's running cost adds its segment terms in segment
+    order, padding (held for zero time) adding exact zeros, and the terminal
+    cost is added last.
     """
     if start_inventory is not None and not np.array_equal(
         clean_inventory(result.market, start_inventory), result.start_inventory
@@ -154,20 +153,15 @@ def correction_samples(
             f"start_inventory {np.asarray(start_inventory).tolist()} is not the run's "
             f"start inventory {result.start_inventory.tolist()}"
         )
-    penalty = result.market.penalty
+    slope, terminal_slope = result.market.penalty.slopes
     out = []
     for inventory, durations, fills in inventory_blocks(result):
-        # the forms of the segments the paths hold, not of the padding
-        held = np.arange(len(durations))[:, None] <= fills
-        projected, leftover = np.zeros((2,) + held.shape)
-        projected[held], leftover[held] = factor_model.residual_forms(inventory[held])
-        terms = penalty.running_derivative(projected) * (leftover * durations)
-        # padding adds exact zeros, also where a derivative is infinite, and
+        leftover = factor_model.residual_risk(inventory.reshape(-1, inventory.shape[-1]))
+        leftover = leftover.reshape(durations.shape)
         # a running sum adds a path's terms in segment order whatever the
         # block (np.add.reduce would add a one-path block pairwise)
-        running_cost = np.cumsum(np.where(held, terms, 0.0), axis=0)[-1]
-        last = fills, np.arange(fills.size)
-        terminal_cost = penalty.terminal_derivative(projected[last]) * leftover[last]
+        running_cost = np.cumsum(slope * (leftover * durations), axis=0)[-1]
+        terminal_cost = terminal_slope * leftover[fills, np.arange(fills.size)]
         out.append(-(running_cost + terminal_cost))
     return np.concatenate(out)
 
@@ -204,7 +198,7 @@ def residual_correction(
     """Estimate the residual-risk cost of standing at inventory ``q`` at ``t``.
 
     Simulates the surface policy's fill process from ``q`` over the
-    remaining horizon and averages the exact pathwise penalty-derivative
+    remaining horizon and averages the exact pathwise slope-weighted
     integral of the leftover quadratic risk.  A full-rank factor model has a
     zero residual, making the integrand identically zero; that case returns
     exact zeros, with zero standard error from two paths on, and runs no
@@ -215,7 +209,7 @@ def residual_correction(
     loop, and path ``i`` replays ``path_generator(seed, i)`` from every row,
     so the estimates are common-random-number pairs and each is bit for bit
     the one its row gets alone.  The loop takes the samples as it runs
-    (``residual_forms`` of :func:`rfqmm.simulator.simulate_starts`) and
+    (``residual_risk`` of :func:`rfqmm.simulator.simulate_starts`) and
     keeps no event logs.
     """
     _check_estimation_inputs(market, t, n_paths, seed)
@@ -237,7 +231,7 @@ def residual_correction(
             engine="thinning",
             keep_event_logs=False,
             quote_times="stationary",
-            residual_forms=fm.residual_forms,
+            residual_risk=fm.residual_risk,
         )
         samples = [run.residual_samples for run in runs]
     out = [ResidualCorrection(float(x.mean()), standard_error(x), n_paths, seed, x) for x in samples]

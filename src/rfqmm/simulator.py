@@ -45,13 +45,13 @@ the next pass.  The ``quote_rows`` call takes each alive row's state once,
 with an index from the window's events to it, so a pass holds no copy of
 the state per event.
 
-Given a factor model's ``residual_forms``, the thinning loop also takes the
+Given a factor model's ``residual_risk``, the thinning loop also takes the
 residual-correction samples as it runs (:func:`simulate_starts`): each row
-keeps the forms of its current inventory, the time they took effect and its
-running cost, charges the ended segment at each fill that passes the risk
-gate and recomputes the forms of the filled rows only.  A run then needs no
-event logs for them; :func:`inventory_blocks` rebuilds the same inventory
-paths from logs, for audits.
+keeps the leftover risk ``q'Rq`` of its current inventory, the time it took
+effect and its running cost, charges the ended segment at each fill that
+passes the risk gate and recomputes the leftover risk of the filled rows
+only.  A run then needs no event logs for them; :func:`inventory_blocks`
+rebuilds the same inventory paths from logs, for audits.
 With ``keep_event_logs`` every engine's fills go through one builder,
 :func:`_split_fills`: a path's log is a read-only view into its chunk's one
 :data:`LOG_DTYPE` array.
@@ -136,7 +136,7 @@ class SimulationResult:
     ``keep_event_logs``, each path's fills in time order as a read-only array
     of :data:`LOG_DTYPE` records.  ``residual_samples`` holds one
     residual-risk cost per path, read-only, for runs given
-    ``residual_forms`` (see :func:`simulate_starts`).  Both are None otherwise.
+    ``residual_risk`` (see :func:`simulate_starts`).  Both are None otherwise.
     """
 
     market: MarketSpec
@@ -311,7 +311,7 @@ def simulate_starts(
     engine: str = "thinning",
     keep_event_logs: bool = False,
     quote_times: str = "stationary",
-    residual_forms=None,
+    residual_risk=None,
 ) -> StartRuns:
     """Run ``n_paths`` trajectories from each of several start inventories.
 
@@ -321,24 +321,26 @@ def simulate_starts(
     pairs; each path's events are drawn once and shared by all starts, which
     step through one event loop together.
 
-    ``residual_forms`` (e.g. :meth:`rfqmm.factors.FactorModel.residual_forms`)
-    maps ``(rows, d)`` inventories to their row-wise ``(f'Vf, q'Rq)``.  When
-    given, each result's ``residual_samples`` holds every path's first-order
-    residual-risk cost, taken inside the event loop with the market's
-    penalty: ``-(sum of pen'(f'Vf) q'Rq dt over the segments between fills
-    + term'(f'Vf) q'Rq at the horizon)``, the numbers
-    :func:`rfqmm.residual.correction_samples` rebuilds from event logs, bit
-    for bit.  The ``collapsed`` engine does not take them.
+    ``residual_risk`` (e.g. :meth:`rfqmm.factors.FactorModel.residual_risk`)
+    maps ``(rows, d)`` inventories to their row-wise ``q'Rq``.  When given,
+    each result's ``residual_samples`` holds every path's first-order
+    residual-risk cost, taken inside the event loop with the constant slopes
+    ``(c, e)`` of the market's penalty (:attr:`rfqmm.model.RiskPenalty.slopes`,
+    which refuses a penalty without them before any path runs):
+    ``-(sum of c q'Rq dt over the segments between fills + e q'Rq at the
+    horizon)``, the numbers :func:`rfqmm.residual.correction_samples`
+    rebuilds from event logs, bit for bit.  The ``collapsed`` engine does
+    not take them.
     """
     return _simulate_starts(
         market, policy, n_paths, seed, start_inventories, engine, keep_event_logs, quote_times,
-        residual_forms,
+        residual_risk,
     )
 
 
 def _simulate_starts(
     market, policy, n_paths, seed, start_inventories, engine, keep_event_logs, quote_times,
-    residual_forms,
+    residual_risk,
 ) -> StartRuns:
     if engine not in ENGINES:
         raise ValidationError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -350,11 +352,13 @@ def _simulate_starts(
             "engine 'collapsed' reads every quote at t = 0; "
             "it cannot run quote_times='event' (use engine 'thinning' or 'price_paths')"
         )
-    if engine == "collapsed" and residual_forms is not None:
-        raise ValidationError(
-            "engine 'collapsed' cannot take residual samples (residual_forms); "
-            "use engine 'thinning' or 'price_paths'"
-        )
+    if residual_risk is not None:
+        if engine == "collapsed":
+            raise ValidationError(
+                "engine 'collapsed' cannot take residual samples (residual_risk); "
+                "use engine 'thinning' or 'price_paths'"
+            )
+        market.penalty.slopes  # refuses a penalty without constant slopes
     check_run_size(n_paths, seed)
     starts = [clean_inventory(market, q) for q in start_inventories]
     if not starts:
@@ -373,7 +377,7 @@ def _simulate_starts(
         def run(chunk):
             return _run_thinning(
                 market, policy, chunk, seed, buckets, keep_event_logs, quote_times, engine, starts,
-                residual_forms,
+                residual_risk,
             )
     paths = [[] for _ in starts]
     logs = [[] for _ in starts]
@@ -394,14 +398,14 @@ def _simulate_starts(
             paths=_joined(paths[s]),
             start_inventory=q0,
             event_logs=logs[s] if keep_event_logs else None,
-            residual_samples=None if residual_forms is None else _read_only(samples[s]),
+            residual_samples=None if residual_risk is None else _read_only(samples[s]),
         )
         for s, q0 in enumerate(starts)
     )
 
 
 def _run_thinning(
-    market, policy, paths, seed, buckets, keep_logs, quote_times, engine, starts, forms
+    market, policy, paths, seed, buckets, keep_logs, quote_times, engine, starts, residual_risk
 ):
     """One chunk of paths stepped together, a window of events per pass.
 
@@ -421,8 +425,8 @@ def _run_thinning(
     which make the additions of one-event passes in the same order, and the
     fill is applied as such a pass applies it, so no output depends on the
     window.  Returns, per start, the chunk's path records, event logs (empty
-    unless ``keep_logs``) and residual samples (None unless ``forms`` is
-    given; see :func:`simulate_starts`) in path order.
+    unless ``keep_logs``) and residual samples (None unless
+    ``residual_risk`` is given; see :func:`simulate_starts`) in path order.
     """
     price_paths = engine == "price_paths"
     n_paths = len(paths)
@@ -490,13 +494,13 @@ def _run_thinning(
     signs_by_side = np.array(SIDE_SIGNS)
     running = market.penalty.running
     steps = np.arange(window)[:, None]
-    if forms is not None:
-        # each row's residual forms at its current inventory, the time they
+    if residual_risk is not None:
+        # each row's leftover risk at its current inventory, the time it
         # took effect, and the running cost accrued before it
-        projected, leftover = forms(q)
+        leftover = residual_risk(q)
         since = np.zeros(n_rows)
         cost = np.zeros(n_rows)
-        slope = market.penalty.running_derivative
+        slope, terminal_slope = market.penalty.slopes
 
     while (alive := np.nonzero(pos < row_ev)[0]).size:
         n = alive.size
@@ -573,12 +577,12 @@ def _run_thinning(
                 price = s0[af] + np.einsum("nd,nd->n", chol[af], w[rows])
                 cash[rows] -= sf * zf * (price - sf * df)
                 lq[rows] += (sf * zf)[:, None] * chol[af]
-            if forms is not None:
-                # the segment the fill ends is charged at the old forms
+            if residual_risk is not None:
+                # the segment the fill ends is charged at the old leftover risk
                 tf = tw[k, hit]
-                cost[rows] += slope(projected[rows]) * (leftover[rows] * (tf - since[rows]))
+                cost[rows] += slope * (leftover[rows] * (tf - since[rows]))
                 since[rows] = tf
-                projected[rows], leftover[rows] = forms(q[rows])
+                leftover[rows] = residual_risk(q[rows])
             if keep_logs:
                 fill_steps.append((rows, af, sf * zf, tw[k, hit], bf))
 
@@ -605,10 +609,10 @@ def _run_thinning(
     )
     logs = _split_fills(fill_steps, n_rows) if keep_logs else []
     samples = None
-    if forms is not None:
+    if residual_risk is not None:
         # the last segment runs to the horizon; the terminal cost comes last
-        cost += slope(projected) * (leftover * (horizon - since))
-        samples = -(cost + market.penalty.terminal_derivative(projected) * leftover)
+        cost += slope * (leftover * (horizon - since))
+        samples = -(cost + terminal_slope * leftover)
     return [
         (
             records[first : first + n_paths],

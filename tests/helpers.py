@@ -171,16 +171,13 @@ def replay_correction_samples(result, factor_model) -> list[float]:
     Python floats: ``residual.correction_samples`` must match them exactly.
 
     Each fill is added to the inventory component by component (``x + 0.0``
-    off its asset, as a running sum of steps adds it), factor coordinates
-    and quadratic forms are summed in index order from 0.0 with products
-    taken left to right, and a path's running terms are summed in segment
-    order.  No numpy product or reduction is used; the penalty derivatives
-    are the model's own, on one value at a time.
+    off its asset, as a running sum of steps adds it), the quadratic form
+    ``q'Rq`` is summed in index order from 0.0 with products taken left to
+    right, and a path's running terms are summed in segment order.  No numpy
+    product or reduction is used; the slopes are the penalty's own.
     """
-    beta, V, R = (a.tolist() for a in (
-        factor_model.loadings, factor_model.factor_cov, factor_model.residual_cov
-    ))
-    penalty = result.market.penalty
+    R = factor_model.residual_cov.tolist()
+    slope, terminal_slope = result.market.penalty.slopes
 
     def form(x, m):
         acc = 0.0
@@ -198,17 +195,9 @@ def replay_correction_samples(result, factor_model) -> list[float]:
             if j:
                 asset, dq = log["asset"][j - 1], log["dq"][j - 1]
                 q = [x + (dq if c == asset else 0.0) for c, x in enumerate(q)]
-            factors = []
-            for col in range(len(V)):
-                acc = 0.0
-                for c in range(len(q)):
-                    acc += q[c] * beta[c][col]
-                factors.append(acc)
-            projected = form(factors, V)
             leftover = form(q, R)
-            slope = float(penalty.running_derivative(projected))
             running += slope * (leftover * (times[j + 1] - times[j]))
-        out.append(-(running + float(penalty.terminal_derivative(projected)) * leftover))
+        out.append(-(running + terminal_slope * leftover))
     return out
 
 

@@ -1,6 +1,6 @@
 """The CLI's artifacts against checked-in sha256 digests.
 
-Runs CI's first six rerun commands in-process and compares the digest of
+Runs seven of CI's rerun commands in-process and compares the digest of
 every artifact they write, caches and manifests left out, with
 ``artifact_digests.json``.  The bits depend on the numpy build and the CPU,
 so the comparison runs only in the environment the digests were recorded
@@ -52,6 +52,14 @@ COMMANDS = {
         ["solve", "--config", TWO, "--factors", "1", "--grid", "21"],
         ["adjust", "--config", TWO, "--factors", "1", "--grid", "21", "--paths", "300",
          "--rfq", "0:bid:12500", "--rfq", "1:ask:25000", "--rfq", "0:ask:5000"],
+    ],
+    # a 30-asset state with every component nonzero
+    "solve_and_adjust_thirty": [
+        ["solve", "--config", THIRTY, "--grid", "11"],
+        ["adjust", "--config", THIRTY, "--grid", "11", "--paths", "100",
+         "--inventory", "-2520,-2730,-420,2270,2880,840,-1970,-2970,-1240,1630,3000,1610,-1260,"
+         "-2970,-1950,860,2880,2250,-450,-2740,-2510,30,2540,2720,400,-2290,-2870,-810,1990,2960",
+         "--rfq", "0:bid:12500", "--rfq", "17:ask:25000", "--rfq", "29:ask:6250"],
     ],
 }
 

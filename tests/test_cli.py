@@ -726,6 +726,40 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{named}: {os.strerror(reason)}\n" in err
 
+    @pytest.mark.parametrize("subcommand, blocker, reason", [
+        ("solve", "file", errno.EEXIST),
+        ("solve", "dir", errno.EISDIR),
+        ("quotes", "dir", errno.EISDIR),
+    ], ids=["solve-cache-is-file", "solve-cache-path-is-dir", "quotes-cache-path-is-dir"])
+    def test_bad_cache_path_is_an_error_line(
+        self, work, tmp_path, capsys, subcommand, blocker, reason
+    ):
+        # a regular file named cache, or a directory where the surface's
+        # .npz goes
+        cfg, _ = work
+        _, h = load_config(cfg)
+        if blocker == "file":
+            named = tmp_path / "cache"
+            named.write_text("", encoding="utf-8")
+        else:
+            named = tmp_path / "cache" / _surface_cache_name(h[:12], 2, 5, None)
+            named.mkdir(parents=True)
+        code = main(
+            [subcommand, "--config", str(cfg), "--out-dir", str(tmp_path),
+             "--grid", "5", "--factors", "2"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{named}: {os.strerror(reason)}\n" in err
+
+    def test_config_not_utf8_is_an_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "market.yaml"
+        bad.write_bytes(b"\xff\xfe" + yaml.safe_dump(deep(BASE)).encode("utf-8"))
+        assert main(["validate", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not UTF-8 text") and err.count("\n") == 1
+
 
 @pytest.fixture(scope="module")
 def stage_setup():

@@ -161,25 +161,26 @@ class TestFactorModel:
         assert fm.factor_coordinates(batch).shape == (3, 2)
 
     @pytest.mark.parametrize("market, k", [("market_2asset", 1), ("market_30asset", 2)])
-    def test_residual_forms(self, request, market, k):
-        # the two forms of the residual correction, row by row: their sum is
-        # q'Sigma q, and a row's bits do not depend on how many rows share
-        # the call (one or two rows of two assets would take another einsum
-        # loop unpadded)
+    def test_residual_risk(self, request, market, k):
+        # the residual correction's integrand row by row: with the projected
+        # risk f'Vf it sums to q'Sigma q, and a row's bits do not depend on
+        # how many rows share the call (one or two rows of two assets would
+        # take another einsum loop unpadded)
         cov = request.getfixturevalue(market).covariance
         fm = build_factor_model(cov, k)
         rng = np.random.default_rng(5)
         q = rng.standard_normal((40, fm.n_assets)) * 1e4
-        projected, leftover = fm.residual_forms(q)
+        leftover = fm.residual_risk(q)
+        f = fm.factor_coordinates(q)
+        projected = np.einsum("nk,kl,nl->n", f, fm.factor_cov, f)
         np.testing.assert_allclose(
             projected + leftover, np.einsum("nd,de,ne->n", q, cov, q), rtol=1e-9
         )
-        assert (projected > 0.0).all() and (leftover > 0.0).all()
+        assert (leftover > 0.0).all()
         for first in range(len(q)):
             for n in (1, 2, 3, 8):
-                got = fm.residual_forms(q[first : first + n])
-                assert got[0].tobytes() == projected[first : first + n].tobytes()
-                assert got[1].tobytes() == leftover[first : first + n].tobytes()
+                got = fm.residual_risk(q[first : first + n])
+                assert got.tobytes() == leftover[first : first + n].tobytes()
 
     def test_rejects_bad_rank(self, market_2asset):
         with pytest.raises(ValidationError):

@@ -160,30 +160,46 @@ class TestRiskPenalty:
     def test_quadratic_values(self):
         pen = RiskPenalty(running_form="quadratic", gamma=8e-7, terminal_form="quadratic", zeta=2e-6)
         assert pen.running(1e10) == pytest.approx(4000.0)
-        assert pen.running_derivative(123.0) == pytest.approx(4e-7)
         assert pen.terminal(1e10) == pytest.approx(10000.0)
-        assert pen.is_smooth
 
     def test_sqrt_values(self):
         pen = RiskPenalty(running_form="sqrt", gamma=2.0, terminal_form="sqrt", zeta=3.0)
         assert pen.running(4.0) == pytest.approx(4.0)
-        assert pen.running_derivative(4.0) == pytest.approx(0.5)
         assert pen.terminal(9.0) == pytest.approx(9.0)
-        assert not pen.is_smooth
+        zero = RiskPenalty(running_form="sqrt", terminal_form="sqrt")
+        np.testing.assert_array_equal(zero.running([0.0, 4.0]), [0.0, 0.0])
 
-    def test_zero_weight_sqrt_has_zero_derivative(self):
-        # a zero weight is smooth, so its derivative at zero risk is 0, not 0/0
-        pen = RiskPenalty(running_form="sqrt", gamma=0.0, terminal_form="sqrt", zeta=0.0)
-        assert pen.is_smooth
-        y = np.array([0.0, 4.0])
-        np.testing.assert_array_equal(pen.running_derivative(y), [0.0, 0.0])
-        np.testing.assert_array_equal(pen.terminal_derivative(y), [0.0, 0.0])
-        np.testing.assert_array_equal(pen.running(y), [0.0, 0.0])
+    @pytest.mark.parametrize(
+        "penalty, slopes",
+        [
+            (RiskPenalty(gamma=8e-7), (4e-7, 0.0)),
+            (RiskPenalty(gamma=8e-7, terminal_form="quadratic", zeta=2e-6), (4e-7, 1e-6)),
+            # a zero weight has slope 0, not 0/0 at zero risk
+            (RiskPenalty(running_form="sqrt", terminal_form="sqrt"), (0.0, 0.0)),
+            # a zero terminal form ignores its weight
+            (RiskPenalty(gamma=8e-7, terminal_form="zero", zeta=3.0), (4e-7, 0.0)),
+        ],
+        ids=["bundled", "quadratic-terminal", "zero-weight-sqrt", "zero-terminal"],
+    )
+    def test_slopes(self, penalty, slopes):
+        got = penalty.slopes
+        assert got == slopes and all(type(x) is float for x in got)
+
+    @pytest.mark.parametrize(
+        "penalty",
+        [
+            RiskPenalty(running_form="sqrt", gamma=2.0),
+            RiskPenalty(gamma=8e-7, terminal_form="sqrt", zeta=3.0),
+        ],
+        ids=["running", "terminal"],
+    )
+    def test_sqrt_with_positive_weight_has_no_slopes(self, penalty):
+        with pytest.raises(ValidationError, match="unbounded derivative at zero risk"):
+            penalty.slopes
 
     def test_zero_terminal(self):
         pen = RiskPenalty()
         assert pen.terminal(5.0) == 0.0
-        assert pen.terminal_derivative(5.0) == 0.0
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValidationError):

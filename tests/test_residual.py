@@ -242,7 +242,7 @@ class TestLoopSamples:
         fm = surface.factor_model
         policy = SurfacePolicy(surface, market)
         runs = simulator.simulate_starts(
-            market, policy, n_paths, seed, starts, engine=engine, residual_forms=fm.residual_forms
+            market, policy, n_paths, seed, starts, engine=engine, residual_risk=fm.residual_risk
         )
         for start, run in zip(starts, runs):
             logged = simulate(
@@ -291,12 +291,30 @@ class TestLoopSamples:
         runs = self._check(dataclasses.replace(market, penalty=penalty), surface1, [None])
         assert runs[0].residual_samples.all()
 
+    def test_sqrt_penalty_is_refused_before_any_path(self, two_asset_setup, monkeypatch):
+        # a sqrt running penalty of positive weight has no constant slope;
+        # the sampler refuses it before a path runs, not with 0/0 samples
+        market, surface1, _ = two_asset_setup
+        sqrt_market = dataclasses.replace(
+            market, penalty=RiskPenalty(running_form="sqrt", gamma=1.0e-4)
+        )
+
+        def no_run(*args):
+            raise AssertionError("a path ran")
+
+        monkeypatch.setattr(simulator, "_run_thinning", no_run)
+        with pytest.raises(ValidationError, match="unbounded derivative at zero risk"):
+            simulator.simulate_starts(
+                sqrt_market, SurfacePolicy(surface1, sqrt_market), 3, 0, [None],
+                residual_risk=surface1.factor_model.residual_risk,
+            )
+
     def test_collapsed_engine_refuses_the_sampler(self, two_asset_setup):
         market, surface1, _ = two_asset_setup
-        with pytest.raises(ValidationError, match="'collapsed'.*residual_forms"):
+        with pytest.raises(ValidationError, match="'collapsed'.*residual_risk"):
             simulator.simulate_starts(
                 market, SurfacePolicy(surface1, market), 3, 0, [None], engine="collapsed",
-                residual_forms=surface1.factor_model.residual_forms,
+                residual_risk=surface1.factor_model.residual_risk,
             )
 
     def test_runs_without_the_sampler_carry_no_samples(self, two_asset_setup):
@@ -414,7 +432,7 @@ class TestDegenerateAndErrors:
     )
     def test_zero_weight_sqrt_penalty_adds_nothing(self, two_asset_setup, penalty, twin):
         # a flat start has zero risk, where the zero-weight sqrt form's
-        # derivative is 0, not 0/0: the estimate is its zero-weight twin's
+        # slope is 0, not 0/0: the estimate is its zero-weight twin's
         market, surface1, _ = two_asset_setup
         got, want = (
             residual_correction(

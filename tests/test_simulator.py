@@ -355,7 +355,7 @@ class TestChunking:
         near = _near_limit(market, start)
         starts = [near, start, -near]
         runs = simulator.simulate_starts(
-            market, policy, 9, 19, starts, residual_forms=fm.residual_forms
+            market, policy, 9, 19, starts, residual_risk=fm.residual_risk
         )
         for q0, run in zip(starts, runs):
             logged = simulate(
