@@ -65,6 +65,21 @@ order with ``np.einsum("r,rn->n", ...)`` as a loop over them would
 the build and its thread count, and its idle threads spin on the cores the
 workers need.  Surfaces therefore do not depend on the worker count, the
 block size or the BLAS build.  The threads live for one ``solve`` call.
+
+A mirror-symmetric market, where every asset's ask intensity curve and size
+law equal its bid ones (Gueant's symmetric case, which both bundled configs
+quote), steps its bid rows alone.  The grid's axes are exactly mirror
+symmetric, so reversing the flat C-order slice maps node f to -f, and the
+risk levels, the drain, the terminal slice and the dropped-term mask are
+bitwise mirror images.  With theta(t, f) = theta(t, -f) the ask term at f
+is the bid term at -f, and the update is
+``S = sum_r zp_r * envelope_r`` over the bid rows in order, then
+``theta + dt * (-drain + (S + S[::-1]))``.  Addition commutes, so theta stays
+bitwise symmetric at every step.  The ask terms come out of the bid terms'
+rounding rather than their own, so such a surface differs from the all-rows
+sweep's by rounding only: within 4e-15 of max |theta| on the bundled
+markets (``tests/test_solver.py``).  Every other market takes the all-rows
+step.
 """
 
 from __future__ import annotations
@@ -98,7 +113,7 @@ _FORMAT_VERSION = 2
 
 #: the sweep's arithmetic, in every fingerprint; a change that moves a
 #: surface's bits renames it, so caches solved before are refused
-SWEEP_SCHEME = "explicit-euler/omega-envelope/row-order-sum"
+SWEEP_SCHEME = "explicit-euler/omega-envelope/row-order-sum/mirrored-bid-rows"
 
 #: row-node elements per block of a sweep step: 512 KiB per float64 buffer
 _BLOCK_ELEMS = 2**16
@@ -457,7 +472,7 @@ class ValueSurface:
             ) from exc
 
 
-def _shift_rows(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid):
+def _shift_rows(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid, bids_only=False):
     """Per (asset, side, size atom) row: where the sweep reads shifted theta.
 
     A row moves every node by the same displacement s = +-z * e_i, so on the
@@ -466,10 +481,14 @@ def _shift_rows(market: MarketSpec, factor_model: FactorModel, grid: FactorGrid)
     fractions of shape (rows, n_j); the (rows, n_nodes) mask of dropped
     terms, exactly where :meth:`FactorGrid.contains` rejects node + s (the
     quotes' box rule, applied axis by axis); intensity parameters and z as
-    (rows, 1) columns; and z times the atom probability as (rows,).
+    (rows, 1) columns; and z times the atom probability as (rows,).  With
+    ``bids_only`` the rows are the bid rows alone, in the same order.
     """
     ns = grid.nodes_per_axis
     rows = BucketTable.from_market(market)
+    if bids_only:
+        bid = rows.side == 0
+        rows = BucketTable(**{f.name: getattr(rows, f.name)[bid] for f in dataclasses.fields(rows)})
     g = len(rows)
     shifts = (np.array(SIDE_SIGNS)[rows.side] * rows.size)[:, None] * (
         factor_model.shift_directions[rows.asset]
@@ -546,6 +565,13 @@ def _envelope_rows(theta, floor, rows, reads, dropped, lam, alpha, beta, inv_z, 
     out[dropped] = 0.0
 
 
+def _mirrored(market: MarketSpec) -> bool:
+    """Whether every asset's ask flow is its bid flow (see the module docstring)."""
+    return all(
+        a.ask_intensity == a.bid_intensity and a.ask_sizes == a.bid_sizes for a in market.assets
+    )
+
+
 def _worker_count() -> int:
     """Worker threads for the sweep: one per CPU this process may run on."""
     try:
@@ -562,8 +588,9 @@ def solve(
 ) -> ValueSurface:
     """Run the backward sweep and return the stored slices.
 
-    Each step computes the envelope in blocks of rows on a pool of worker
-    threads opened for this call and joined before it returns; the update
+    Each step computes the envelope in blocks of rows (of the bid rows alone
+    on a mirror-symmetric market) on a pool of worker threads opened for this
+    call and joined before it returns; the update
     and the finiteness check run on the calling thread once every block is
     done.  The stored values do not depend on the worker count or the block
     size (see the module docstring).
@@ -599,7 +626,8 @@ def solve(
     theta = -np.asarray(market.penalty.terminal(risk), dtype=float)
     drain = np.asarray(market.penalty.running(risk), dtype=float)
 
-    lo, frac, dropped, lam, alpha, beta, z, zp = _shift_rows(market, factor_model, grid)
+    mirrored = _mirrored(market)
+    lo, frac, dropped, lam, alpha, beta, z, zp = _shift_rows(market, factor_model, grid, mirrored)
     envelope = np.empty(dropped.shape)
     sweep = (dropped, lam, alpha, beta, 1.0 / z, envelope)
     size = max(1, _BLOCK_ELEMS // grid.n_nodes)
@@ -643,7 +671,11 @@ def solve(
                     f.result()
             else:
                 step(0)
-            theta = theta + dt * (-drain + np.einsum("r,rn->n", zp, envelope))
+            total = np.einsum("r,rn->n", zp, envelope)
+            if mirrored:
+                # the ask terms: reversing the flat slice maps node f to -f
+                total = total + total[::-1]
+            theta = theta + dt * (-drain + total)
             if not np.isfinite(theta).all():
                 raise SolverError(
                     f"non-finite values after step {m} of {n_steps} "

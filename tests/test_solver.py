@@ -26,6 +26,7 @@ from rfqmm.cli import _bundled_config
 from rfqmm.config_io import load_config
 from rfqmm import solver
 from rfqmm.errors import OutOfDomainError, SolverError, StabilityError, ValidationError
+from rfqmm.events import BucketTable
 from rfqmm.factors import build_factor_model
 from rfqmm.hamiltonian import batch_quote_kernel
 from rfqmm.model import RiskPenalty
@@ -471,6 +472,23 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def ask_alpha(market, alpha=0.8):
+    """``market`` with its first asset's ask curve at ``alpha``: no longer
+    mirror symmetric, so the sweep keeps all rows."""
+    first = market.assets[0]
+    ask = dataclasses.replace(first.ask_intensity, alpha=alpha)
+    first = dataclasses.replace(first, ask_intensity=ask)
+    return dataclasses.replace(market, assets=(first,) + market.assets[1:])
+
+
+def row_order_sum(zp, envelope):
+    """The update's sum over the rows, written out as a loop in row order."""
+    total = zp[0] * envelope[0]
+    for r in range(1, len(zp)):
+        total += zp[r] * envelope[r]
+    return total
+
+
 class TestBlockedStep:
     @pytest.mark.parametrize(
         "target, k",
@@ -507,32 +525,50 @@ class TestBlockedStep:
     def test_update_is_the_row_order_sum(self):
         # one step of a 30-asset sweep against its update written out as a
         # sum over the rows in order: the sweep calls no BLAS, whose
-        # summation order would depend on the build and its thread count
-        market, _ = load_config(_bundled_config("paper-30asset"))
+        # summation order would depend on the build and its thread count.
+        # The bundled market is mirror symmetric, so the sweep sums its bid
+        # rows, S, and takes S + S[::-1]; with one ask curve changed it sums
+        # all rows
+        bundled, _ = load_config(_bundled_config("paper-30asset"))
+        fm = build_factor_model(bundled.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, bundled.risk_limit, 21)
+        for market, mirrored in ((bundled, True), (ask_alpha(bundled), False)):
+            surface = solve(dataclasses.replace(market, horizon=1e-4), fm, grid)
+            assert surface.n_steps == 1
+
+            lo, frac, dropped, lam, alpha, beta, z, zp = _shift_rows(market, fm, grid, mirrored)
+            assert len(zp) == len(BucketTable.from_market(market)) // (2 if mirrored else 1)
+            risk = grid.risk_levels()
+            theta = -market.penalty.terminal(risk)
+            envelope = np.empty(dropped.shape)
+            _envelope_rows(
+                theta.reshape(grid.shape), market.quote_floor, slice(None),
+                _axis_reads(lo, frac), dropped, lam, alpha, beta, 1.0 / z, envelope,
+            )
+            total = row_order_sum(zp, envelope)
+            if mirrored:
+                total = total + total[::-1]
+            expected = theta + surface.dt * (-market.penalty.running(risk) + total)
+            np.testing.assert_array_equal(bits(surface.values[0].ravel()), bits(expected))
+
+    def test_values_do_not_depend_on_workers_or_blocks(self):
+        symmetric = make_market_2asset(horizon=0.1)
+        # on 441 nodes, 1000 elements make blocks of 2 rows and 1400 of 3:
+        # the symmetric market sweeps its 8 bid rows in 4 blocks, then in
+        # blocks of 3, 3 and 2 rows; the asymmetric one all 16 rows in 8
+        # blocks, then in 6, the last of 1 row
+        for market, layouts in (
+            (symmetric, ((1000, [2] * 4), (1400, [3, 3, 2]))),
+            (ask_alpha(symmetric), ((1000, [2] * 8), (1400, [3] * 5 + [1]))),
+        ):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                self.assert_layouts_agree(monkeypatch, market, layouts)
+
+    @staticmethod
+    def assert_layouts_agree(monkeypatch, market, layouts):
         fm = build_factor_model(market.covariance, 2)
         grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
-        surface = solve(dataclasses.replace(market, horizon=1e-4), fm, grid)
-        assert surface.n_steps == 1
-
-        lo, frac, dropped, lam, alpha, beta, z, zp = _shift_rows(market, fm, grid)
-        risk = grid.risk_levels()
-        theta = -market.penalty.terminal(risk)
-        envelope = np.empty(dropped.shape)
-        _envelope_rows(
-            theta.reshape(grid.shape), market.quote_floor, slice(None), _axis_reads(lo, frac),
-            dropped, lam, alpha, beta, 1.0 / z, envelope,
-        )
-        total = zp[0] * envelope[0]
-        for r in range(1, len(zp)):
-            total += zp[r] * envelope[r]
-        expected = theta + surface.dt * (-market.penalty.running(risk) + total)
-        np.testing.assert_array_equal(bits(surface.values[0].ravel()), bits(expected))
-
-    def test_values_do_not_depend_on_workers_or_blocks(self, monkeypatch):
-        market = make_market_2asset(horizon=0.1)
-        fm = build_factor_model(market.covariance, 2)
-        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
-        reference = solve(market, fm, grid)  # 16 rows on 441 nodes: one block
+        reference = solve(market, fm, grid)  # on 441 nodes: one block
 
         caller = threading.current_thread()
         runners, sizes = [], set()
@@ -543,12 +579,11 @@ class TestBlockedStep:
             return batch_quote_kernel(p, *args)
 
         monkeypatch.setattr(solver, "batch_quote_kernel", spy)
-        # 2 rows a block, 8 blocks; 3 rows a block, 6 blocks, the last of 1 row;
         # up to 3 workers on however many cores, switching threads often
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for elems, blocks in ((1000, [2] * 8), (1400, [3] * 5 + [1])):
+            for elems, blocks in layouts:
                 monkeypatch.setattr(solver, "_BLOCK_ELEMS", elems)
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(solver, "_worker_count", lambda: workers)
@@ -582,6 +617,70 @@ class TestBlockedStep:
             warnings.simplefilter("error")
             with np.errstate(all="ignore"), pytest.raises(SolverError, match="step 1 of"):
                 solve(market, fm, grid)
+
+
+#: largest |theta| difference, relative to max |theta|, between a mirrored
+#: solve and the all-rows solve of the same market; measured at most 5.8e-16
+#: on the cases below and 2.4e-15 on the benchmark's 30-asset surface
+MIRROR_RTOL = 4e-15
+
+MIRROR_CASES = pytest.mark.parametrize("target, k, nodes", [
+    ("paper-2asset", 1, 21), ("paper-2asset", 2, 21), ("paper-30asset", 1, 21),
+    ("paper-30asset", 2, 21), ("paper-30asset", 3, (11, 9, 7)),
+], ids=["2asset-k1", "2asset-k2", "30asset-k1", "30asset-k2", "30asset-k3"])
+
+
+def bundled_solve(target, k, nodes):
+    """Every slice of a 0.1-day solve of a bundled market on a small grid."""
+    market, _ = load_config(_bundled_config(target))
+    fm = build_factor_model(market.covariance, k)
+    grid = FactorGrid.from_factor_model(fm, market.risk_limit, nodes)
+    return solve(
+        dataclasses.replace(market, horizon=0.1), fm, grid, SolverConfig(store_policy="all_slices")
+    )
+
+
+class TestMirroredSweep:
+    @MIRROR_CASES
+    def test_surfaces_are_bitwise_mirror_symmetric(self, target, k, nodes):
+        # reversing every grid axis maps node f to -f
+        values = bundled_solve(target, k, nodes).values
+        mirrored = values[(slice(None),) + (slice(None, None, -1),) * k]
+        np.testing.assert_array_equal(bits(values), bits(mirrored))
+
+    @MIRROR_CASES
+    def test_matches_the_all_rows_solve(self, monkeypatch, target, k, nodes):
+        values = bundled_solve(target, k, nodes).values
+        monkeypatch.setattr(solver, "_mirrored", lambda market: False)
+        reference = bundled_solve(target, k, nodes).values
+        assert not np.array_equal(values, reference)
+        err = np.abs(values - reference).max() / np.abs(reference).max()
+        assert err <= MIRROR_RTOL
+
+    def test_an_asymmetric_market_keeps_the_all_rows_step(self):
+        # every step of a sweep whose first ask curve is not its bid curve
+        # against the all-rows update written out, bit for bit
+        market = ask_alpha(make_market_2asset(horizon=0.03))
+        fm = build_factor_model(market.covariance, 2)
+        grid = FactorGrid.from_factor_model(fm, market.risk_limit, 21)
+        surface = solve(market, fm, grid, SolverConfig(store_policy="all_slices"))
+        assert surface.n_steps == 4
+
+        lo, frac, dropped, lam, alpha, beta, z, zp = _shift_rows(market, fm, grid)
+        assert len(zp) == len(BucketTable.from_market(market))
+        reads = _axis_reads(lo, frac)
+        risk = grid.risk_levels()
+        theta = -market.penalty.terminal(risk)
+        drain = market.penalty.running(risk)
+        envelope = np.empty(dropped.shape)
+        for m in range(1, surface.n_steps + 1):
+            _envelope_rows(
+                theta.reshape(grid.shape), market.quote_floor, slice(None), reads,
+                dropped, lam, alpha, beta, 1.0 / z, envelope,
+            )
+            theta = theta + surface.dt * (-drain + row_order_sum(zp, envelope))
+            stored = surface.values[surface.n_steps - m].ravel()
+            np.testing.assert_array_equal(bits(stored), bits(theta))
 
 
 class TestStructuralProperties:
